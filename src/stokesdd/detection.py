@@ -14,9 +14,18 @@ available in closed form given the noiseless received fields (K_x, K_y):
 The delayed beat pair (w5, w6) obeys the same structure with K_y replaced by
 the previous slot's K_y, its covariance reducing to a scalar times I_2.
 
-Per-slot detection enumerates all magnitude/intra-phase hypotheses; the
-inter-slot phase is then detected successively, conditioned on those decisions
-and on the previous slot (its decided values, or the true ones in genie mode).
+Per-slot detection enumerates all H magnitude/intra-phase hypotheses and
+scores each one by the Gaussian log-likelihood
+-0.5 (|W_h w - W_h mu_h|^2 + log det C_h), where C_h = L_h L_h^T is the
+hypothesis covariance and W_h = L_h^-1 its Cholesky whitening map.  The
+hypothesis bank lays every W_h out side by side in one planar (4, 4H)
+matrix, so a slice of slots is scored by one GEMM, a subtraction of the
+whitened means, and a sum of the squares of four contiguous H-wide planes.
+At sigma2 = 0 the covariances vanish and the rule becomes the nearest mean.
+
+The inter-slot phase is then detected successively, conditioned on those
+decisions and on the previous slot (its decided values, or the true ones in
+genie mode).
 """
 
 from __future__ import annotations
@@ -35,6 +44,11 @@ from .frontend import FrontendOutputs, frontend_full_block
 # below this beat-mean amplitude the inter-slot phase hypotheses coincide and
 # the slot is flagged as an erasure
 ERASURE_TOL = 1e-12
+
+# slots per scoring slice: the slice's (rows, 4H) block of whitened
+# residuals is 1 MiB at H = 256, so it stays in a 2 MiB per-core L2 cache,
+# and each slice still spreads its half-dozen numpy calls over 128 slots
+SCORE_SLICE_ROWS = 128
 
 
 @dataclass
@@ -112,8 +126,13 @@ class _HypothesisBank:
     ex: np.ndarray
     ey: np.ndarray
     means: np.ndarray  # (H, 4)
-    icovs: Optional[np.ndarray]
-    logdets: Optional[np.ndarray]
+    # the fields below are None at sigma2 = 0, where the nearest mean decides
+    # (4, 4H) planar whitening map: column j*H + h is row j of W_h = L_h^-1,
+    # so w @ whiten holds the whitened coordinate j of every hypothesis in
+    # the contiguous plane [j*H, (j+1)*H)
+    whiten: Optional[np.ndarray]
+    whitened_means: Optional[np.ndarray]  # (4H,) W_h mu_h in the same layout
+    logdets: Optional[np.ndarray]  # (H,) log det C_h = 2 sum log diag L_h
 
 
 def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _HypothesisBank:
@@ -129,22 +148,35 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     ey = radii[triples[:, 1]] * np.exp(-1j * constellation.phase_step * triples[:, 2])
     kx, ky = apply_jones(channel, ex, ey)
     means, covs = _stats123(kx, ky, channel.sigma2)
-    if channel.sigma2 > 0.0:
-        icovs = np.linalg.inv(covs)
-        logdets = np.linalg.slogdet(covs)[1]
-    else:
-        icovs = None
-        logdets = None
-    return _HypothesisBank(triples, ex, ey, means, icovs, logdets)
+    if channel.sigma2 == 0.0:
+        return _HypothesisBank(triples, ex, ey, means, None, None, None)
+    chol = np.linalg.cholesky(covs)
+    inv_chol = np.linalg.inv(chol)  # (H, 4, 4), row j of W_h at [h, j]
+    whiten = np.ascontiguousarray(inv_chol.transpose(2, 1, 0).reshape(4, -1))
+    whitened_means = np.einsum("hji,hi->jh", inv_chol, means).ravel()
+    logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return _HypothesisBank(triples, ex, ey, means, whiten, whitened_means, logdets)
 
 
 def _bank_scores(bank: _HypothesisBank, obs: np.ndarray) -> np.ndarray:
-    diffs = obs[:, None, :] - bank.means[None, :, :]
-    if bank.icovs is None:
+    if bank.whiten is None:
         # degenerate covariance at sigma2 = 0: nearest-mean decision
+        diffs = obs[:, None, :] - bank.means[None, :, :]
         return -np.einsum("nhi,nhi->nh", diffs, diffs)
-    quad = np.einsum("nhi,hij,nhj->nh", diffs, bank.icovs, diffs)
-    return -0.5 * (quad + bank.logdets[None, :])
+    n, h = len(obs), len(bank.logdets)
+    scores = np.empty((n, h))
+    resid = np.empty((min(n, SCORE_SLICE_ROWS), 4 * h))
+    for start in range(0, n, SCORE_SLICE_ROWS):
+        stop = min(start + SCORE_SLICE_ROWS, n)
+        z = resid[: stop - start]
+        np.matmul(obs[start:stop], bank.whiten, out=z)
+        z -= bank.whitened_means
+        np.square(z, out=z)
+        out = scores[start:stop]
+        z.reshape(-1, 4, h).sum(axis=1, out=out)
+        out += bank.logdets
+        out *= -0.5
+    return scores
 
 
 def detect_dims123_block(obs: np.ndarray, channel: JonesChannel, constellation: RingPskConstellation):
@@ -412,17 +444,31 @@ def run_successive_receiver(
     ``frames`` is (n, 6) samples or a list of FrontendOutputs; slot 0 must be
     the known pilot.  Passing ``genie_indices`` (the true (n, 4) indices)
     replaces the decision-directed conditioning to isolate the last stage from
-    error propagation.
+    error propagation; it must be an integer array with every index inside
+    the constellation.
     """
     arr = frames_to_array(frames)
     if arr.ndim != 2 or arr.shape[1] != 6 or arr.shape[0] < 2:
         raise ValueError("expected at least two slots of six samples")
+    if genie_indices is not None:
+        genie = np.asarray(genie_indices)
+        if genie.shape != (len(arr), 4) or not np.issubdtype(genie.dtype, np.integer):
+            raise ValueError(
+                f"genie_indices must be an integer array of shape ({len(arr)}, 4), "
+                f"got {genie.dtype} {genie.shape}"
+            )
+        nr, nph = constellation.n_rings, constellation.n_phases
+        if (genie < 0).any() or (genie >= (nr, nr, nph, nph)).any():
+            raise ValueError(
+                "genie_indices out of range: (rx, ry, t, e) must lie in "
+                f"[0, {nr}) x [0, {nr}) x [0, {nph}) x [0, {nph})"
+            )
     obs123 = arr[:, :4]
     w56 = arr[:, 4] + 1j * arr[:, 5]
     decided, _ = detect_dims123_block(obs123, channel, constellation)
 
     if genie_indices is not None:
-        cond = np.asarray(genie_indices, dtype=np.int64)[:, :3]
+        cond = genie[:, :3].astype(np.int64)
         mode = "genie"
     else:
         cond = decided.copy()
@@ -430,7 +476,10 @@ def run_successive_receiver(
         mode = "decision-directed"
 
     v = context_vectors(constellation, cond[:, 0], cond[:, 1], cond[:, 2])
-    gain = v @ ell_vector(channel)
+    # einsum rather than @: OpenBLAS runs a matrix-vector product this long on
+    # all cores, and its helper threads then spin for ~0.1 s after every call,
+    # taking the cores the other pool workers need
+    gain = np.einsum("nj,j->n", v, ell_vector(channel))
     eta, erased = detect_dim4_block(w56[1:], gain, constellation)
 
     out = np.empty((len(arr), 4), dtype=np.int64)

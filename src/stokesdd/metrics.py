@@ -119,9 +119,15 @@ def histogram_mi_bits(
     on a square grid, plus its plug-in mutual information in bits.
 
     Samples outside the box (including non-finite ones) clip into the edge
-    bins, so the histogram always accounts for every sample.
+    bins, so the histogram always accounts for every sample.  Labels must lie
+    in [0, n_labels).
     """
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_labels):
+        raise ValueError(
+            f"labels must lie in [0, {n_labels}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
     values = np.asarray(values, dtype=complex)
     if box_halfwidth is None:
         finite = np.abs(values)[np.isfinite(values)]

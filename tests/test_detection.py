@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokesdd.channel import (
     JonesChannel,
@@ -20,6 +22,7 @@ from stokesdd.constellation import (
     wrap_angle,
 )
 from stokesdd.detection import (
+    SCORE_SLICE_ROWS,
     Decision,
     detect_dim4,
     detect_dims123,
@@ -35,6 +38,8 @@ from stokesdd.detection import (
     run_training,
 )
 from stokesdd.frontend import frontend_full_block
+
+from reference import einsum_bank_scores, hypothesis_stats
 
 PILOT = SymbolIndices(0, 0, 0, 0)
 
@@ -197,6 +202,52 @@ def test_scalar_detect_matches_block():
         assert (d.indices.rx, d.indices.ry, d.indices.t) == tuple(block[n])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (2, 4), (3, 8), (4, 16)]),
+    osnr_db=st.floats(0.0, 140.0),
+    # no slice edge, one slot either side of an edge, on one, and many slices
+    n=st.sampled_from(
+        [1, 2 * SCORE_SLICE_ROWS - 1, 2 * SCORE_SLICE_ROWS, 2 * SCORE_SLICE_ROWS + 1, 1000]
+    ),
+    seed=st.integers(0, 2**31),
+)
+def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
+    rng = np.random.default_rng(seed)
+    c = build_constellation(*shape)
+    ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
+    triples, means, covs = hypothesis_stats(ch, c)
+    idx = random_symbol_stream(rng, c, n)
+    ex, ey = encode_indices(c, idx)
+    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
+    obs = frontend_full_block(fx, fy)[:, :4]
+
+    decided, scores = detect_dims123_block(obs, ch, c)
+    ref = einsum_bank_scores(means, covs, ch.sigma2, obs)
+    assert scores.shape == ref.shape
+    assert (decided == triples[ref.argmax(axis=1)]).all()
+    # Both forms are backward stable, so each is off the exact score by about
+    # the covariance condition number times eps, relative to the size of the
+    # terms summed into a score (0.5 (quad + |log det|)).  That bound is below
+    # 1e-12 up to about 15 dB and grows 10x per 10 dB beyond.
+    logdets = np.linalg.slogdet(covs)[1]
+    quads = -2.0 * ref - logdets
+    scale = 0.5 * (quads + np.abs(logdets)).max(axis=1)
+    kappa = np.linalg.cond(covs).max()
+    tol = 16.0 * kappa * np.finfo(float).eps * scale
+    assert (np.abs(scores - ref) <= tol[:, None]).all()
+
+
+def test_zero_noise_scores_are_negative_squared_distances():
+    rng = np.random.default_rng(21)
+    c = build_constellation(3, 8)
+    ch = haar_random_channel(rng, 0.0)
+    obs = rng.standard_normal((50, 4))
+    _, scores = detect_dims123_block(obs, ch, c)
+    _, means, covs = hypothesis_stats(ch, c)
+    assert np.array_equal(scores, einsum_bank_scores(means, covs, 0.0, obs))
+
+
 # --- inter-slot detection -----------------------------------------------------
 
 
@@ -303,6 +354,26 @@ def test_slotwise_scalar_receiver_matches_block_receiver():
         assert (decided[n].rx, decided[n].ry, decided[n].t) == tuple(block.indices[n, :3])
         if n >= 1:
             assert etas[n] == block.indices[n, 3]
+
+
+def test_receiver_rejects_malformed_genie_indices():
+    rng = np.random.default_rng(3)
+    c = build_constellation(2, 4)
+    ch = haar_random_channel(rng, 0.01)
+    idx = random_symbol_stream(rng, c, 20)
+    ex, ey = encode_indices(c, idx)
+    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
+    frames = frontend_full_block(fx, fy)
+    bad = [idx[:-1], idx[:, :3], idx.astype(float)]
+    for row, col, value in ((5, 0, -1), (6, 1, c.n_rings), (7, 2, c.n_phases), (8, 3, -2)):
+        wrong = idx.copy()
+        wrong[row, col] = value
+        bad.append(wrong)
+    for genie in bad:
+        with pytest.raises(ValueError, match="genie_indices"):
+            run_successive_receiver(frames, ch, c, PILOT, genie_indices=genie)
+    res = run_successive_receiver(frames, ch, c, PILOT, genie_indices=idx)
+    assert res.mode == "genie"
 
 
 def test_genie_mode_dominates_decision_directed_dim4():

@@ -78,6 +78,14 @@ def test_histogram_mi_clips_nonfinite_samples_into_edge_bins():
     assert counts.sum() == 4
 
 
+@pytest.mark.parametrize("bad_label", [4, -1])
+def test_histogram_mi_rejects_out_of_range_labels(bad_label):
+    labels = np.arange(40) % 4
+    labels[17] = bad_label
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        histogram_mi_bits(labels, np.ones(40, dtype=complex), 4, 8)
+
+
 def test_mi_noiseless_limit_reaches_log2_np():
     c = build_constellation(2, 4)
     est = estimate_mi_dim4(c, [200.0], 40_000, 32, n_channels=8, seed=3)[0]
