@@ -465,7 +465,10 @@ def run_successive_receiver(
             )
     obs123 = arr[:, :4]
     w56 = arr[:, 4] + 1j * arr[:, 5]
-    decided, _ = detect_dims123_block(obs123, channel, constellation)
+    # drop the (n, H) score table now, not at return: kept alive through the
+    # dim-4 stage, its freed block is split by the next call's arrays, and
+    # whether the next table then grows the heap depends on heap layout alone
+    decided = detect_dims123_block(obs123, channel, constellation)[0]
 
     if genie_indices is not None:
         cond = genie[:, :3].astype(np.int64)

@@ -26,18 +26,21 @@ from .channel import (
 )
 from .config import ExperimentConfig
 from .constellation import SymbolIndices, build_constellation, encode_indices
-from .detection import estimate_channel, run_successive_receiver, run_training
+from .detection import (
+    estimate_channel,
+    gauge_aligned_error,
+    gaussian_stats_dim4,
+    gaussian_stats_dims123,
+    run_successive_receiver,
+    run_training,
+)
 from .frontend import frontend_full_block, frontend_reduced_block, recover_full_block
-from .metrics import accumulate_ser, estimate_mi_dim4
+from .metrics import _rng, accumulate_ser, estimate_mi_dim4
 
 SER_HEADER = "osnr_db,dim,ser,trials,mode"
 RATE_HEADER = "osnr_db,mi_bits,n_samples,n_bins"
 
 PILOT = SymbolIndices(0, 0, 0, 0)
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _format(value: float) -> str:
@@ -276,8 +279,6 @@ def covariance_calibration(
     are compared against the model, relative, on entries above 5% of each
     object's largest magnitude.
     """
-    from .detection import gaussian_stats_dim4, gaussian_stats_dims123
-
     rng = _rng(seed, 900)
     worst = [0.0, 0.0, 0.0, 0.0]
     for _ in range(n_configs):
@@ -309,8 +310,6 @@ def covariance_calibration(
 def channel_estimation_demo(osnr_db: float, repeats: int, seed: int = 0) -> dict:
     """Draw one channel, estimate it from averaged training pilots, and report
     the sign-aligned error and the fit residual."""
-    from .detection import gauge_aligned_error
-
     sigma2 = osnr_to_sigma2(osnr_db)
     channel = haar_random_channel(_rng(seed, 901), sigma2)
     estimate = estimate_channel(run_training(channel, repeats, _rng(seed, 902)))

@@ -6,19 +6,35 @@ information between the uniform phase index and the delayed beat observable,
 normalized by its known complex gain so that every conditioning context shares
 one statistic near the unit circle.  The normalized values are histogrammed on
 a square grid and the plug-in estimator is averaged over channel draws.
+
+An OSNR sweep processes the channel draws one at a time: the terms that do not
+depend on the OSNR are computed once per channel, and each OSNR point adds its
+scaled noise and histograms into its own accumulators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .channel import apply_jones, haar_random_channel, osnr_to_sigma2
-from .constellation import RingPskConstellation
-from .detection import ReceiverResult, ell_vector
+from .channel import (
+    JonesChannel,
+    add_unit_noise,
+    apply_jones,
+    haar_random_channel,
+    osnr_to_sigma2,
+)
+from .constellation import RingPskConstellation, SymbolIndices, encode_indices
+from .detection import (
+    ReceiverResult,
+    context_vectors,
+    ell_vector,
+    run_successive_receiver,
+)
+from .frontend import frontend_full_block
 
 __all__ = [
     "SerReport",
@@ -145,11 +161,14 @@ def histogram_mi_bits(
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
+    """Keyed stream: (seed, key) names one independent generator."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _genie_statistic(constellation, channel, sigma2, idx_prev, idx_now, eta_idx, unit):
-    """Normalized delayed-beat statistic for independent context draws."""
+def _genie_terms(constellation, channel, idx_prev, idx_now, eta_idx):
+    """OSNR-independent part of the genie statistic for independent context
+    draws: the noiseless current x field, the noiseless previous y field, and
+    the known gain of the delayed beat, (kx_now, ky_prev, gain)."""
     radii = np.asarray(constellation.radii)
     step = constellation.phase_step
     rxp, ryp, tp = (idx_prev[:, k] for k in range(3))
@@ -161,33 +180,31 @@ def _genie_statistic(constellation, channel, sigma2, idx_prev, idx_now, eta_idx,
     ey_now = radii[ryn] * np.exp(1j * step * (eta_idx - tn))
     _, ky_prev = apply_jones(channel, ex_prev, ey_prev)
     kx_now, _ = apply_jones(channel, ex_now, ey_now)
-    s = math.sqrt(sigma2)
-    fx = kx_now + s * (unit[:, 0] + 1j * unit[:, 1])
-    fy_prev = ky_prev + s * (unit[:, 2] + 1j * unit[:, 3])
-    beat = fx * np.conj(fy_prev)  # (w5 + i w6) / 2
 
-    v = np.empty((len(beat), 4), dtype=complex)
+    v = np.empty((len(eta_idx), 4), dtype=complex)
     v[:, 0] = radii[rxn] * radii[ryp]
     v[:, 1] = radii[ryn] * radii[rxp] * np.exp(-1j * step * (tn + tp))
     v[:, 2] = radii[rxn] * radii[rxp] * np.exp(-1j * step * tp)
     v[:, 3] = radii[ryn] * radii[ryp] * np.exp(-1j * step * tn)
     gain = v @ ell_vector(channel)
+    return kx_now, ky_prev, gain
+
+
+def _genie_statistic(kx_now, ky_prev, gain, sigma2, unit):
+    """Normalized delayed-beat statistic at one noise level."""
+    s = math.sqrt(sigma2)
+    fx = kx_now + s * (unit[:, 0] + 1j * unit[:, 1])
+    fy_prev = ky_prev + s * (unit[:, 2] + 1j * unit[:, 3])
+    beat = fx * np.conj(fy_prev)  # (w5 + i w6) / 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        stat = beat / gain
-    return stat
+        return beat / gain
 
 
-def _dd_statistic(constellation, channel, sigma2, idx, unit):
+def _dd_statistic(constellation, channel, sigma2, kx, ky, unit):
     """Normalized delayed-beat statistic with decision-directed conditioning:
-    the gain is computed from the receiver's own per-slot decisions."""
-    from .channel import JonesChannel, add_unit_noise
-    from .constellation import SymbolIndices, encode_indices
-    from .detection import context_vectors, run_successive_receiver
-    from .frontend import frontend_full_block
-
+    the gain is computed from the receiver's own per-slot decisions on the
+    noiseless fields (kx, ky) of a sequential stream plus scaled noise."""
     pilot = SymbolIndices(0, 0, 0, 0)
-    ex, ey = encode_indices(constellation, idx)
-    kx, ky = apply_jones(channel, ex, ey)
     fx, fy = add_unit_noise(kx, ky, sigma2, unit)
     frames = frontend_full_block(fx, fy)
     noisy = JonesChannel(channel.a, channel.b, sigma2)
@@ -202,7 +219,7 @@ def _dd_statistic(constellation, channel, sigma2, idx, unit):
 
 def estimate_mi_dim4(
     constellation: RingPskConstellation,
-    osnr_db_grid: Sequence[float],
+    osnr_db_grid: Iterable[float],
     n_samples: int,
     n_bins: int,
     *,
@@ -217,7 +234,14 @@ def estimate_mi_dim4(
     information is computed on an ``n_bins`` square grid covering the unit
     circle widened by four empirical noise deviations.  Channel draws, context
     draws, and noise quadratures are held fixed across the grid so that the
-    curve is monotone up to estimator noise.
+    curve is monotone up to estimator noise, and each point equals the same
+    OSNR computed alone.
+
+    Channels are processed one at a time, so only one channel's arrays are
+    alive at once.  The terms that do not depend on the OSNR (noiseless
+    fields, the genie gain, the reference phasors) are computed once per
+    channel; each OSNR point then adds its scaled noise and histograms into
+    per-OSNR accumulators (pooled counts, per-channel bits and boxes).
 
     ``context`` selects the conditioning: "genie" (default) normalizes by the
     gain of the true per-slot values; "decision-directed" runs the receiver on
@@ -231,10 +255,14 @@ def estimate_mi_dim4(
         raise ValueError("n_samples must be at least n_channels")
     if context not in ("genie", "decision-directed"):
         raise ValueError("context must be 'genie' or 'decision-directed'")
+    grid = list(osnr_db_grid)  # visited once per channel
     m = -(-n_samples // n_channels)  # ceil: per-channel sample count
     nph = constellation.n_phases
+    sigma2s = [osnr_to_sigma2(osnr_db) for osnr_db in grid]
+    pooled = [np.zeros((nph, n_bins, n_bins), dtype=np.int64) for _ in grid]
+    per_channel = [[] for _ in grid]
+    boxes = [[] for _ in grid]
 
-    draws = []
     for c in range(n_channels):
         channel = haar_random_channel(_rng(seed, c, 0))
         data_rng = _rng(seed, c, 1)
@@ -257,7 +285,9 @@ def estimate_mi_dim4(
             )
             eta_idx = data_rng.integers(0, nph, m)
             unit = _rng(seed, c, 2).standard_normal((m, 4))
-            draws.append((channel, (idx_prev, idx_now, eta_idx), unit))
+            kx_now, ky_prev, gain = _genie_terms(
+                constellation, channel, idx_prev, idx_now, eta_idx
+            )
         else:
             # one sequential stream per channel; slot 0 is the pilot
             idx = np.stack(
@@ -271,48 +301,41 @@ def estimate_mi_dim4(
             )
             idx[0] = (0, 0, 0, 0)
             unit = _rng(seed, c, 2).standard_normal((m + 1, 4))
-            draws.append((channel, idx, unit))
+            eta_idx = idx[1:, 3]
+            kx, ky = apply_jones(channel, *encode_indices(constellation, idx))
+        reference = np.exp(1j * constellation.phase_step * eta_idx)
 
-    results = []
-    for osnr_db in osnr_db_grid:
-        sigma2 = osnr_to_sigma2(osnr_db)
-        pooled = np.zeros((nph, n_bins, n_bins), dtype=np.int64)
-        per_channel = []
-        boxes = []
-        for channel, data, unit in draws:
+        for k, sigma2 in enumerate(sigma2s):
             if context == "genie":
-                idx_prev, idx_now, eta_idx = data
-                stat = _genie_statistic(
-                    constellation, channel, sigma2, idx_prev, idx_now, eta_idx, unit
-                )
+                stat = _genie_statistic(kx_now, ky_prev, gain, sigma2, unit)
             else:
-                eta_idx = data[1:, 3]
-                stat = _dd_statistic(constellation, channel, sigma2, data, unit)
-            residual = stat - np.exp(1j * constellation.phase_step * eta_idx)
+                stat = _dd_statistic(constellation, channel, sigma2, kx, ky, unit)
+            residual = stat - reference
             finite = np.isfinite(residual)
             sigma_w = (
                 math.sqrt(float((np.abs(residual[finite]) ** 2).mean()) / 2.0)
                 if finite.any()
                 else 0.0
             )
-            boxes.append(1.0 + 4.0 * sigma_w)
+            boxes[k].append(1.0 + 4.0 * sigma_w)
             counts, bits = histogram_mi_bits(
-                eta_idx, stat, nph, n_bins, box_halfwidth=boxes[-1]
+                eta_idx, stat, nph, n_bins, box_halfwidth=boxes[k][-1]
             )
-            pooled += counts
-            per_channel.append(bits)
-        results.append(
-            MiEstimate(
-                float(osnr_db),
-                float(np.mean(per_channel)),
-                pooled,
-                len(eta_idx) * n_channels,
-                n_bins,
-                float(np.mean(boxes)),
-                tuple(per_channel),
-            )
+            pooled[k] += counts
+            per_channel[k].append(bits)
+
+    return [
+        MiEstimate(
+            float(osnr_db),
+            float(np.mean(per_channel[k])),
+            pooled[k],
+            m * n_channels,
+            n_bins,
+            float(np.mean(boxes[k])),
+            tuple(per_channel[k]),
         )
-    return results
+        for k, osnr_db in enumerate(grid)
+    ]
 
 
 def estimate_mi_dims123(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from stokesdd.detection import (
     run_successive_receiver,
     run_training,
 )
+import stokesdd.detection as detection
 from stokesdd.frontend import frontend_full_block
 
 from reference import einsum_bank_scores, hypothesis_stats
@@ -374,6 +376,36 @@ def test_receiver_rejects_malformed_genie_indices():
             run_successive_receiver(frames, ch, c, PILOT, genie_indices=genie)
     res = run_successive_receiver(frames, ch, c, PILOT, genie_indices=idx)
     assert res.mode == "genie"
+
+
+def test_receiver_frees_score_table_before_dim4_stage(monkeypatch):
+    # the (n, H) table is the largest array of a receiver call; holding it
+    # through the dim-4 stage raises the peak and fragments the heap
+    rng = np.random.default_rng(4)
+    c = build_constellation(2, 4)
+    ch = haar_random_channel(rng, 0.01)
+    idx = random_symbol_stream(rng, c, 300)
+    ex, ey = encode_indices(c, idx)
+    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
+    frames = frontend_full_block(fx, fy)
+    original_dim4 = detection.detect_dim4_block
+    tables = []
+    live_at_dim4 = []
+
+    def recording_dims123(*args, **kwargs):
+        decided, scores = detect_dims123_block(*args, **kwargs)
+        tables.append(weakref.ref(scores))
+        return decided, scores
+
+    def recording_dim4(*args, **kwargs):
+        live_at_dim4.append(tables[-1]() is not None)
+        return original_dim4(*args, **kwargs)
+
+    monkeypatch.setattr(detection, "detect_dims123_block", recording_dims123)
+    monkeypatch.setattr(detection, "detect_dim4_block", recording_dim4)
+    for genie in (None, idx):
+        run_successive_receiver(frames, ch, c, PILOT, genie_indices=genie)
+    assert live_at_dim4 == [False, False]
 
 
 def test_genie_mode_dominates_decision_directed_dim4():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from stokesdd.channel import haar_random_channel
 from stokesdd.constellation import SymbolIndices, build_constellation
 from stokesdd.metrics import (
+    _genie_terms,
     accumulate_ser,
     estimate_mi_dim4,
     estimate_mi_dims123,
@@ -118,6 +120,71 @@ def test_mi_deterministic_given_seed():
     b = estimate_mi_dim4(c, [18.0], 20_000, 32, n_channels=4, seed=9)[0]
     assert a.bits_per_channel_use == b.bits_per_channel_use
     assert (a.counts == b.counts).all()
+
+
+def _assert_same_estimate(a, b):
+    assert a.osnr_db == b.osnr_db
+    assert a.bits_per_channel_use == b.bits_per_channel_use
+    assert np.array_equal(a.counts, b.counts)
+    assert a.box_halfwidth == b.box_halfwidth
+    assert a.per_channel_bits == b.per_channel_bits
+    assert (a.n_samples, a.n_bins) == (b.n_samples, b.n_bins)
+
+
+@pytest.mark.parametrize("context", ["genie", "decision-directed"])
+def test_mi_grid_point_equals_same_osnr_alone(context):
+    # common random numbers: channel, context and noise draws do not depend on
+    # the grid, so each point of a sweep is the single-point estimate exactly
+    c = build_constellation(2, 4)
+    grid = [6.0, 14.0, 22.0]
+    kwargs = dict(n_channels=4, seed=11, context=context)
+    sweep = estimate_mi_dim4(c, grid, 4_000, 16, **kwargs)
+    assert len(sweep) == len(grid)
+    for osnr_db, est in zip(grid, sweep):
+        (alone,) = estimate_mi_dim4(c, [osnr_db], 4_000, 16, **kwargs)
+        _assert_same_estimate(est, alone)
+
+
+@pytest.mark.parametrize("rings, phases", [(1, 1), (2, 4), (3, 8)])
+def test_genie_terms_match_noiseless_beat(rings, phases):
+    # noiseless delayed beat: kx[n] conj(ky[n-1]) = gain * exp(i eta step)
+    c = build_constellation(rings, phases)
+    rng = np.random.default_rng(rings * 100 + phases)
+    m = 2_000
+    for _ in range(20):
+        channel = haar_random_channel(rng)
+        idx_prev, idx_now = (
+            np.stack(
+                [
+                    rng.integers(0, rings, m),
+                    rng.integers(0, rings, m),
+                    rng.integers(0, phases, m),
+                ],
+                axis=1,
+            )
+            for _ in range(2)
+        )
+        eta = rng.integers(0, phases, m)
+        kx_now, ky_prev, gain = _genie_terms(c, channel, idx_prev, idx_now, eta)
+        beat = kx_now * np.conj(ky_prev)
+        expected = gain * np.exp(1j * c.phase_step * eta)
+        rows = np.abs(gain) > 1e-6
+        assert rows.mean() > 0.99
+        rel = np.abs(beat - expected)[rows] / np.abs(gain)[rows]
+        assert rel.max() <= 1e-12
+
+
+def test_mi_grid_may_be_any_iterable():
+    c = build_constellation(2, 4)
+    grid = [8.0, 16.0]
+    kwargs = dict(n_channels=3, seed=4)
+    from_list = estimate_mi_dim4(c, grid, 3_000, 16, **kwargs)
+    from_generator = estimate_mi_dim4(c, (g for g in grid), 3_000, 16, **kwargs)
+    assert len(from_generator) == len(from_list) == 2
+    for a, b in zip(from_list, from_generator):
+        _assert_same_estimate(a, b)
+    assert estimate_mi_dim4(c, [], 3_000, 16, **kwargs) == []
+    assert estimate_mi_dim4(c, iter(()), 3_000, 16, **kwargs) == []
 
 
 def test_mi_dim4_consistent_with_fano():
