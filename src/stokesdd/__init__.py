@@ -6,6 +6,9 @@ both receiver variants), detection (Gaussian-surrogate ML and successive
 detection, training-based channel estimation), metrics (SER accumulation and
 plug-in rate estimation), experiments/config/cli (seeded sweeps and CSV/plot
 emission).
+
+Every layer works on whole blocks of slots: index arrays (n, 4), field arrays
+(n,), sample arrays (n, 6).
 """
 
 from .channel import (
@@ -15,7 +18,6 @@ from .channel import (
     channel_from_pair,
     haar_random_channel,
     osnr_to_sigma2,
-    propagate,
     propagate_block,
     stokes_matrix,
     stokes_vector,
@@ -27,29 +29,16 @@ from .constellation import (
     SymbolIndices,
     build_constellation,
     encode_indices,
-    encode_sequence,
-    nearest_indices,
-    nearest_indices_block,
 )
 from .detection import (
     ChannelEstimate,
-    Decision,
     GaussianStats,
     ReceiverResult,
-    detect_dim4,
-    detect_dims123,
     estimate_channel,
     gaussian_stats_dim4,
     gaussian_stats_dims123,
     run_successive_receiver,
     run_training,
-)
-from .frontend import (
-    FrontendOutputs,
-    ReducedFrontendOutputs,
-    frontend_full,
-    frontend_reduced,
-    recover_full,
 )
 from .metrics import MiEstimate, SerReport, accumulate_ser, estimate_mi_dim4
 

@@ -6,7 +6,7 @@ The two-polarization field passes through a random unit-determinant rotation
 variance 2*sigma2 per polarization (sigma2 per real quadrature).  The four
 per-slot observables (|F_x|^2, |F_y|^2, 2Re F_xF_y*, 2Im F_xF_y*) are a fixed
 linear function of the same observables of the transmit field; that 4x4 matrix
-is exposed for detection and diagnostics.
+is exposed for diagnostics and tests.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .constellation import DualPolSymbol
 
 UNITARITY_TOL = 1e-12
 
@@ -87,15 +85,6 @@ def propagate_block(channel: JonesChannel, ex, ey, rng: np.random.Generator):
     unit = rng.standard_normal((np.shape(kx)[0], 4))
     fx, fy = add_unit_noise(kx, ky, channel.sigma2, unit)
     return fx, fy, kx, ky
-
-
-def propagate(channel: JonesChannel, symbol: DualPolSymbol, rng: np.random.Generator):
-    """Pass one symbol through the channel; returns (noisy, noiseless) fields."""
-    kx, ky = apply_jones(channel, symbol.ex, symbol.ey)
-    s = math.sqrt(channel.sigma2)
-    g = rng.standard_normal(4)
-    noisy = DualPolSymbol(kx + s * complex(g[0], g[1]), ky + s * complex(g[2], g[3]))
-    return noisy, DualPolSymbol(complex(kx), complex(ky))
 
 
 def stokes_vector(ex, ey) -> np.ndarray:

@@ -4,6 +4,7 @@ oracle, and a channel-estimation demo."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -17,24 +18,13 @@ from .experiments import (
     write_csv,
 )
 
-_OVERRIDES = (
-    ("n_rings", int),
-    ("n_phases", int),
-    ("osnr_start_db", float),
-    ("osnr_stop_db", float),
-    ("osnr_step_db", float),
-    ("symbols_per_block", int),
-    ("blocks", int),
-    ("seed", int),
-    ("receiver_variant", str),
-    ("channel_mode", str),
-    ("training_repeats", int),
-    ("detection_mode", str),
-    ("n_samples", int),
-    ("n_bins", int),
-    ("n_channels", int),
-    ("rate_context", str),
-    ("workers", int),
+# one --kebab-case flag per config field but the experiment, which the
+# subcommand names; the annotations are strings here, so each flag's type is
+# read off the field's default
+_OVERRIDES = tuple(
+    (field.name, type(field.default))
+    for field in dataclasses.fields(ExperimentConfig)
+    if field.name != "experiment"
 )
 
 

@@ -33,6 +33,18 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        # the annotations are strings here, so each field's type is read off
+        # its default; bool is an int subclass but never a valid count
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(field.default, int) and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise ValueError(f"{field.name} must be an integer, got {value!r}")
+            if isinstance(field.default, float) and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise ValueError(f"{field.name} must be a number, got {value!r}")
         if self.experiment not in ("ser", "rate"):
             raise ValueError("experiment must be 'ser' or 'rate'")
         if self.n_rings < 1:
@@ -50,6 +62,8 @@ class ExperimentConfig:
             raise ValueError("symbols_per_block must be at least 2")
         if self.blocks < 1:
             raise ValueError("blocks must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.receiver_variant not in ("full", "reduced"):
             raise ValueError("receiver_variant must be 'full' or 'reduced'")
         if self.channel_mode not in ("true", "estimated"):
@@ -64,6 +78,8 @@ class ExperimentConfig:
             raise ValueError("n_bins must be at least 2")
         if self.n_channels < 1:
             raise ValueError("n_channels must be positive")
+        if self.experiment == "rate" and self.n_samples < self.n_channels:
+            raise ValueError("n_samples must be at least n_channels for a rate sweep")
         if self.rate_context not in ("genie", "decision-directed"):
             raise ValueError("rate_context must be 'genie' or 'decision-directed'")
         if self.workers < 1:

@@ -12,15 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# near-exact distance ties resolve toward the lower index; the tolerance only
-# absorbs rounding of analytically-equal distances
-_TIE_TOL = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -79,11 +73,6 @@ def build_constellation(n_rings: int, n_phases: int) -> RingPskConstellation:
     return RingPskConstellation(n_rings, n_phases, radii, TWO_PI / n_phases)
 
 
-def wrap_angle(phi):
-    """Wrap angles to [-pi, pi)."""
-    return (np.asarray(phi) + math.pi) % TWO_PI - math.pi
-
-
 def encode_indices(constellation: RingPskConstellation, idx, initial_ey_phase: float = 0.0):
     """Map an (n, 4) integer index array to transmit field arrays (ex, ey).
 
@@ -109,65 +98,3 @@ def encode_indices(constellation: RingPskConstellation, idx, initial_ey_phase: f
     ex = radii[idx[:, 0]] * np.exp(1j * phase_x)
     ey = radii[idx[:, 1]] * np.exp(1j * phase_y)
     return ex, ey
-
-
-def encode_sequence(
-    constellation: RingPskConstellation,
-    indices: Sequence[SymbolIndices],
-    initial_ey_phase: float = 0.0,
-) -> list[DualPolSymbol]:
-    """Encode a sequence of index tuples into dual-polarization fields."""
-    idx = np.array([(s.rx, s.ry, s.t, s.e) for s in indices], dtype=np.int64)
-    ex, ey = encode_indices(constellation, idx, initial_ey_phase)
-    return [DualPolSymbol(complex(x), complex(y)) for x, y in zip(ex, ey)]
-
-
-def dimension_values(symbol: DualPolSymbol, prev: DualPolSymbol | None = None):
-    """Extract (|E_x|, |E_y|, theta, eta) from fields; eta is None without a
-    previous slot."""
-    theta = math.atan2((symbol.ex * symbol.ey.conjugate()).imag, (symbol.ex * symbol.ey.conjugate()).real)
-    eta = None
-    if prev is not None:
-        beat = symbol.ex * prev.ey.conjugate()
-        eta = math.atan2(beat.imag, beat.real)
-    return abs(symbol.ex), abs(symbol.ey), theta, eta
-
-
-def _first_within(dist: np.ndarray, tol: float) -> np.ndarray:
-    dmin = dist.min(axis=-1, keepdims=True)
-    return np.asarray(dist <= dmin + tol).argmax(axis=-1)
-
-
-def nearest_indices_block(constellation: RingPskConstellation, ex_mag, ey_mag, theta, eta):
-    """Vectorized hard decision; returns an (n, 4) index array."""
-    ex_mag = np.atleast_1d(np.asarray(ex_mag, dtype=float))
-    ey_mag = np.atleast_1d(np.asarray(ey_mag, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    radii = np.asarray(constellation.radii)
-    step = constellation.phase_step
-    grid = step * np.arange(constellation.n_phases)
-
-    mag_tol = _TIE_TOL * max(1.0, radii[-1])
-    ang_tol = _TIE_TOL * TWO_PI
-    out = np.empty((len(ex_mag), 4), dtype=np.int64)
-    out[:, 0] = _first_within(np.abs(ex_mag[:, None] - radii[None, :]), mag_tol)
-    out[:, 1] = _first_within(np.abs(ey_mag[:, None] - radii[None, :]), mag_tol)
-    out[:, 2] = _first_within(np.abs(wrap_angle(theta[:, None] - grid[None, :])), ang_tol)
-    out[:, 3] = _first_within(np.abs(wrap_angle(eta[:, None] - grid[None, :])), ang_tol)
-    return out
-
-
-def nearest_indices(
-    constellation: RingPskConstellation,
-    ex_mag: float,
-    ey_mag: float,
-    theta: float,
-    eta: float,
-) -> SymbolIndices:
-    """Hard decision: nearest ring per magnitude, circularly nearest phase per
-    angle, near-exact ties toward the lower index."""
-    if ex_mag < 0 or ey_mag < 0:
-        raise ValueError("magnitudes must be nonnegative")
-    row = nearest_indices_block(constellation, ex_mag, ey_mag, theta, eta)[0]
-    return SymbolIndices(int(row[0]), int(row[1]), int(row[2]), int(row[3]))

@@ -25,7 +25,11 @@ At sigma2 = 0 the covariances vanish and the rule becomes the nearest mean.
 
 The inter-slot phase is then detected successively, conditioned on those
 decisions and on the previous slot (its decided values, or the true ones in
-genie mode).
+genie mode).  Its candidate means share one isotropic covariance, so the rule
+is the nearest mean.
+
+Every stage works on a whole frame: the receiver takes the (n, 6) samples and
+returns (n, 4) indices, and training passes the (3, 6) averaged pilot samples.
 """
 
 from __future__ import annotations
@@ -33,13 +37,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .channel import JonesChannel, apply_jones, propagate_block
 from .constellation import DualPolSymbol, RingPskConstellation, SymbolIndices
-from .frontend import FrontendOutputs, frontend_full_block
+from .frontend import frontend_full_block
 
 # below this beat-mean amplitude the inter-slot phase hypotheses coincide and
 # the slot is flagged as an erasure
@@ -105,17 +109,6 @@ def gaussian_stats_dim4(kx_now: complex, ky_prev: complex, sigma2: float) -> Gau
         np.abs(kx_now) ** 2 + np.abs(ky_prev) ** 2
     )
     return GaussianStats(mean, float(var) * np.eye(2))
-
-
-@dataclass
-class Decision:
-    """Per-slot decision; the inter-slot index of ``indices`` and the field
-    attributes are finalized by the successive pass."""
-
-    indices: SymbolIndices
-    e_now: Optional[DualPolSymbol] = None  # reconstructed transmit fields
-    k_now: Optional[DualPolSymbol] = None  # fields after the (estimated) rotation
-    log_likelihoods: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -192,27 +185,6 @@ def detect_dims123_block(obs: np.ndarray, channel: JonesChannel, constellation: 
     return bank.triples[best], scores
 
 
-def detect_dims123(obs, channel: JonesChannel, constellation: RingPskConstellation) -> Decision:
-    """Gaussian-surrogate ML decision of the three per-slot dimensions for one
-    observation (a FrontendOutputs or a length-4 array of w1..w4)."""
-    if isinstance(obs, FrontendOutputs):
-        vec = np.array([obs.w1, obs.w2, obs.w3, obs.w4])
-    else:
-        vec = np.asarray(obs, dtype=float)[:4]
-    bank = _build_bank(channel, constellation)
-    scores = _bank_scores(bank, vec[None, :])[0]
-    h = int(scores.argmax())
-    rx, ry, t = (int(v) for v in bank.triples[h])
-    ex, ey = complex(bank.ex[h]), complex(bank.ey[h])
-    kx, ky = apply_jones(channel, ex, ey)
-    return Decision(
-        SymbolIndices(rx, ry, t, 0),
-        e_now=DualPolSymbol(ex, ey),
-        k_now=DualPolSymbol(complex(kx), complex(ky)),
-        log_likelihoods=scores,
-    )
-
-
 def ell_vector(channel: JonesChannel) -> np.ndarray:
     """Coefficients of the four transmit beat terms in F_x[n]F_y*[n-1]:
     (a^2, -b^2, -ab, ab) applied to
@@ -264,51 +236,6 @@ def detect_dim4_block(w56: np.ndarray, gain: np.ndarray, constellation: RingPskC
     return decided, erased
 
 
-def detect_dim4(
-    w5: float,
-    w6: float,
-    decided_now: Decision,
-    decided_prev: Decision,
-    channel: JonesChannel,
-    constellation: RingPskConstellation,
-) -> Optional[int]:
-    """Successive decision of the inter-slot phase index for one slot.
-
-    Builds candidate transmit fields from the decided per-slot dimensions and
-    the previous slot's reconstructed fields, maps them through the rotation,
-    and scores (w5, w6) under the Gaussian surrogate.  Returns None when the
-    beat mean vanishes (the hypotheses coincide: an erasure).
-    """
-    prev = decided_prev.e_now
-    if prev is None:
-        raise ValueError("decided_prev must carry reconstructed transmit fields")
-    radii = constellation.radii
-    step = constellation.phase_step
-    idx = decided_now.indices
-    mag_x = radii[idx.rx]
-    mag_y = radii[idx.ry]
-    base = cmath.phase(prev.ey)
-    ky_prev = -channel.b.conjugate() * prev.ex + channel.a.conjugate() * prev.ey
-    obs = np.array([w5, w6])
-    best = None
-    best_score = -math.inf
-    for cand in range(constellation.n_phases):
-        phase_x = base + cand * step
-        ex = mag_x * cmath.exp(1j * phase_x)
-        ey = mag_y * cmath.exp(1j * (phase_x - idx.t * step))
-        kx = channel.a * ex + channel.b * ey
-        if cand == 0 and 2.0 * abs(kx) * abs(ky_prev) < ERASURE_TOL:
-            return None
-        stats = gaussian_stats_dim4(kx, ky_prev, channel.sigma2)
-        var = stats.cov[0, 0]
-        dist2 = float(((obs - stats.mean) ** 2).sum())
-        score = -dist2 if var == 0.0 else -0.5 * dist2 / var - math.log(var)
-        if score > best_score:
-            best_score = score
-            best = cand
-    return best
-
-
 # --- training-based channel estimation -------------------------------------
 
 TRAINING_PILOTS = (
@@ -332,18 +259,17 @@ class ChannelEstimate:
         return JonesChannel(self.a_hat / norm, self.b_hat / norm, sigma2)
 
 
-def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) -> list[FrontendOutputs]:
+def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) -> np.ndarray:
     """Transmit each training pilot ``repeats`` times and average the
-    photocurrents; returns one averaged FrontendOutputs per pilot."""
+    photocurrents; returns the (3, 6) averaged samples, one row per pilot."""
     if repeats < 1:
         raise ValueError("repeats must be positive")
-    averaged = []
+    averaged = np.empty((len(TRAINING_PILOTS), 6))
     for i, pilot in enumerate(TRAINING_PILOTS):
         ex = np.full(repeats, pilot.ex, dtype=complex)
         ey = np.full(repeats, pilot.ey, dtype=complex)
         fx, fy, _, _ = propagate_block(channel, ex, ey, rng)
-        w = frontend_full_block(fx, fy).mean(axis=0)
-        averaged.append(FrontendOutputs(*w, n=i))
+        averaged[i] = frontend_full_block(fx, fy).mean(axis=0)
     return averaged
 
 
@@ -356,18 +282,22 @@ def _canonical_sign(a: complex, b: complex):
     return a, b
 
 
-def estimate_channel(training_obs: Sequence[FrontendOutputs]) -> ChannelEstimate:
-    """Solve for the rotation from the averaged pilot observables.
+def estimate_channel(training_obs: np.ndarray) -> ChannelEstimate:
+    """Solve for the rotation from the (3, 6) averaged pilot observables of
+    ``run_training``, one row (w1..w6) per pilot.
 
     The beat samples are unbiased: pilot 1 gives -ab, pilots 2 and 3 give
     a^2 - b^2 and i(a^2 + b^2), fixing both squared parameters and their
     relative phase.  The pair is anchored on the larger of a^2, b^2, then
     normalized; intensities enter only through the reported residual.
     """
-    if len(training_obs) != 3:
-        raise ValueError("expected averaged observables for the three pilots")
-    o1, o2, o3 = training_obs
-    beats = [complex(o.w3, o.w4) / 2.0 for o in (o1, o2, o3)]
+    training_obs = np.asarray(training_obs)
+    if training_obs.shape != (3, 6):
+        raise ValueError(
+            "expected the (3, 6) averaged observables of the three pilots, "
+            f"got shape {training_obs.shape}"
+        )
+    beats = [complex(o[2], o[3]) / 2.0 for o in training_obs]
     ab = -beats[0]
     a2 = (beats[1] + beats[2] / 1j) / 2.0
     b2 = (beats[2] / 1j - beats[1]) / 2.0
@@ -390,7 +320,7 @@ def estimate_channel(training_obs: Sequence[FrontendOutputs]) -> ChannelEstimate
         predicted = np.array(
             [abs(kx) ** 2, abs(ky) ** 2, 2.0 * cross.real, 2.0 * cross.imag]
         )
-        observed = np.array([obs.w1, obs.w2, obs.w3, obs.w4])
+        observed = obs[:4]
         sq_err += float(((observed - predicted) ** 2).sum())
     return ChannelEstimate(a, b, math.sqrt(sq_err))
 
@@ -423,12 +353,6 @@ class ReceiverResult:
     mode: str
 
 
-def frames_to_array(frames) -> np.ndarray:
-    if isinstance(frames, np.ndarray):
-        return frames
-    return np.array([f.as_array() for f in frames])
-
-
 def run_successive_receiver(
     frames,
     channel: JonesChannel,
@@ -441,13 +365,13 @@ def run_successive_receiver(
     inter-slot phase conditioned on the decided (or, in genie mode, true)
     values of the current and previous slot.
 
-    ``frames`` is (n, 6) samples or a list of FrontendOutputs; slot 0 must be
-    the known pilot.  Passing ``genie_indices`` (the true (n, 4) indices)
+    ``frames`` is the (n, 6) array of samples w1..w6; slot 0 must be the
+    known pilot.  Passing ``genie_indices`` (the true (n, 4) indices)
     replaces the decision-directed conditioning to isolate the last stage from
     error propagation; it must be an integer array with every index inside
     the constellation.
     """
-    arr = frames_to_array(frames)
+    arr = np.asarray(frames)
     if arr.ndim != 2 or arr.shape[1] != 6 or arr.shape[0] < 2:
         raise ValueError("expected at least two slots of six samples")
     if genie_indices is not None:

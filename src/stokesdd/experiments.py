@@ -23,6 +23,7 @@ from .channel import (
     apply_jones,
     haar_random_channel,
     osnr_to_sigma2,
+    stokes_vector,
 )
 from .config import ExperimentConfig
 from .constellation import SymbolIndices, build_constellation, encode_indices
@@ -287,20 +288,15 @@ def covariance_calibration(
         kx = scale * complex(g[0], g[1]) / math.sqrt(2)
         ky = scale * complex(g[2], g[3]) / math.sqrt(2)
         sigma2 = float(10.0 ** rng.uniform(-3, -0.5))
-        s = math.sqrt(sigma2)
 
         unit = _whitened_normals(rng, (n_draws, 4))
-        fx = kx + s * (unit[:, 0] + 1j * unit[:, 1])
-        fy = ky + s * (unit[:, 2] + 1j * unit[:, 3])
-        beat = fx * np.conj(fy)
-        w = np.stack(
-            [np.abs(fx) ** 2, np.abs(fy) ** 2, 2 * beat.real, 2 * beat.imag], axis=1
-        )
+        w = stokes_vector(*add_unit_noise(kx, ky, sigma2, unit))
         stats = gaussian_stats_dims123(kx, ky, sigma2)
         worst[0] = max(worst[0], _rel_dev(w.mean(axis=0), stats.mean))
         worst[1] = max(worst[1], _rel_dev(np.cov(w.T), stats.cov))
 
-        w56 = np.stack([2 * beat.real, 2 * beat.imag], axis=1)
+        # with ky as the previous slot's Y field, (w5, w6) is this beat pair
+        w56 = w[:, 2:]
         stats4 = gaussian_stats_dim4(kx, ky, sigma2)
         worst[2] = max(worst[2], _rel_dev(w56.mean(axis=0), stats4.mean))
         worst[3] = max(worst[3], _rel_dev(np.cov(w56.T), stats4.cov))

@@ -10,91 +10,14 @@ The reduced variant replaces each balanced detector pair with a single
 photodiode; its hybrid-port samples are affine in (w1, w2, w3..w6) and the
 beat samples are restored digitally from them.  The delay line is empty before
 the first slot, so slot 0 behaves as if F_y[-1] = 0.
+
+Each function takes a whole field sequence (or its samples) and returns an
+(n, 6) array, one row per slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .constellation import DualPolSymbol
-
-
-@dataclass(frozen=True)
-class FrontendOutputs:
-    """Full-variant samples for one slot."""
-
-    w1: float
-    w2: float
-    w3: float
-    w4: float
-    w5: float
-    w6: float
-    n: int = 0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w1, self.w2, self.w3, self.w4, self.w5, self.w6])
-
-
-@dataclass(frozen=True)
-class ReducedFrontendOutputs:
-    """Reduced-variant (single-photodiode) samples for one slot."""
-
-    w1: float
-    w2: float
-    w3p: float
-    w4p: float
-    w5p: float
-    w6p: float
-    n: int = 0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w1, self.w2, self.w3p, self.w4p, self.w5p, self.w6p])
-
-
-def frontend_full(f_now: DualPolSymbol, f_prev: DualPolSymbol, n: int = 0) -> FrontendOutputs:
-    """Direct intensities plus both beat pairs for one slot."""
-    p_now = f_now.ex * f_now.ey.conjugate()
-    p_del = f_now.ex * f_prev.ey.conjugate()
-    return FrontendOutputs(
-        abs(f_now.ex) ** 2,
-        abs(f_now.ey) ** 2,
-        2.0 * p_now.real,
-        2.0 * p_now.imag,
-        2.0 * p_del.real,
-        2.0 * p_del.imag,
-        n,
-    )
-
-
-def frontend_reduced(f_now: DualPolSymbol, f_prev: DualPolSymbol, n: int = 0) -> ReducedFrontendOutputs:
-    """Single-photodiode hybrid ports: each port sums the two input intensities
-    and half of one beat sample.  The delayed ports mix F_x[n] with F_y[n-1]."""
-    ix = abs(f_now.ex) ** 2
-    iy = abs(f_now.ey) ** 2
-    iy_prev = abs(f_prev.ey) ** 2
-    p_now = f_now.ex * f_now.ey.conjugate()
-    p_del = f_now.ex * f_prev.ey.conjugate()
-    return ReducedFrontendOutputs(
-        ix,
-        iy,
-        ix + iy + p_now.real,
-        ix + iy + p_now.imag,
-        ix + iy_prev + p_del.real,
-        ix + iy_prev + p_del.imag,
-        n,
-    )
-
-
-def recover_full(reduced: ReducedFrontendOutputs, w2_prev: float) -> FrontendOutputs:
-    """Invert the reduced-port affine relations; w2_prev is |F_y[n-1]|^2 from
-    the previous slot."""
-    w3 = 2.0 * (reduced.w3p - reduced.w1 - reduced.w2)
-    w4 = 2.0 * (reduced.w4p - reduced.w1 - reduced.w2)
-    w5 = 2.0 * (reduced.w5p - reduced.w1 - w2_prev)
-    w6 = 2.0 * (reduced.w6p - reduced.w1 - w2_prev)
-    return FrontendOutputs(reduced.w1, reduced.w2, w3, w4, w5, w6, reduced.n)
 
 
 def _delayed(fy: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "accumulate_ser",
     "histogram_mi_bits",
     "estimate_mi_dim4",
-    "estimate_mi_dims123",
 ]
 
 
@@ -192,9 +191,7 @@ def _genie_terms(constellation, channel, idx_prev, idx_now, eta_idx):
 
 def _genie_statistic(kx_now, ky_prev, gain, sigma2, unit):
     """Normalized delayed-beat statistic at one noise level."""
-    s = math.sqrt(sigma2)
-    fx = kx_now + s * (unit[:, 0] + 1j * unit[:, 1])
-    fy_prev = ky_prev + s * (unit[:, 2] + 1j * unit[:, 3])
+    fx, fy_prev = add_unit_noise(kx_now, ky_prev, sigma2, unit)
     beat = fx * np.conj(fy_prev)  # (w5 + i w6) / 2
     with np.errstate(divide="ignore", invalid="ignore"):
         return beat / gain
@@ -336,64 +333,3 @@ def estimate_mi_dim4(
         )
         for k, osnr_db in enumerate(grid)
     ]
-
-
-def estimate_mi_dims123(
-    constellation: RingPskConstellation,
-    osnr_db_grid: Sequence[float],
-    n_samples: int,
-    n_bins: int = 12,
-    *,
-    n_channels: int = 20,
-    seed: int = 0,
-) -> list[float]:
-    """Coarse plug-in rate of the three per-slot dimensions (diagnostic only):
-    histogram of the (w1..w4) vector on an n_bins^4 grid per channel draw."""
-    m = -(-n_samples // n_channels)
-    nph = constellation.n_phases
-    n_labels = constellation.n_rings**2 * nph
-    radii = np.asarray(constellation.radii)
-    step = constellation.phase_step
-
-    draws = []
-    for c in range(n_channels):
-        channel = haar_random_channel(_rng(seed, c, 0))
-        data_rng = _rng(seed, c, 1)
-        labels = data_rng.integers(0, n_labels, m)
-        unit = _rng(seed, c, 2).standard_normal((m, 4))
-        draws.append((channel, labels, unit))
-
-    out = []
-    for osnr_db in osnr_db_grid:
-        sigma2 = osnr_to_sigma2(osnr_db)
-        s = math.sqrt(sigma2)
-        per_channel = []
-        for channel, labels, unit in draws:
-            t = labels % nph
-            ry = (labels // nph) % constellation.n_rings
-            rx = labels // (nph * constellation.n_rings)
-            ex = radii[rx].astype(complex)
-            ey = radii[ry] * np.exp(-1j * step * t)
-            kx, ky = apply_jones(channel, ex, ey)
-            fx = kx + s * (unit[:, 0] + 1j * unit[:, 1])
-            fy = ky + s * (unit[:, 2] + 1j * unit[:, 3])
-            beat = fx * np.conj(fy)
-            w = np.stack(
-                [np.abs(fx) ** 2, np.abs(fy) ** 2, 2 * beat.real, 2 * beat.imag], axis=1
-            )
-            lo = w.min(axis=0)
-            hi = w.max(axis=0)
-            span = np.where(hi > lo, hi - lo, 1.0)
-            cells = np.clip(
-                ((w - lo) / span * n_bins).astype(np.int64), 0, n_bins - 1
-            )
-            flat_cell = (
-                (cells[:, 0] * n_bins + cells[:, 1]) * n_bins + cells[:, 2]
-            ) * n_bins + cells[:, 3]
-            flat = labels * n_bins**4 + flat_cell
-            counts = np.bincount(flat, minlength=n_labels * n_bins**4).reshape(
-                n_labels, n_bins**4, 1
-            )
-            per_channel.append(_mi_from_counts(counts))
-        out.append(float(np.mean(per_channel)))
-    return out

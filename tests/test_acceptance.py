@@ -15,12 +15,7 @@ from stokesdd.channel import (
     stokes_vector,
 )
 from stokesdd.config import ExperimentConfig
-from stokesdd.constellation import (
-    SymbolIndices,
-    build_constellation,
-    encode_indices,
-    wrap_angle,
-)
+from stokesdd.constellation import SymbolIndices, build_constellation, encode_indices
 from stokesdd.detection import (
     context_vectors,
     ell_vector,
@@ -40,6 +35,8 @@ from stokesdd.frontend import (
     recover_full_block,
 )
 from stokesdd.metrics import estimate_mi_dim4
+
+from reference import wrap_angle
 
 PILOT = SymbolIndices(0, 0, 0, 0)
 

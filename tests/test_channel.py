@@ -12,12 +12,13 @@ from stokesdd.channel import (
     channel_from_pair,
     haar_random_channel,
     osnr_to_sigma2,
-    propagate,
     propagate_block,
     stokes_matrix,
     stokes_vector,
 )
 from stokesdd.constellation import DualPolSymbol
+
+from reference import propagate
 
 
 def random_channel(rng, sigma2=0.0):

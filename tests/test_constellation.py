@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdd.constellation import (
-    SymbolIndices,
-    build_constellation,
+from stokesdd.constellation import SymbolIndices, build_constellation, encode_indices
+
+from reference import (
     dimension_values,
-    encode_indices,
     encode_sequence,
     nearest_indices,
     nearest_indices_block,

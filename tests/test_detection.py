@@ -15,23 +15,14 @@ from stokesdd.channel import (
     osnr_to_sigma2,
     propagate_block,
 )
-from stokesdd.constellation import (
-    DualPolSymbol,
-    SymbolIndices,
-    build_constellation,
-    encode_indices,
-    wrap_angle,
-)
+from stokesdd.constellation import DualPolSymbol, SymbolIndices, build_constellation, encode_indices
 from stokesdd.detection import (
     SCORE_SLICE_ROWS,
-    Decision,
-    detect_dim4,
-    detect_dims123,
+    TRAINING_PILOTS,
     detect_dims123_block,
     context_vectors,
     ell_vector,
     estimate_channel,
-    frames_to_array,
     gauge_aligned_error,
     gaussian_stats_dim4,
     gaussian_stats_dims123,
@@ -41,7 +32,16 @@ from stokesdd.detection import (
 import stokesdd.detection as detection
 from stokesdd.frontend import frontend_full_block
 
-from reference import einsum_bank_scores, hypothesis_stats
+from reference import (
+    Decision,
+    detect_dim4,
+    detect_dims123,
+    einsum_bank_scores,
+    frames_to_array,
+    frontend_full,
+    hypothesis_stats,
+    wrap_angle,
+)
 
 PILOT = SymbolIndices(0, 0, 0, 0)
 
@@ -450,14 +450,11 @@ def test_estimate_channel_noiseless_exact():
 def test_identity_channel_pilot_observables():
     ch = JonesChannel(1.0 + 0j, 0j, 0.0)
     obs = run_training(ch, 1, np.random.default_rng(0))
-    assert np.allclose(obs[0].as_array()[:4], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(obs[0, :4], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_estimate_invariant_to_whole_matrix_phase():
     # e^{i phi} J produces identical observables, hence an identical estimate
-    from stokesdd.detection import TRAINING_PILOTS
-    from stokesdd.frontend import frontend_full
-
     rng = np.random.default_rng(91)
     ch = haar_random_channel(rng, 0.0)
     est_ref = estimate_channel(run_training(ch, 1, rng))
@@ -465,10 +462,10 @@ def test_estimate_invariant_to_whole_matrix_phase():
     for phi in (0.0, 0.4, -2.2, math.pi / 2):
         rot = cmath.exp(1j * phi)
         obs = []
-        for i, pilot in enumerate(TRAINING_PILOTS):
+        for pilot in TRAINING_PILOTS:
             kx, ky = apply_jones(ch, pilot.ex, pilot.ey)
-            obs.append(frontend_full(DualPolSymbol(rot * kx, rot * ky), dark, n=i))
-        est = estimate_channel(obs)
+            obs.append(frontend_full(DualPolSymbol(rot * kx, rot * ky), dark).as_array())
+        est = estimate_channel(np.array(obs))
         assert abs(est.a_hat - est_ref.a_hat) < 1e-12
         assert abs(est.b_hat - est_ref.b_hat) < 1e-12
 
@@ -499,5 +496,8 @@ def test_estimate_channel_recovers_complex_rotations_for_detection():
 def test_estimate_channel_requires_three_pilot_blocks():
     ch = JonesChannel(1.0 + 0j, 0j, 0.0)
     obs = run_training(ch, 1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        estimate_channel(obs[:2])
+    assert obs.shape == (3, 6)
+    assert obs.dtype == np.float64
+    for bad in (obs[:2], obs[:, :4], np.vstack([obs, obs[:1]])):
+        with pytest.raises(ValueError, match=r"\(3, 6\)"):
+            estimate_channel(bad)

@@ -1,9 +1,11 @@
+import argparse
+import dataclasses
 import json
 import os
 
 import pytest
 
-from stokesdd.cli import main
+from stokesdd.cli import _add_experiment_args, _build_config, main
 from stokesdd.config import SEED_ENV_VAR, ExperimentConfig
 from stokesdd.experiments import (
     covariance_calibration,
@@ -53,12 +55,27 @@ def test_config_rejects_unknown_fields():
         ("n_channels", 0),
         ("rate_context", "oracle"),
         ("workers", 0),
+        ("seed", -1),
+        ("n_rings", 2.0),
+        ("blocks", True),
+        ("osnr_start_db", "10"),
     ],
 )
 def test_config_validation_names_the_field(field, value):
     cfg = ExperimentConfig(**{field: value})
     with pytest.raises(ValueError, match=field.split("_")[0]):
         cfg.validate()
+
+
+def test_rate_config_needs_a_sample_per_channel():
+    cfg = ExperimentConfig(experiment="rate", n_samples=5, n_channels=20)
+    with pytest.raises(ValueError, match="n_samples.*n_channels"):
+        cfg.validate()
+    cfg.replaced(experiment="ser").validate()  # the SER sweep ignores both
+
+
+def test_config_accepts_ints_in_float_fields():
+    ExperimentConfig(osnr_start_db=10, osnr_stop_db=20, osnr_step_db=5).validate()
 
 
 def test_empty_grid_rejected():
@@ -294,3 +311,31 @@ def test_csv_bytes_identical_across_runs(tmp_path):
     write_csv(run_ser_experiment(cfg), p1)
     write_csv(run_ser_experiment(cfg.replaced(workers=2)), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# values differ from the defaults; numeric fields are derived from them
+_FLAG_STRINGS = {
+    "receiver_variant": "reduced",
+    "channel_mode": "estimated",
+    "detection_mode": "genie",
+    "rate_context": "decision-directed",
+}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"],
+)
+def test_every_config_field_parses_from_its_flag(field, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    default = getattr(ExperimentConfig(), field)
+    if isinstance(default, str):
+        value = _FLAG_STRINGS[field]
+    else:
+        value = default + (0.5 if isinstance(default, float) else 1)
+    parser = argparse.ArgumentParser()
+    _add_experiment_args(parser)
+    args = parser.parse_args([f"--{field.replace('_', '-')}", str(value)])
+    cfg = _build_config(args, "ser")
+    assert cfg == ExperimentConfig().replaced(**{field: value})
+    assert type(getattr(cfg, field)) is type(value)

@@ -5,14 +5,9 @@ from hypothesis import strategies as st
 
 from stokesdd.channel import apply_jones, haar_random_channel, stokes_matrix, stokes_vector
 from stokesdd.constellation import DualPolSymbol
-from stokesdd.frontend import (
-    frontend_full,
-    frontend_full_block,
-    frontend_reduced,
-    frontend_reduced_block,
-    recover_full,
-    recover_full_block,
-)
+from stokesdd.frontend import frontend_full_block, frontend_reduced_block, recover_full_block
+
+from reference import frontend_full, frontend_reduced, recover_full
 
 finite_complex = st.builds(
     complex,

@@ -9,7 +9,6 @@ from stokesdd.metrics import (
     _genie_terms,
     accumulate_ser,
     estimate_mi_dim4,
-    estimate_mi_dims123,
     histogram_mi_bits,
 )
 
@@ -242,15 +241,6 @@ def test_mi_rejects_unknown_context():
     c = build_constellation(2, 4)
     with pytest.raises(ValueError, match="context"):
         estimate_mi_dim4(c, [10.0], 1000, 16, n_channels=2, context="oracle")
-
-
-def test_mi_dims123_diagnostic_bounded():
-    c = build_constellation(2, 4)
-    values = estimate_mi_dims123(c, [15.0, 25.0], 40_000, n_bins=10, n_channels=4, seed=2)
-    cap = math.log2(2 * 2 * 4)
-    for v in values:
-        assert 0.0 <= v <= cap + 1e-12
-    assert values[1] > values[0] - 0.1
 
 
 def test_mi_input_validation():
