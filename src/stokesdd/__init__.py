@@ -1,11 +1,13 @@
 """Dual-polarization direct-detection link simulator.
 
-Modules: constellation (ring-PSK alphabet and phase encoder), channel (random
-unitary rotation and amplifier noise), frontend (photocurrent observables of
-both receiver variants), detection (Gaussian-surrogate ML and successive
-detection, training-based channel estimation), metrics (SER accumulation and
-plug-in rate estimation), experiments/config/cli (seeded sweeps and CSV/plot
-emission).
+Modules: constellation (ring-PSK alphabet, phase encoder, the index draw
+``draw_indices``), channel (random unitary rotation and amplifier noise),
+frontend (photocurrent observables of both receiver variants, and
+``received_samples``, the one noisy forward path), detection
+(Gaussian-surrogate ML and successive detection from the known ``PILOT``, the
+beat-gain kernel on (previous, current) pairs, training-based channel
+estimation), metrics (SER accumulation and plug-in rate estimation),
+experiments/config/cli (seeded sweeps and CSV/plot emission).
 
 Every layer works on whole blocks of slots: index arrays (n, 4), field arrays
 (n,), sample arrays (n, 6).
@@ -13,12 +15,10 @@ Every layer works on whole blocks of slots: index arrays (n, 4), field arrays
 
 from .channel import (
     JonesChannel,
-    StokesMatrix,
     apply_jones,
     channel_from_pair,
     haar_random_channel,
     osnr_to_sigma2,
-    propagate_block,
     stokes_matrix,
     stokes_vector,
 )
@@ -28,9 +28,11 @@ from .constellation import (
     RingPskConstellation,
     SymbolIndices,
     build_constellation,
+    draw_indices,
     encode_indices,
 )
 from .detection import (
+    PILOT,
     ChannelEstimate,
     GaussianStats,
     ReceiverResult,

@@ -39,13 +39,6 @@ class JonesChannel:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class StokesMatrix:
-    """4x4 real transfer matrix between transmit and received observables."""
-
-    m: np.ndarray
-
-
 def channel_from_pair(z1: complex, z2: complex, sigma2: float = 0.0) -> JonesChannel:
     """Normalize a complex pair onto the unit sphere |a|^2 + |b|^2 = 1."""
     norm = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2)
@@ -79,6 +72,8 @@ def add_unit_noise(kx, ky, sigma2: float, unit: np.ndarray):
     return fx, fy
 
 
+# No library caller since received_samples took the noisy path; kept while
+# perfbench's tracer lists it by name (see ROADMAP item 6).
 def propagate_block(channel: JonesChannel, ex, ey, rng: np.random.Generator):
     """Rotate and add noise to field arrays; returns (fx, fy, kx, ky)."""
     kx, ky = apply_jones(channel, ex, ey)
@@ -98,14 +93,14 @@ def stokes_vector(ex, ey) -> np.ndarray:
     )
 
 
-def stokes_matrix(channel: JonesChannel) -> StokesMatrix:
+def stokes_matrix(channel: JonesChannel) -> np.ndarray:
     """4x4 matrix mapping the transmit observable vector to the received one."""
     a, b = channel.a, channel.b
     ab_conj = a * np.conj(b)
     ab = a * b
     a2 = a * a
     b2 = b * b
-    m = np.array(
+    return np.array(
         [
             [abs(a) ** 2, abs(b) ** 2, ab_conj.real, -ab_conj.imag],
             [abs(b) ** 2, abs(a) ** 2, -ab_conj.real, ab_conj.imag],
@@ -113,7 +108,6 @@ def stokes_matrix(channel: JonesChannel) -> StokesMatrix:
             [-2.0 * ab.imag, 2.0 * ab.imag, a2.imag - b2.imag, a2.real + b2.real],
         ]
     )
-    return StokesMatrix(m)
 
 
 # the observable basis weights intensities and beats differently, so the

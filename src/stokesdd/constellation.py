@@ -1,4 +1,5 @@
-"""Ring-PSK alphabet on two polarizations and its recursive phase encoder.
+"""Ring-PSK alphabet on two polarizations, its recursive phase encoder, and
+the uniform index draw that every simulated stream starts from.
 
 Each slot carries four quantities: the field magnitude on each polarization
 (a ring index per polarization), the intra-slot phase difference between the
@@ -49,10 +50,6 @@ class RingPskConstellation:
     phase_step: float
 
     @property
-    def bits_per_symbol(self) -> float:
-        return math.log2(self.n_rings**2 * self.n_phases**2)
-
-    @property
     def size(self) -> int:
         return self.n_rings**2 * self.n_phases**2
 
@@ -71,6 +68,13 @@ def build_constellation(n_rings: int, n_phases: int) -> RingPskConstellation:
     scale = 1.0 / (n_rings + 1)
     radii = tuple(math.sqrt(scale * k) for k in range(1, n_rings + 1))
     return RingPskConstellation(n_rings, n_phases, radii, TWO_PI / n_phases)
+
+
+def draw_indices(rng: np.random.Generator, constellation: RingPskConstellation, n: int, columns: int = 4):
+    """Uniform (n, columns) index draw, one column at a time in (rx, ry, t, e)
+    order: rings, rings, phases, phases."""
+    highs = (constellation.n_rings,) * 2 + (constellation.n_phases,) * 2
+    return np.stack([rng.integers(0, high, n) for high in highs[:columns]], axis=1)
 
 
 def encode_indices(constellation: RingPskConstellation, idx, initial_ey_phase: float = 0.0):

@@ -25,11 +25,14 @@ At sigma2 = 0 the covariances vanish and the rule becomes the nearest mean.
 
 The inter-slot phase is then detected successively, conditioned on those
 decisions and on the previous slot (its decided values, or the true ones in
-genie mode).  Its candidate means share one isotropic covariance, so the rule
-is the nearest mean.
+genie mode).  The gain of each slot's candidate means is ell^T v, from
+``context_vectors`` on (previous, current) pairs; the rate estimate applies
+the same kernel.  The candidate means share one isotropic covariance, so the
+rule is the nearest mean.
 
-Every stage works on a whole frame: the receiver takes the (n, 6) samples and
-returns (n, 4) indices, and training passes the (3, 6) averaged pilot samples.
+Every stage works on a whole frame: the receiver takes the (n, 6) samples,
+whose slot 0 is ``PILOT``, and returns (n, 4) indices with the gain it
+conditioned on; training passes the (3, 6) averaged pilot samples.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import JonesChannel, apply_jones, propagate_block
+from .channel import JonesChannel, apply_jones, stokes_vector
 from .constellation import DualPolSymbol, RingPskConstellation, SymbolIndices
-from .frontend import frontend_full_block
+from .frontend import received_samples
 
 # below this beat-mean amplitude the inter-slot phase hypotheses coincide and
 # the slot is flagged as an erasure
@@ -116,8 +119,6 @@ class _HypothesisBank:
     """Per-(channel, constellation) tables for the per-slot detector."""
 
     triples: np.ndarray  # (H, 3) in canonical rx-major order
-    ex: np.ndarray
-    ey: np.ndarray
     means: np.ndarray  # (H, 4)
     # the fields below are None at sigma2 = 0, where the nearest mean decides
     # (4, 4H) planar whitening map: column j*H + h is row j of W_h = L_h^-1,
@@ -142,13 +143,13 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     kx, ky = apply_jones(channel, ex, ey)
     means, covs = _stats123(kx, ky, channel.sigma2)
     if channel.sigma2 == 0.0:
-        return _HypothesisBank(triples, ex, ey, means, None, None, None)
+        return _HypothesisBank(triples, means, None, None, None)
     chol = np.linalg.cholesky(covs)
     inv_chol = np.linalg.inv(chol)  # (H, 4, 4), row j of W_h at [h, j]
     whiten = np.ascontiguousarray(inv_chol.transpose(2, 1, 0).reshape(4, -1))
     whitened_means = np.einsum("hji,hi->jh", inv_chol, means).ravel()
     logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    return _HypothesisBank(triples, ex, ey, means, whiten, whitened_means, logdets)
+    return _HypothesisBank(triples, means, whiten, whitened_means, logdets)
 
 
 def _bank_scores(bank: _HypothesisBank, obs: np.ndarray) -> np.ndarray:
@@ -193,31 +194,41 @@ def ell_vector(channel: JonesChannel) -> np.ndarray:
     return np.array([a * a, -b * b, -a * b, a * b])
 
 
-def context_vectors(constellation: RingPskConstellation, rx, ry, t) -> np.ndarray:
-    """Known-context beat vectors for consecutive decided slots.
+def context_vectors(constellation: RingPskConstellation, prev, now) -> np.ndarray:
+    """Known-context beat vectors of (previous, current) slot pairs.
 
-    Given decided index arrays of length n, returns the (n-1, 4) matrix whose
-    row k collects the transmit beat terms of slots k+1 and k with the
-    inter-slot phase factored out; ell_vector(channel) @ row is the complex
-    gain multiplying exp(i*eta) in the noiseless delayed beat.
+    ``prev`` and ``now`` are (n, 3) index arrays of (rx, ry, t); row k of
+    the returned (n, 4) matrix collects the transmit beat terms of the pair
+    (prev[k], now[k]) with the inter-slot phase factored out, so that
+    ell_vector(channel) @ row is the complex gain multiplying exp(i*eta) in
+    the noiseless delayed beat.  The consecutive slots of one stream ``idx``
+    are the pairs (idx[:-1], idx[1:]).
     """
     radii = np.asarray(constellation.radii)
     step = constellation.phase_step
-    rx = np.asarray(rx, dtype=np.int64)
-    ry = np.asarray(ry, dtype=np.int64)
-    t = np.asarray(t, dtype=np.int64)
-    rxn = radii[rx[1:]]
-    ryn = radii[ry[1:]]
-    rxp = radii[rx[:-1]]
-    ryp = radii[ry[:-1]]
-    thn = step * t[1:]
-    thp = step * t[:-1]
+    prev = np.asarray(prev, dtype=np.int64)
+    now = np.asarray(now, dtype=np.int64)
+    rxn = radii[now[:, 0]]
+    ryn = radii[now[:, 1]]
+    rxp = radii[prev[:, 0]]
+    ryp = radii[prev[:, 1]]
+    thn = step * now[:, 2]
+    thp = step * prev[:, 2]
     v = np.empty((len(rxn), 4), dtype=complex)
     v[:, 0] = rxn * ryp
     v[:, 1] = ryn * rxp * np.exp(-1j * (thn + thp))
     v[:, 2] = rxn * rxp * np.exp(-1j * thp)
     v[:, 3] = ryn * ryp * np.exp(-1j * thn)
     return v
+
+
+def beat_gain(constellation: RingPskConstellation, channel: JonesChannel, prev, now) -> np.ndarray:
+    """Gain ell^T v multiplying exp(i*eta) in the noiseless delayed beat
+    F_x[n] F_y*[n-1] of each (previous, current) context pair."""
+    # einsum rather than @: OpenBLAS runs a matrix-vector product this long on
+    # all cores, and its helper threads then spin for ~0.1 s after every call,
+    # taking the cores the other pool workers need
+    return np.einsum("nj,j->n", context_vectors(constellation, prev, now), ell_vector(channel))
 
 
 def detect_dim4_block(w56: np.ndarray, gain: np.ndarray, constellation: RingPskConstellation):
@@ -268,8 +279,9 @@ def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) 
     for i, pilot in enumerate(TRAINING_PILOTS):
         ex = np.full(repeats, pilot.ex, dtype=complex)
         ey = np.full(repeats, pilot.ey, dtype=complex)
-        fx, fy, _, _ = propagate_block(channel, ex, ey, rng)
-        averaged[i] = frontend_full_block(fx, fy).mean(axis=0)
+        kx, ky = apply_jones(channel, ex, ey)
+        unit = rng.standard_normal((repeats, 4))
+        averaged[i] = received_samples(kx, ky, channel.sigma2, unit, "full").mean(axis=0)
     return averaged
 
 
@@ -315,13 +327,8 @@ def estimate_channel(training_obs: np.ndarray) -> ChannelEstimate:
     model = JonesChannel(a, b, 0.0)
     sq_err = 0.0
     for obs, pilot in zip(training_obs, TRAINING_PILOTS):
-        kx, ky = apply_jones(model, pilot.ex, pilot.ey)
-        cross = kx * np.conj(ky)
-        predicted = np.array(
-            [abs(kx) ** 2, abs(ky) ** 2, 2.0 * cross.real, 2.0 * cross.imag]
-        )
-        observed = obs[:4]
-        sq_err += float(((observed - predicted) ** 2).sum())
+        predicted = stokes_vector(*apply_jones(model, pilot.ex, pilot.ey))
+        sq_err += float(((obs[:4] - predicted) ** 2).sum())
     return ChannelEstimate(a, b, math.sqrt(sq_err))
 
 
@@ -338,10 +345,14 @@ def gauge_aligned_error(estimate: ChannelEstimate, channel: JonesChannel) -> flo
 
 # --- successive receiver ----------------------------------------------------
 
+# the known symbol in slot 0 of every frame
+PILOT = SymbolIndices(0, 0, 0, 0)
+
 
 @dataclass
 class ReceiverResult:
-    """Decided index array (n, 4) with per-slot erasure flags.
+    """Decided index array (n, 4) with per-slot erasure flags, and the (n-1,)
+    conditioning gain of slots 1..n-1 that the inter-slot stage used.
 
     Slot 0 is the pilot: its per-slot dimensions are detected blind like any
     other slot, its inter-slot entry is a placeholder, and the inter-slot
@@ -351,13 +362,13 @@ class ReceiverResult:
     indices: np.ndarray
     erasures: np.ndarray
     mode: str
+    gain: np.ndarray
 
 
 def run_successive_receiver(
     frames,
     channel: JonesChannel,
     constellation: RingPskConstellation,
-    pilot: SymbolIndices,
     *,
     genie_indices: Optional[np.ndarray] = None,
 ) -> ReceiverResult:
@@ -365,8 +376,8 @@ def run_successive_receiver(
     inter-slot phase conditioned on the decided (or, in genie mode, true)
     values of the current and previous slot.
 
-    ``frames`` is the (n, 6) array of samples w1..w6; slot 0 must be the
-    known pilot.  Passing ``genie_indices`` (the true (n, 4) indices)
+    ``frames`` is the (n, 6) array of samples w1..w6; slot 0 must be
+    ``PILOT``.  Passing ``genie_indices`` (the true (n, 4) indices)
     replaces the decision-directed conditioning to isolate the last stage from
     error propagation; it must be an integer array with every index inside
     the constellation.
@@ -399,14 +410,10 @@ def run_successive_receiver(
         mode = "genie"
     else:
         cond = decided.copy()
-        cond[0] = (pilot.rx, pilot.ry, pilot.t)
+        cond[0] = (PILOT.rx, PILOT.ry, PILOT.t)
         mode = "decision-directed"
 
-    v = context_vectors(constellation, cond[:, 0], cond[:, 1], cond[:, 2])
-    # einsum rather than @: OpenBLAS runs a matrix-vector product this long on
-    # all cores, and its helper threads then spin for ~0.1 s after every call,
-    # taking the cores the other pool workers need
-    gain = np.einsum("nj,j->n", v, ell_vector(channel))
+    gain = beat_gain(constellation, channel, cond[:-1], cond[1:])
     eta, erased = detect_dim4_block(w56[1:], gain, constellation)
 
     out = np.empty((len(arr), 4), dtype=np.int64)
@@ -415,4 +422,4 @@ def run_successive_receiver(
     out[1:, 3] = eta
     erasures = np.zeros(len(arr), dtype=bool)
     erasures[1:] = erased
-    return ReceiverResult(out, erasures, mode)
+    return ReceiverResult(out, erasures, mode, gain)

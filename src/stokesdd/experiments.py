@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -26,8 +26,9 @@ from .channel import (
     stokes_vector,
 )
 from .config import ExperimentConfig
-from .constellation import SymbolIndices, build_constellation, encode_indices
+from .constellation import build_constellation, draw_indices, encode_indices
 from .detection import (
+    PILOT,
     estimate_channel,
     gauge_aligned_error,
     gaussian_stats_dim4,
@@ -35,13 +36,11 @@ from .detection import (
     run_successive_receiver,
     run_training,
 )
-from .frontend import frontend_full_block, frontend_reduced_block, recover_full_block
+from .frontend import received_samples
 from .metrics import _rng, accumulate_ser, estimate_mi_dim4
 
 SER_HEADER = "osnr_db,dim,ser,trials,mode"
 RATE_HEADER = "osnr_db,mi_bits,n_samples,n_bins"
-
-PILOT = SymbolIndices(0, 0, 0, 0)
 
 
 def _format(value: float) -> str:
@@ -57,17 +56,8 @@ def _ser_block(args) -> np.ndarray:
     n = cfg.symbols_per_block
 
     channel0 = haar_random_channel(_rng(cfg.seed, block, 0))
-    data_rng = _rng(cfg.seed, block, 1)
-    idx = np.stack(
-        [
-            data_rng.integers(0, cfg.n_rings, n),
-            data_rng.integers(0, cfg.n_rings, n),
-            data_rng.integers(0, cfg.n_phases, n),
-            data_rng.integers(0, cfg.n_phases, n),
-        ],
-        axis=1,
-    )
-    idx[0] = (PILOT.rx, PILOT.ry, PILOT.t, PILOT.e)
+    idx = draw_indices(_rng(cfg.seed, block, 1), constellation, n)
+    idx[0] = astuple(PILOT)
     ex, ey = encode_indices(constellation, idx)
     kx, ky = apply_jones(channel0, ex, ey)
     unit = _rng(cfg.seed, block, 2).standard_normal((n, 4))
@@ -75,26 +65,17 @@ def _ser_block(args) -> np.ndarray:
     errors = np.zeros((len(grid), 4), dtype=np.int64)
     for i, osnr_db in enumerate(grid):
         sigma2 = osnr_to_sigma2(osnr_db)
-        fx, fy = add_unit_noise(kx, ky, sigma2, unit)
-        if cfg.receiver_variant == "reduced":
-            frames = recover_full_block(frontend_reduced_block(fx, fy))
-        else:
-            frames = frontend_full_block(fx, fy)
+        frames = received_samples(kx, ky, sigma2, unit, cfg.receiver_variant)
 
+        channel = JonesChannel(channel0.a, channel0.b, sigma2)
         if cfg.channel_mode == "estimated":
-            noisy = JonesChannel(channel0.a, channel0.b, sigma2)
-            training = run_training(
-                noisy, cfg.training_repeats, _rng(cfg.seed, block, 3, i)
-            )
-            detection_channel = estimate_channel(training).as_channel(sigma2)
-        else:
-            detection_channel = JonesChannel(channel0.a, channel0.b, sigma2)
+            training = run_training(channel, cfg.training_repeats, _rng(cfg.seed, block, 3, i))
+            channel = estimate_channel(training).as_channel(sigma2)
 
         result = run_successive_receiver(
             frames,
-            detection_channel,
+            channel,
             constellation,
-            PILOT,
             genie_indices=idx if cfg.detection_mode == "genie" else None,
         )
         errors[i] = accumulate_ser(idx, result, osnr_db=osnr_db, mode=result.mode).errors
@@ -280,6 +261,12 @@ def covariance_calibration(
     are compared against the model, relative, on entries above 5% of each
     object's largest magnitude.
     """
+    if n_configs < 1:
+        raise ValueError(f"n_configs (--configs) must be at least 1, got {n_configs}")
+    # the antithetic half must hold at least one row per quadrature for the
+    # sample covariance to be invertible
+    if n_draws < 8:
+        raise ValueError(f"n_draws (--draws) must be at least 8, got {n_draws}")
     rng = _rng(seed, 900)
     worst = [0.0, 0.0, 0.0, 0.0]
     for _ in range(n_configs):

@@ -12,12 +12,15 @@ beat samples are restored digitally from them.  The delay line is empty before
 the first slot, so slot 0 behaves as if F_y[-1] = 0.
 
 Each function takes a whole field sequence (or its samples) and returns an
-(n, 6) array, one row per slot.
+(n, 6) array, one row per slot.  ``received_samples`` (noise, then either
+front-end) is the one noisy path of the SER sweep, the rate and training.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .channel import add_unit_noise
 
 
 def _delayed(fy: np.ndarray) -> np.ndarray:
@@ -82,3 +85,16 @@ def recover_full_block(reduced: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def received_samples(kx, ky, sigma2: float, unit: np.ndarray, variant: str) -> np.ndarray:
+    """Noisy (n, 6) samples w1..w6 of the noiseless received fields (kx, ky):
+    ``unit`` standard-normal quadratures scaled to ``sigma2``, then the
+    ``variant`` ("full" or "reduced") front-end; reduced-variant samples are
+    restored digitally."""
+    fx, fy = add_unit_noise(kx, ky, sigma2, unit)
+    if variant == "full":
+        return frontend_full_block(fx, fy)
+    if variant == "reduced":
+        return recover_full_block(frontend_reduced_block(fx, fy))
+    raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")

@@ -4,8 +4,11 @@ estimation for the inter-slot phase subchannel.
 The rate of the inter-slot dimension is estimated as the discrete mutual
 information between the uniform phase index and the delayed beat observable,
 normalized by its known complex gain so that every conditioning context shares
-one statistic near the unit circle.  The normalized values are histogrammed on
-a square grid and the plug-in estimator is averaged over channel draws.
+one statistic near the unit circle.  The genie context takes that gain from
+the receiver's beat-gain kernel on independent (previous, current) pairs; the
+decision-directed context runs the receiver and reads the gain it used.  The
+normalized values are histogrammed on a square grid and the plug-in estimator
+is averaged over channel draws.
 
 An OSNR sweep processes the channel draws one at a time: the terms that do not
 depend on the OSNR are computed once per channel, and each OSNR point adds its
@@ -15,7 +18,7 @@ scaled noise and histograms into its own accumulators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -27,14 +30,9 @@ from .channel import (
     haar_random_channel,
     osnr_to_sigma2,
 )
-from .constellation import RingPskConstellation, SymbolIndices, encode_indices
-from .detection import (
-    ReceiverResult,
-    context_vectors,
-    ell_vector,
-    run_successive_receiver,
-)
-from .frontend import frontend_full_block
+from .constellation import RingPskConstellation, draw_indices, encode_indices
+from .detection import PILOT, ReceiverResult, beat_gain, run_successive_receiver
+from .frontend import received_samples
 
 __all__ = [
     "SerReport",
@@ -52,7 +50,6 @@ class SerReport:
     errors: tuple
     trials: tuple
     osnr_db: float = 0.0
-    constellation_id: str = ""
     mode: str = ""
 
     def ser(self, dim: int) -> float:
@@ -72,7 +69,6 @@ def accumulate_ser(
     decisions,
     *,
     osnr_db: float = 0.0,
-    constellation_id: str = "",
     mode: str = "",
 ) -> SerReport:
     """Count per-dimension index mismatches between a truth stream and a
@@ -94,7 +90,7 @@ def accumulate_ser(
         int((t[:, 2] != d[:, 2]).sum()),
         int((t[1:, 3] != d[1:, 3]).sum()),
     )
-    return SerReport(errors, (n, n, n, n - 1), osnr_db, constellation_id, mode)
+    return SerReport(errors, (n, n, n, n - 1), osnr_db, mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,14 +175,7 @@ def _genie_terms(constellation, channel, idx_prev, idx_now, eta_idx):
     ey_now = radii[ryn] * np.exp(1j * step * (eta_idx - tn))
     _, ky_prev = apply_jones(channel, ex_prev, ey_prev)
     kx_now, _ = apply_jones(channel, ex_now, ey_now)
-
-    v = np.empty((len(eta_idx), 4), dtype=complex)
-    v[:, 0] = radii[rxn] * radii[ryp]
-    v[:, 1] = radii[ryn] * radii[rxp] * np.exp(-1j * step * (tn + tp))
-    v[:, 2] = radii[rxn] * radii[rxp] * np.exp(-1j * step * tp)
-    v[:, 3] = radii[ryn] * radii[ryp] * np.exp(-1j * step * tn)
-    gain = v @ ell_vector(channel)
-    return kx_now, ky_prev, gain
+    return kx_now, ky_prev, beat_gain(constellation, channel, idx_prev, idx_now)
 
 
 def _genie_statistic(kx_now, ky_prev, gain, sigma2, unit):
@@ -199,16 +188,11 @@ def _genie_statistic(kx_now, ky_prev, gain, sigma2, unit):
 
 def _dd_statistic(constellation, channel, sigma2, kx, ky, unit):
     """Normalized delayed-beat statistic with decision-directed conditioning:
-    the gain is computed from the receiver's own per-slot decisions on the
-    noiseless fields (kx, ky) of a sequential stream plus scaled noise."""
-    pilot = SymbolIndices(0, 0, 0, 0)
-    fx, fy = add_unit_noise(kx, ky, sigma2, unit)
-    frames = frontend_full_block(fx, fy)
+    the receiver runs on the noiseless fields (kx, ky) of a sequential stream
+    plus scaled noise, and its own conditioning gain normalizes the beat."""
+    frames = received_samples(kx, ky, sigma2, unit, "full")
     noisy = JonesChannel(channel.a, channel.b, sigma2)
-    decided = run_successive_receiver(frames, noisy, constellation, pilot).indices
-    cond = decided[:, :3].copy()
-    cond[0] = (pilot.rx, pilot.ry, pilot.t)
-    gain = context_vectors(constellation, cond[:, 0], cond[:, 1], cond[:, 2]) @ ell_vector(channel)
+    gain = run_successive_receiver(frames, noisy, constellation).gain
     w56 = frames[1:, 4] + 1j * frames[1:, 5]
     with np.errstate(divide="ignore", invalid="ignore"):
         return w56 / (2.0 * gain)
@@ -264,22 +248,8 @@ def estimate_mi_dim4(
         channel = haar_random_channel(_rng(seed, c, 0))
         data_rng = _rng(seed, c, 1)
         if context == "genie":
-            idx_prev = np.stack(
-                [
-                    data_rng.integers(0, constellation.n_rings, m),
-                    data_rng.integers(0, constellation.n_rings, m),
-                    data_rng.integers(0, nph, m),
-                ],
-                axis=1,
-            )
-            idx_now = np.stack(
-                [
-                    data_rng.integers(0, constellation.n_rings, m),
-                    data_rng.integers(0, constellation.n_rings, m),
-                    data_rng.integers(0, nph, m),
-                ],
-                axis=1,
-            )
+            idx_prev = draw_indices(data_rng, constellation, m, columns=3)
+            idx_now = draw_indices(data_rng, constellation, m, columns=3)
             eta_idx = data_rng.integers(0, nph, m)
             unit = _rng(seed, c, 2).standard_normal((m, 4))
             kx_now, ky_prev, gain = _genie_terms(
@@ -287,16 +257,8 @@ def estimate_mi_dim4(
             )
         else:
             # one sequential stream per channel; slot 0 is the pilot
-            idx = np.stack(
-                [
-                    data_rng.integers(0, constellation.n_rings, m + 1),
-                    data_rng.integers(0, constellation.n_rings, m + 1),
-                    data_rng.integers(0, nph, m + 1),
-                    data_rng.integers(0, nph, m + 1),
-                ],
-                axis=1,
-            )
-            idx[0] = (0, 0, 0, 0)
+            idx = draw_indices(data_rng, constellation, m + 1)
+            idx[0] = astuple(PILOT)
             unit = _rng(seed, c, 2).standard_normal((m + 1, 4))
             eta_idx = idx[1:, 3]
             kx, ky = apply_jones(channel, *encode_indices(constellation, idx))

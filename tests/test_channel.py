@@ -81,12 +81,12 @@ def test_noise_quadrature_convention():
 
 
 def test_stokes_matrix_identity_channel():
-    m = stokes_matrix(JonesChannel(1.0 + 0j, 0j)).m
+    m = stokes_matrix(JonesChannel(1.0 + 0j, 0j))
     assert np.allclose(m, np.eye(4), atol=1e-15)
 
 
 def test_stokes_matrix_swap_channel():
-    m = stokes_matrix(JonesChannel(0j, 1.0 + 0j)).m
+    m = stokes_matrix(JonesChannel(0j, 1.0 + 0j))
     expected = np.array(
         [
             [0, 1, 0, 0],
@@ -104,7 +104,7 @@ def test_stokes_matrix_maps_transmit_to_received_observables():
     worst = 0.0
     for _ in range(1000):
         ch = random_channel(rng)
-        m = stokes_matrix(ch).m
+        m = stokes_matrix(ch)
         ex = complex(rng.standard_normal(), rng.standard_normal())
         ey = complex(rng.standard_normal(), rng.standard_normal())
         kx, ky = apply_jones(ch, ex, ey)
@@ -115,7 +115,7 @@ def test_stokes_matrix_maps_transmit_to_received_observables():
 def test_stokes_matrix_scaled_orthogonality():
     rng = np.random.default_rng(3)
     for _ in range(300):
-        m = stokes_matrix(random_channel(rng)).m
+        m = stokes_matrix(random_channel(rng))
         assert np.abs(m @ STOKES_METRIC @ m.T - STOKES_METRIC).max() < 1e-9
 
 

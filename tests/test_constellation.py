@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdd.constellation import SymbolIndices, build_constellation, encode_indices
+from stokesdd.constellation import SymbolIndices, build_constellation, draw_indices, encode_indices
 
 from reference import (
     dimension_values,
@@ -188,3 +188,16 @@ def test_dimension_values_helper():
     assert float(wrap_angle(theta - 2 * c.phase_step)) == pytest.approx(0.0, abs=1e-12)
     assert float(wrap_angle(eta - 3 * c.phase_step)) == pytest.approx(0.0, abs=1e-12)
     assert dimension_values(symbols[0])[3] is None
+
+
+@pytest.mark.parametrize("columns", [3, 4])
+def test_draw_indices_draws_column_by_column(columns):
+    # rings, rings, phases, phases, one whole column per integers() call
+    c = build_constellation(3, 8)
+    got = draw_indices(np.random.default_rng(12), c, 500, columns=columns)
+    rng = np.random.default_rng(12)
+    highs = (3, 3, 8, 8)[:columns]
+    expected = np.stack([rng.integers(0, high, 500) for high in highs], axis=1)
+    assert got.shape == (500, columns)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)

@@ -17,6 +17,7 @@ from stokesdd.channel import (
 )
 from stokesdd.constellation import DualPolSymbol, SymbolIndices, build_constellation, encode_indices
 from stokesdd.detection import (
+    PILOT,
     SCORE_SLICE_ROWS,
     TRAINING_PILOTS,
     detect_dims123_block,
@@ -42,8 +43,6 @@ from reference import (
     hypothesis_stats,
     wrap_angle,
 )
-
-PILOT = SymbolIndices(0, 0, 0, 0)
 
 
 def random_symbol_stream(rng, constellation, n):
@@ -259,7 +258,7 @@ def test_identity_channel_beat_gain_reduces_to_magnitude_product():
     ell = ell_vector(ch)
     rng = np.random.default_rng(6)
     idx = random_symbol_stream(rng, c, 10)
-    v = context_vectors(c, idx[:, 0], idx[:, 1], idx[:, 2])
+    v = context_vectors(c, idx[:-1, :3], idx[1:, :3])
     gain = v @ ell
     radii = np.asarray(c.radii)
     expected = radii[idx[1:, 0]] * radii[idx[:-1, 1]]
@@ -276,11 +275,47 @@ def test_noiseless_closed_form_eta_statistic():
         kx, ky = apply_jones(ch, ex, ey)
         frames = frontend_full_block(kx, ky)
         w56 = frames[1:, 4] + 1j * frames[1:, 5]
-        gain = context_vectors(c, idx[:, 0], idx[:, 1], idx[:, 2]) @ ell_vector(ch)
+        gain = context_vectors(c, idx[:-1, :3], idx[1:, :3]) @ ell_vector(ch)
         stat = w56 / (2.0 * gain)
         assert np.abs(np.abs(stat) - 1.0).max() < 1e-9
         err = wrap_angle(np.angle(stat) - idx[1:, 3] * c.phase_step)
         assert np.abs(err).max() < 1e-8
+
+
+def test_receiver_gain_normalizes_noiseless_beat():
+    # the conditioning gain the receiver reports maps the noiseless delayed
+    # beat onto exp(i eta step), in both modes (criterion 06's bounds)
+    rng = np.random.default_rng(1006)
+    c = build_constellation(2, 4)
+    for _ in range(20):
+        ch = haar_random_channel(rng, 0.0)
+        idx = random_symbol_stream(rng, c, 500)
+        ex, ey = encode_indices(c, idx)
+        kx, ky = apply_jones(ch, ex, ey)
+        frames = frontend_full_block(kx, ky)
+        w56 = frames[1:, 4] + 1j * frames[1:, 5]
+        for genie in (None, idx):
+            gain = run_successive_receiver(frames, ch, c, genie_indices=genie).gain
+            assert gain.shape == (len(idx) - 1,)
+            stat = w56 / (2.0 * gain)
+            assert np.abs(np.abs(stat) - 1.0).max() < 1e-9
+            err = wrap_angle(np.angle(stat) - idx[1:, 3] * c.phase_step)
+            assert np.abs(err).max() < 1e-8
+
+
+def test_decision_directed_gain_conditions_on_pilot_and_decisions():
+    rng = np.random.default_rng(23)
+    c = build_constellation(2, 4)
+    ch = haar_random_channel(rng, osnr_to_sigma2(8.0))
+    idx = random_symbol_stream(rng, c, 400)
+    ex, ey = encode_indices(c, idx)
+    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
+    result = run_successive_receiver(frontend_full_block(fx, fy), ch, c)
+    cond = result.indices[:, :3].copy()
+    assert (cond[1:] != idx[1:, :3]).any()  # the decisions, not the truth
+    cond[0] = (PILOT.rx, PILOT.ry, PILOT.t)
+    expected = context_vectors(c, cond[:-1], cond[1:]) @ ell_vector(ch)
+    assert np.allclose(result.gain, expected, rtol=1e-12, atol=0.0)
 
 
 def test_detect_dim4_noiseless_exact():
@@ -292,7 +327,7 @@ def test_detect_dim4_noiseless_exact():
         ex, ey = encode_indices(c, idx)
         kx, ky = apply_jones(ch, ex, ey)
         frames = frontend_full_block(kx, ky)
-        result = run_successive_receiver(frames, ch, c, PILOT)
+        result = run_successive_receiver(frames, ch, c)
         assert (result.indices[1:, 3] == idx[1:, 3]).all()
         assert not result.erasures.any()
 
@@ -305,7 +340,7 @@ def test_all_pilot_noiseless_frame_decodes_error_free():
         ch = haar_random_channel(rng, 0.0)
         ex, ey = encode_indices(c, idx)
         kx, ky = apply_jones(ch, ex, ey)
-        res = run_successive_receiver(frontend_full_block(kx, ky), ch, c, PILOT)
+        res = run_successive_receiver(frontend_full_block(kx, ky), ch, c)
         assert (res.indices == idx).all()
         assert not res.erasures.any()
 
@@ -331,7 +366,7 @@ def test_slotwise_scalar_receiver_matches_block_receiver():
     ex, ey = encode_indices(c, idx)
     fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
     frames = frontend_full_block(fx, fy)
-    block = run_successive_receiver(frames, ch, c, PILOT)
+    block = run_successive_receiver(frames, ch, c)
 
     # reference walk over the scalar API, maintaining the phase chain
     arr = frames_to_array(frames)
@@ -373,8 +408,8 @@ def test_receiver_rejects_malformed_genie_indices():
         bad.append(wrong)
     for genie in bad:
         with pytest.raises(ValueError, match="genie_indices"):
-            run_successive_receiver(frames, ch, c, PILOT, genie_indices=genie)
-    res = run_successive_receiver(frames, ch, c, PILOT, genie_indices=idx)
+            run_successive_receiver(frames, ch, c, genie_indices=genie)
+    res = run_successive_receiver(frames, ch, c, genie_indices=idx)
     assert res.mode == "genie"
 
 
@@ -404,7 +439,7 @@ def test_receiver_frees_score_table_before_dim4_stage(monkeypatch):
     monkeypatch.setattr(detection, "detect_dims123_block", recording_dims123)
     monkeypatch.setattr(detection, "detect_dim4_block", recording_dim4)
     for genie in (None, idx):
-        run_successive_receiver(frames, ch, c, PILOT, genie_indices=genie)
+        run_successive_receiver(frames, ch, c, genie_indices=genie)
     assert live_at_dim4 == [False, False]
 
 
@@ -421,8 +456,8 @@ def test_genie_mode_dominates_decision_directed_dim4():
         unit = rng.standard_normal((len(idx), 4))
         fx, fy = add_unit_noise(kx, ky, ch.sigma2, unit)
         frames = frontend_full_block(fx, fy)
-        dd = run_successive_receiver(frames, ch, c, PILOT)
-        genie = run_successive_receiver(frames, ch, c, PILOT, genie_indices=idx)
+        dd = run_successive_receiver(frames, ch, c)
+        genie = run_successive_receiver(frames, ch, c, genie_indices=idx)
         assert dd.mode == "decision-directed"
         assert genie.mode == "genie"
         # the per-slot stages are identical in both modes
@@ -488,7 +523,7 @@ def test_estimate_channel_recovers_complex_rotations_for_detection():
         ex, ey = encode_indices(c, idx)
         kx, ky = apply_jones(ch, ex, ey)
         frames = frontend_full_block(kx, ky)
-        result = run_successive_receiver(frames, est, c, PILOT)
+        result = run_successive_receiver(frames, est, c)
         assert (result.indices[:, :3] == idx[:, :3]).all()
         assert (result.indices[1:, 3] == idx[1:, 3]).all()
 

@@ -250,6 +250,45 @@ def test_covariance_calibration_tight():
     assert cal.worst < 0.03
 
 
+@pytest.mark.parametrize("n_configs, n_draws", [(0, 1000), (1, 7)])
+def test_covariance_calibration_rejects_too_few_configs_or_draws(n_configs, n_draws):
+    with pytest.raises(ValueError, match="n_configs" if n_configs < 1 else "n_draws"):
+        covariance_calibration(n_configs, n_draws)
+
+
+_SMALL_CAL = ["--configs", "1", "--draws", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed, named",
+    [
+        (["calibrate-cov", "--seed", "-1"], None, "--seed"),
+        (["estimate-channel-demo", "--seed", "-2"], None, "--seed"),
+        (["calibrate-cov", "--draws", "1"], None, "--draws"),
+        (["calibrate-cov", "--draws", "7"], None, "--draws"),
+        (["calibrate-cov", "--configs", "0"], None, "--configs"),
+        (["estimate-channel-demo", "--repeats", "0"], None, "repeats"),
+        (["calibrate-cov", *_SMALL_CAL], "-1", SEED_ENV_VAR),
+        (["estimate-channel-demo", "--repeats", "10"], "seven", SEED_ENV_VAR),
+        (["ser", "--blocks", "1", "--symbols-per-block", "10"], "2.5", SEED_ENV_VAR),
+    ],
+    ids=[
+        "cal-seed", "demo-seed", "cal-draws-1", "cal-draws-7", "cal-configs-0",
+        "demo-repeats-0", "cal-env-negative", "demo-env-word", "ser-env-float",
+    ],
+)
+def test_cli_rejects_bad_inputs_by_name(argv, env_seed, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if env_seed is None:
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_cli_ser_smoke(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = main(

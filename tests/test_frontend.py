@@ -3,9 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdd.channel import apply_jones, haar_random_channel, stokes_matrix, stokes_vector
+from stokesdd.channel import (
+    add_unit_noise,
+    apply_jones,
+    haar_random_channel,
+    stokes_matrix,
+    stokes_vector,
+)
 from stokesdd.constellation import DualPolSymbol
-from stokesdd.frontend import frontend_full_block, frontend_reduced_block, recover_full_block
+from stokesdd.frontend import (
+    frontend_full_block,
+    frontend_reduced_block,
+    received_samples,
+    recover_full_block,
+)
 
 from reference import frontend_full, frontend_reduced, recover_full
 
@@ -89,6 +100,20 @@ def test_noiseless_outputs_match_stokes_system():
         ey = complex(rng.standard_normal(), rng.standard_normal())
         kx, ky = apply_jones(ch, ex, ey)
         w = frontend_full(DualPolSymbol(kx, ky), DualPolSymbol(0j, 0j))
-        predicted = stokes_matrix(ch).m @ stokes_vector(ex, ey)
+        predicted = stokes_matrix(ch) @ stokes_vector(ex, ey)
         worst = max(worst, np.abs(w.as_array()[:4] - predicted).max())
     assert worst < 1e-9
+
+
+def test_received_samples_is_noise_then_front_end():
+    rng = np.random.default_rng(8)
+    kx = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    ky = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    unit = rng.standard_normal((300, 4))
+    fx, fy = add_unit_noise(kx, ky, 0.05, unit)
+    full = received_samples(kx, ky, 0.05, unit, "full")
+    reduced = received_samples(kx, ky, 0.05, unit, "reduced")
+    assert np.array_equal(full, frontend_full_block(fx, fy))
+    assert np.array_equal(reduced, recover_full_block(frontend_reduced_block(fx, fy)))
+    with pytest.raises(ValueError, match="variant"):
+        received_samples(kx, ky, 0.05, unit, "balanced")

@@ -5,6 +5,7 @@ import pytest
 
 from stokesdd.channel import haar_random_channel
 from stokesdd.constellation import SymbolIndices, build_constellation
+from stokesdd.detection import context_vectors, ell_vector
 from stokesdd.metrics import (
     _genie_terms,
     accumulate_ser,
@@ -166,11 +167,15 @@ def test_genie_terms_match_noiseless_beat(rings, phases):
         eta = rng.integers(0, phases, m)
         kx_now, ky_prev, gain = _genie_terms(c, channel, idx_prev, idx_now, eta)
         beat = kx_now * np.conj(ky_prev)
-        expected = gain * np.exp(1j * c.phase_step * eta)
         rows = np.abs(gain) > 1e-6
         assert rows.mean() > 0.99
-        rel = np.abs(beat - expected)[rows] / np.abs(gain)[rows]
-        assert rel.max() <= 1e-12
+        # the statistic's gain, and the beat-gain kernel on the same
+        # independent (previous, current) pairs
+        pairwise = context_vectors(c, idx_prev, idx_now) @ ell_vector(channel)
+        for g in (gain, pairwise):
+            expected = g * np.exp(1j * c.phase_step * eta)
+            rel = np.abs(beat - expected)[rows] / np.abs(gain)[rows]
+            assert rel.max() <= 1e-12
 
 
 def test_mi_grid_may_be_any_iterable():
@@ -199,7 +204,6 @@ def test_mi_dim4_consistent_with_fano():
 
     rng = np.random.default_rng(31)
     errors = trials = 0
-    pilot = SymbolIndices(0, 0, 0, 0)
     for _ in range(10):
         ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
         idx = np.stack(
@@ -216,7 +220,7 @@ def test_mi_dim4_consistent_with_fano():
         kx, ky = apply_jones(ch, ex, ey)
         fx, fy = add_unit_noise(kx, ky, ch.sigma2, rng.standard_normal((5000, 4)))
         frames = frontend_full_block(fx, fy)
-        res = run_successive_receiver(frames, ch, c, pilot, genie_indices=idx)
+        res = run_successive_receiver(frames, ch, c, genie_indices=idx)
         errors += int((res.indices[1:, 3] != idx[1:, 3]).sum())
         trials += 4999
     pe = errors / trials
