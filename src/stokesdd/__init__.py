@@ -6,7 +6,8 @@ frontend (photocurrent observables of both receiver variants, and
 ``received_samples``, the one noisy forward path), detection
 (Gaussian-surrogate ML and successive detection from the known ``PILOT``, the
 beat-gain kernel on (previous, current) pairs, training-based channel
-estimation), metrics (SER accumulation and plug-in rate estimation),
+estimation), metrics (SER accumulation, plug-in rate estimation, and
+``draw_frame``, the one keyed Monte Carlo frame of the SER and rate sweeps),
 experiments/config/cli (seeded sweeps and CSV/plot emission).
 
 Every layer works on whole blocks of slots: index arrays (n, 4), field arrays

@@ -10,6 +10,12 @@ from dataclasses import dataclass
 
 SEED_ENV_VAR = "STOKESDD_SEED"
 
+# largest OSNR grid a config may define; the repo's own sweeps use at most 11
+MAX_OSNR_POINTS = 10_000
+
+# a grid point this far past osnr_stop_db still belongs to the grid
+_GRID_TOL = 1e-9
+
 
 @dataclass
 class ExperimentConfig:
@@ -56,6 +62,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite")
         if self.osnr_step_db <= 0:
             raise ValueError("osnr_step_db must be positive")
+        # count the points before building the list, which a tiny step would
+        # grow until memory runs out; the quotient is inf, not an error, when
+        # the step is subnormal
+        span = (self.osnr_stop_db + _GRID_TOL - self.osnr_start_db) / self.osnr_step_db
+        if span >= MAX_OSNR_POINTS:
+            raise ValueError(
+                "osnr_start_db/osnr_stop_db/osnr_step_db define more than "
+                f"{MAX_OSNR_POINTS} grid points"
+            )
         if not self.osnr_grid():
             raise ValueError("osnr_start_db/osnr_stop_db define an empty grid")
         if self.symbols_per_block < 2:
@@ -91,7 +106,7 @@ class ExperimentConfig:
         # generate by index to avoid accumulating float steps
         while True:
             value = self.osnr_start_db + k * self.osnr_step_db
-            if value > self.osnr_stop_db + 1e-9:
+            if value > self.osnr_stop_db + _GRID_TOL:
                 break
             grid.append(value)
             k += 1

@@ -70,11 +70,11 @@ def build_constellation(n_rings: int, n_phases: int) -> RingPskConstellation:
     return RingPskConstellation(n_rings, n_phases, radii, TWO_PI / n_phases)
 
 
-def draw_indices(rng: np.random.Generator, constellation: RingPskConstellation, n: int, columns: int = 4):
-    """Uniform (n, columns) index draw, one column at a time in (rx, ry, t, e)
+def draw_indices(rng: np.random.Generator, constellation: RingPskConstellation, n: int):
+    """Uniform (n, 4) index draw, one column at a time in (rx, ry, t, e)
     order: rings, rings, phases, phases."""
     highs = (constellation.n_rings,) * 2 + (constellation.n_phases,) * 2
-    return np.stack([rng.integers(0, high, n) for high in highs[:columns]], axis=1)
+    return np.stack([rng.integers(0, high, n) for high in highs], axis=1)
 
 
 def encode_indices(constellation: RingPskConstellation, idx, initial_ey_phase: float = 0.0):

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import JonesChannel, apply_jones, stokes_vector
+from .channel import JonesChannel, apply_jones, channel_from_pair, stokes_vector
 from .constellation import DualPolSymbol, RingPskConstellation, SymbolIndices
 from .frontend import received_samples
 
@@ -266,8 +266,7 @@ class ChannelEstimate:
     residual: float
 
     def as_channel(self, sigma2: float) -> JonesChannel:
-        norm = math.sqrt(abs(self.a_hat) ** 2 + abs(self.b_hat) ** 2)
-        return JonesChannel(self.a_hat / norm, self.b_hat / norm, sigma2)
+        return channel_from_pair(self.a_hat, self.b_hat, sigma2)
 
 
 def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) -> np.ndarray:

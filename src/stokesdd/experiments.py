@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -20,15 +20,16 @@ import numpy as np
 from .channel import (
     JonesChannel,
     add_unit_noise,
+    # not called here since draw_frame took the forward model; the benchmark's
+    # tracer self-test reads it as experiments.apply_jones (ROADMAP item 6)
     apply_jones,
     haar_random_channel,
     osnr_to_sigma2,
     stokes_vector,
 )
 from .config import ExperimentConfig
-from .constellation import build_constellation, draw_indices, encode_indices
+from .constellation import build_constellation
 from .detection import (
-    PILOT,
     estimate_channel,
     gauge_aligned_error,
     gaussian_stats_dim4,
@@ -37,7 +38,7 @@ from .detection import (
     run_training,
 )
 from .frontend import received_samples
-from .metrics import _rng, accumulate_ser, estimate_mi_dim4
+from .metrics import _rng, accumulate_ser, draw_frame, estimate_mi_dim4
 
 SER_HEADER = "osnr_db,dim,ser,trials,mode"
 RATE_HEADER = "osnr_db,mi_bits,n_samples,n_bins"
@@ -55,12 +56,7 @@ def _ser_block(args) -> np.ndarray:
     grid = cfg.osnr_grid()
     n = cfg.symbols_per_block
 
-    channel0 = haar_random_channel(_rng(cfg.seed, block, 0))
-    idx = draw_indices(_rng(cfg.seed, block, 1), constellation, n)
-    idx[0] = astuple(PILOT)
-    ex, ey = encode_indices(constellation, idx)
-    kx, ky = apply_jones(channel0, ex, ey)
-    unit = _rng(cfg.seed, block, 2).standard_normal((n, 4))
+    channel0, idx, kx, ky, unit = draw_frame(constellation, cfg.seed, block, n)
 
     errors = np.zeros((len(grid), 4), dtype=np.int64)
     for i, osnr_db in enumerate(grid):
@@ -78,7 +74,7 @@ def _ser_block(args) -> np.ndarray:
             constellation,
             genie_indices=idx if cfg.detection_mode == "genie" else None,
         )
-        errors[i] = accumulate_ser(idx, result, osnr_db=osnr_db, mode=result.mode).errors
+        errors[i] = accumulate_ser(idx, result).errors
     return errors
 
 

@@ -4,9 +4,12 @@ estimation for the inter-slot phase subchannel.
 The rate of the inter-slot dimension is estimated as the discrete mutual
 information between the uniform phase index and the delayed beat observable,
 normalized by its known complex gain so that every conditioning context shares
-one statistic near the unit circle.  The genie context takes that gain from
-the receiver's beat-gain kernel on independent (previous, current) pairs; the
-decision-directed context runs the receiver and reads the gain it used.  The
+one statistic near the unit circle.  Both contexts read the same keyed frame
+per channel draw (``draw_frame``, the frame of the SER sweep): a pilot-led
+stream whose consecutive slots are the (previous, current) pairs.  The genie
+context takes the gain of the true contexts from the receiver's beat-gain
+kernel; the decision-directed context runs the receiver and reads the gain it
+used, so the two differ only by the receiver's decision errors.  The
 normalized values are histogrammed on a square grid and the plug-in estimator
 is averaged over channel draws.
 
@@ -38,6 +41,7 @@ __all__ = [
     "SerReport",
     "MiEstimate",
     "accumulate_ser",
+    "draw_frame",
     "histogram_mi_bits",
     "estimate_mi_dim4",
 ]
@@ -49,8 +53,6 @@ class SerReport:
 
     errors: tuple
     trials: tuple
-    osnr_db: float = 0.0
-    mode: str = ""
 
     def ser(self, dim: int) -> float:
         return self.errors[dim - 1] / self.trials[dim - 1]
@@ -64,13 +66,7 @@ def _indices_array(x) -> np.ndarray:
     return np.array([(s.rx, s.ry, s.t, s.e) for s in x], dtype=np.int64)
 
 
-def accumulate_ser(
-    truth,
-    decisions,
-    *,
-    osnr_db: float = 0.0,
-    mode: str = "",
-) -> SerReport:
+def accumulate_ser(truth, decisions) -> SerReport:
     """Count per-dimension index mismatches between a truth stream and a
     decision stream (arrays, SymbolIndices sequences, or a ReceiverResult).
 
@@ -90,7 +86,7 @@ def accumulate_ser(
         int((t[:, 2] != d[:, 2]).sum()),
         int((t[1:, 3] != d[1:, 3]).sum()),
     )
-    return SerReport(errors, (n, n, n, n - 1), osnr_db, mode)
+    return SerReport(errors, (n, n, n, n - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,42 +156,36 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _genie_terms(constellation, channel, idx_prev, idx_now, eta_idx):
-    """OSNR-independent part of the genie statistic for independent context
-    draws: the noiseless current x field, the noiseless previous y field, and
-    the known gain of the delayed beat, (kx_now, ky_prev, gain)."""
-    radii = np.asarray(constellation.radii)
-    step = constellation.phase_step
-    rxp, ryp, tp = (idx_prev[:, k] for k in range(3))
-    rxn, ryn, tn = (idx_now[:, k] for k in range(3))
-    # previous slot anchored at arg(E_y') = 0; current slot at arg(E_x) = eta
-    ex_prev = radii[rxp] * np.exp(1j * step * tp)
-    ey_prev = radii[ryp].astype(complex)
-    ex_now = radii[rxn] * np.exp(1j * step * eta_idx)
-    ey_now = radii[ryn] * np.exp(1j * step * (eta_idx - tn))
-    _, ky_prev = apply_jones(channel, ex_prev, ey_prev)
-    kx_now, _ = apply_jones(channel, ex_now, ey_now)
-    return kx_now, ky_prev, beat_gain(constellation, channel, idx_prev, idx_now)
+def draw_frame(constellation: RingPskConstellation, seed: int, key: int, n: int):
+    """One keyed Monte Carlo frame of ``n`` slots: the Haar channel, the
+    (n, 4) indices with slot 0 pinned to ``PILOT``, the noiseless received
+    fields and the (n, 4) unit noise quadratures,
+    ``(channel, idx, kx, ky, unit)``; streams (seed, key, 0/1/2)."""
+    channel = haar_random_channel(_rng(seed, key, 0))
+    idx = draw_indices(_rng(seed, key, 1), constellation, n)
+    idx[0] = astuple(PILOT)
+    kx, ky = apply_jones(channel, *encode_indices(constellation, idx))
+    unit = _rng(seed, key, 2).standard_normal((n, 4))
+    return channel, idx, kx, ky, unit
 
 
-def _genie_statistic(kx_now, ky_prev, gain, sigma2, unit):
-    """Normalized delayed-beat statistic at one noise level."""
-    fx, fy_prev = add_unit_noise(kx_now, ky_prev, sigma2, unit)
-    beat = fx * np.conj(fy_prev)  # (w5 + i w6) / 2
+def _statistic(constellation, channel, sigma2, kx, ky, unit, genie_gain=None):
+    """Normalized delayed-beat statistic of one frame at one noise level.
+
+    Given ``genie_gain``, the beat gain of the true contexts, the beat is
+    formed from the noisy fields directly.  Without it the receiver runs on
+    the frame's samples (decision-directed) and its own conditioning gain
+    normalizes the beat."""
+    if genie_gain is not None:
+        fx, fy = add_unit_noise(kx, ky, sigma2, unit)
+        beat, scale = fx[1:] * np.conj(fy[:-1]), genie_gain  # (w5 + i w6) / 2
+    else:
+        frames = received_samples(kx, ky, sigma2, unit, "full")
+        noisy = JonesChannel(channel.a, channel.b, sigma2)
+        gain = run_successive_receiver(frames, noisy, constellation).gain
+        beat, scale = frames[1:, 4] + 1j * frames[1:, 5], 2.0 * gain
     with np.errstate(divide="ignore", invalid="ignore"):
-        return beat / gain
-
-
-def _dd_statistic(constellation, channel, sigma2, kx, ky, unit):
-    """Normalized delayed-beat statistic with decision-directed conditioning:
-    the receiver runs on the noiseless fields (kx, ky) of a sequential stream
-    plus scaled noise, and its own conditioning gain normalizes the beat."""
-    frames = received_samples(kx, ky, sigma2, unit, "full")
-    noisy = JonesChannel(channel.a, channel.b, sigma2)
-    gain = run_successive_receiver(frames, noisy, constellation).gain
-    w56 = frames[1:, 4] + 1j * frames[1:, 5]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return w56 / (2.0 * gain)
+        return beat / scale
 
 
 def estimate_mi_dim4(
@@ -210,23 +200,24 @@ def estimate_mi_dim4(
 ) -> list[MiEstimate]:
     """Inter-slot phase rate over an OSNR grid.
 
-    Per channel draw: uniform contexts and phase indices are sampled, the
-    delayed beat is normalized by its known gain, and the plug-in mutual
+    Per channel draw: one keyed frame of ceil(n_samples / n_channels) + 1
+    slots is drawn (``draw_frame``; slot 0 is the pilot), the delayed beat of
+    each later slot is normalized by its known gain, and the plug-in mutual
     information is computed on an ``n_bins`` square grid covering the unit
     circle widened by four empirical noise deviations.  Channel draws, context
     draws, and noise quadratures are held fixed across the grid so that the
     curve is monotone up to estimator noise, and each point equals the same
-    OSNR computed alone.
+    OSNR computed alone.  Both contexts read the same frame.
 
     Channels are processed one at a time, so only one channel's arrays are
-    alive at once.  The terms that do not depend on the OSNR (noiseless
-    fields, the genie gain, the reference phasors) are computed once per
+    alive at once.  The terms that do not depend on the OSNR (the frame, the
+    genie gain, the reference phasors) are computed once per
     channel; each OSNR point then adds its scaled noise and histograms into
     per-OSNR accumulators (pooled counts, per-channel bits and boxes).
 
     ``context`` selects the conditioning: "genie" (default) normalizes by the
     gain of the true per-slot values; "decision-directed" runs the receiver on
-    a sequential stream and normalizes by the gain of its own decisions.
+    the frame and normalizes by the gain of its own decisions.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
@@ -245,30 +236,18 @@ def estimate_mi_dim4(
     boxes = [[] for _ in grid]
 
     for c in range(n_channels):
-        channel = haar_random_channel(_rng(seed, c, 0))
-        data_rng = _rng(seed, c, 1)
-        if context == "genie":
-            idx_prev = draw_indices(data_rng, constellation, m, columns=3)
-            idx_now = draw_indices(data_rng, constellation, m, columns=3)
-            eta_idx = data_rng.integers(0, nph, m)
-            unit = _rng(seed, c, 2).standard_normal((m, 4))
-            kx_now, ky_prev, gain = _genie_terms(
-                constellation, channel, idx_prev, idx_now, eta_idx
-            )
-        else:
-            # one sequential stream per channel; slot 0 is the pilot
-            idx = draw_indices(data_rng, constellation, m + 1)
-            idx[0] = astuple(PILOT)
-            unit = _rng(seed, c, 2).standard_normal((m + 1, 4))
-            eta_idx = idx[1:, 3]
-            kx, ky = apply_jones(channel, *encode_indices(constellation, idx))
+        # one stream per channel; slot 0 is the pilot, slots 1..m carry labels
+        channel, idx, kx, ky, unit = draw_frame(constellation, seed, c, m + 1)
+        eta_idx = idx[1:, 3]
+        genie_gain = (
+            beat_gain(constellation, channel, idx[:-1, :3], idx[1:, :3])
+            if context == "genie"
+            else None
+        )
         reference = np.exp(1j * constellation.phase_step * eta_idx)
 
         for k, sigma2 in enumerate(sigma2s):
-            if context == "genie":
-                stat = _genie_statistic(kx_now, ky_prev, gain, sigma2, unit)
-            else:
-                stat = _dd_statistic(constellation, channel, sigma2, kx, ky, unit)
+            stat = _statistic(constellation, channel, sigma2, kx, ky, unit, genie_gain)
             residual = stat - reference
             finite = np.isfinite(residual)
             sigma_w = (

@@ -20,7 +20,7 @@ from stokesdd.constellation import (
     SymbolIndices,
     encode_indices,
 )
-from stokesdd.detection import ERASURE_TOL, gaussian_stats_dim4, gaussian_stats_dims123
+from stokesdd.detection import ERASURE_TOL, beat_gain, gaussian_stats_dim4, gaussian_stats_dims123
 
 
 def hypothesis_stats(channel: JonesChannel, constellation: RingPskConstellation):
@@ -306,3 +306,26 @@ def frames_to_array(frames) -> np.ndarray:
     if isinstance(frames, np.ndarray):
         return frames
     return np.array([f.as_array() for f in frames])
+
+
+# --- rate ---------------------------------------------------------------------
+
+
+def genie_pair_terms(constellation, channel, idx_prev, idx_now, eta_idx):
+    """Genie beat terms of independent (previous, current) context draws, the
+    rate's genie path before it read the sweep's keyed stream: the noiseless
+    current x field, the noiseless previous y field, and the known gain of the
+    delayed beat, (kx_now, ky_prev, gain).  ``idx_prev``/``idx_now`` are
+    (n, 3) arrays of (rx, ry, t)."""
+    radii = np.asarray(constellation.radii)
+    step = constellation.phase_step
+    rxp, ryp, tp = (idx_prev[:, k] for k in range(3))
+    rxn, ryn, tn = (idx_now[:, k] for k in range(3))
+    # previous slot anchored at arg(E_y') = 0; current slot at arg(E_x) = eta
+    ex_prev = radii[rxp] * np.exp(1j * step * tp)
+    ey_prev = radii[ryp].astype(complex)
+    ex_now = radii[rxn] * np.exp(1j * step * eta_idx)
+    ey_now = radii[ryn] * np.exp(1j * step * (eta_idx - tn))
+    _, ky_prev = apply_jones(channel, ex_prev, ey_prev)
+    kx_now, _ = apply_jones(channel, ex_now, ey_now)
+    return kx_now, ky_prev, beat_gain(constellation, channel, idx_prev, idx_now)

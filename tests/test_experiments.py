@@ -6,7 +6,7 @@ import os
 import pytest
 
 from stokesdd.cli import _add_experiment_args, _build_config, main
-from stokesdd.config import SEED_ENV_VAR, ExperimentConfig
+from stokesdd.config import MAX_OSNR_POINTS, SEED_ENV_VAR, ExperimentConfig
 from stokesdd.experiments import (
     covariance_calibration,
     emit_plot_script,
@@ -82,6 +82,28 @@ def test_empty_grid_rejected():
     cfg = ExperimentConfig(osnr_start_db=20.0, osnr_stop_db=10.0)
     with pytest.raises(ValueError, match="grid"):
         cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "start, stop, step",
+    [(10.0, 26.0, 1e-9), (10.0, 26.0, 5e-324), (-1e308, 1e308, 1.0), (0.0, 10_000.0, 1.0)],
+    ids=["tiny-step", "subnormal-step", "huge-span", "one-past-the-cap"],
+)
+def test_oversized_osnr_grid_rejected_before_it_is_built(start, stop, step, monkeypatch):
+    def never(self):
+        raise AssertionError("osnr_grid() called on an oversized grid")
+
+    monkeypatch.setattr(ExperimentConfig, "osnr_grid", never)
+    cfg = ExperimentConfig(osnr_start_db=start, osnr_stop_db=stop, osnr_step_db=step)
+    with pytest.raises(ValueError, match="osnr_start_db/osnr_stop_db/osnr_step_db") as err:
+        cfg.validate()
+    assert str(MAX_OSNR_POINTS) in str(err.value)
+
+
+def test_osnr_grid_at_the_cap_accepted():
+    cfg = ExperimentConfig(osnr_start_db=0.0, osnr_stop_db=MAX_OSNR_POINTS - 1.0, osnr_step_db=1.0)
+    cfg.validate()
+    assert len(cfg.osnr_grid()) == MAX_OSNR_POINTS
 
 
 def test_osnr_grid_no_float_drift():
@@ -271,10 +293,12 @@ _SMALL_CAL = ["--configs", "1", "--draws", "8"]
         (["calibrate-cov", *_SMALL_CAL], "-1", SEED_ENV_VAR),
         (["estimate-channel-demo", "--repeats", "10"], "seven", SEED_ENV_VAR),
         (["ser", "--blocks", "1", "--symbols-per-block", "10"], "2.5", SEED_ENV_VAR),
+        (["ser", "--osnr-step-db", "1e-9"], None, "osnr_step_db"),
     ],
     ids=[
         "cal-seed", "demo-seed", "cal-draws-1", "cal-draws-7", "cal-configs-0",
         "demo-repeats-0", "cal-env-negative", "demo-env-word", "ser-env-float",
+        "ser-tiny-osnr-step",
     ],
 )
 def test_cli_rejects_bad_inputs_by_name(argv, env_seed, named, tmp_path, monkeypatch, capsys):

@@ -5,18 +5,20 @@ import pytest
 
 from stokesdd.channel import haar_random_channel
 from stokesdd.constellation import SymbolIndices, build_constellation
-from stokesdd.detection import context_vectors, ell_vector
+from stokesdd.detection import beat_gain, context_vectors, ell_vector
 from stokesdd.metrics import (
-    _genie_terms,
     accumulate_ser,
+    draw_frame,
     estimate_mi_dim4,
     histogram_mi_bits,
 )
 
+from reference import genie_pair_terms
+
 
 def test_accumulate_ser_identical_streams():
     truth = np.zeros((100, 4), dtype=np.int64)
-    report = accumulate_ser(truth, truth.copy(), osnr_db=20.0, mode="genie")
+    report = accumulate_ser(truth, truth.copy())
     assert report.errors == (0, 0, 0, 0)
     assert report.trials == (100, 100, 100, 99)
     assert report.ser(4) == 0.0
@@ -145,12 +147,37 @@ def test_mi_grid_point_equals_same_osnr_alone(context):
         _assert_same_estimate(est, alone)
 
 
+@pytest.mark.parametrize(
+    "rings, phases, osnr_db",
+    [(r, p, osnr) for r, p in [(1, 4), (2, 4), (3, 8)] for osnr in (40.0, 60.0)],
+)
+def test_mi_contexts_share_one_stream(rings, phases, osnr_db):
+    # both contexts read one keyed frame per channel; where the receiver makes
+    # no decision error, its conditioning gain is the genie gain, bit for bit
+    c = build_constellation(rings, phases)
+    kwargs = dict(n_channels=4, seed=21)
+    (genie,) = estimate_mi_dim4(c, [osnr_db], 8_000, 32, context="genie", **kwargs)
+    (dd,) = estimate_mi_dim4(c, [osnr_db], 8_000, 32, context="decision-directed", **kwargs)
+    _assert_same_estimate(genie, dd)
+
+
 @pytest.mark.parametrize("rings, phases", [(1, 1), (2, 4), (3, 8)])
 def test_genie_terms_match_noiseless_beat(rings, phases):
     # noiseless delayed beat: kx[n] conj(ky[n-1]) = gain * exp(i eta step)
     c = build_constellation(rings, phases)
-    rng = np.random.default_rng(rings * 100 + phases)
     m = 2_000
+    # the rate's stream: consecutive slots of one keyed frame are the pairs
+    for key in range(20):
+        channel, idx, kx, ky, _ = draw_frame(c, rings * 100 + phases, key, m)
+        gain = beat_gain(c, channel, idx[:-1, :3], idx[1:, :3])
+        beat = kx[1:] * np.conj(ky[:-1])
+        rows = np.abs(gain) > 1e-6
+        assert rows.mean() > 0.99
+        expected = gain * np.exp(1j * c.phase_step * idx[1:, 3])
+        rel = np.abs(beat - expected)[rows] / np.abs(gain)[rows]
+        assert rel.max() <= 1e-12
+    # independent (previous, current) pairs, through the reference genie path
+    rng = np.random.default_rng(rings * 100 + phases)
     for _ in range(20):
         channel = haar_random_channel(rng)
         idx_prev, idx_now = (
@@ -165,7 +192,7 @@ def test_genie_terms_match_noiseless_beat(rings, phases):
             for _ in range(2)
         )
         eta = rng.integers(0, phases, m)
-        kx_now, ky_prev, gain = _genie_terms(c, channel, idx_prev, idx_now, eta)
+        kx_now, ky_prev, gain = genie_pair_terms(c, channel, idx_prev, idx_now, eta)
         beat = kx_now * np.conj(ky_prev)
         rows = np.abs(gain) > 1e-6
         assert rows.mean() > 0.99
