@@ -57,20 +57,7 @@ class ExperimentConfig:
             raise ValueError("n_rings must be a positive integer")
         if self.n_phases < 1:
             raise ValueError("n_phases must be a positive integer")
-        for name in ("osnr_start_db", "osnr_stop_db", "osnr_step_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.osnr_step_db <= 0:
-            raise ValueError("osnr_step_db must be positive")
-        # count the points before building the list, which a tiny step would
-        # grow until memory runs out; the quotient is inf, not an error, when
-        # the step is subnormal
-        span = (self.osnr_stop_db + _GRID_TOL - self.osnr_start_db) / self.osnr_step_db
-        if span >= MAX_OSNR_POINTS:
-            raise ValueError(
-                "osnr_start_db/osnr_stop_db/osnr_step_db define more than "
-                f"{MAX_OSNR_POINTS} grid points"
-            )
+        self._check_grid_bounds()
         if not self.osnr_grid():
             raise ValueError("osnr_start_db/osnr_stop_db define an empty grid")
         if self.symbols_per_block < 2:
@@ -100,7 +87,24 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be positive")
 
+    def _check_grid_bounds(self) -> None:
+        for name in ("osnr_start_db", "osnr_stop_db", "osnr_step_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.osnr_step_db <= 0:
+            raise ValueError("osnr_step_db must be positive")
+        # count the points before building the list, which a tiny step would
+        # grow until memory runs out; the quotient is inf, not an error, when
+        # the step is subnormal
+        span = (self.osnr_stop_db + _GRID_TOL - self.osnr_start_db) / self.osnr_step_db
+        if span >= MAX_OSNR_POINTS:
+            raise ValueError(
+                "osnr_start_db/osnr_stop_db/osnr_step_db define more than "
+                f"{MAX_OSNR_POINTS} grid points"
+            )
+
     def osnr_grid(self) -> list[float]:
+        self._check_grid_bounds()  # also when validate() was not called
         grid = []
         k = 0
         # generate by index to avoid accumulating float steps

@@ -25,10 +25,12 @@ At sigma2 = 0 the covariances vanish and the rule becomes the nearest mean.
 
 The inter-slot phase is then detected successively, conditioned on those
 decisions and on the previous slot (its decided values, or the true ones in
-genie mode).  The gain of each slot's candidate means is ell^T v, from
-``context_vectors`` on (previous, current) pairs; the rate estimate applies
-the same kernel.  The candidate means share one isotropic covariance, so the
-rule is the nearest mean.
+genie mode).  The gain of each slot's candidate means is one product of
+noiseless fields, K_x[n] K_y*[n-1], of the conditioning stream with each
+slot's phase anchored (``beat_gain``); the rate estimate applies the same
+kernel.  The candidate means 2*gain*exp(i*c*step) share one isotropic
+covariance and one modulus, so the nearest mean is the phase of
+w56*conj(gain) rounded to the grid: a few operations per slot.
 
 Every stage works on a whole frame: the receiver takes the (n, 6) samples,
 whose slot 0 is ``PILOT``, and returns (n, 4) indices with the gain it
@@ -129,18 +131,24 @@ class _HypothesisBank:
     logdets: Optional[np.ndarray]  # (H,) log det C_h = 2 sum log diag L_h
 
 
+def _slot_fields(constellation: RingPskConstellation, idx: np.ndarray):
+    """Transmit fields of (n, 3) rows (rx, ry, t) with the x phase anchored
+    at zero: (r_x, r_y e^{-i t step})."""
+    radii = np.asarray(constellation.radii)
+    ex = radii[idx[:, 0]].astype(complex)
+    ey = radii[idx[:, 1]] * np.exp(-1j * constellation.phase_step * idx[:, 2])
+    return ex, ey
+
+
 def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _HypothesisBank:
     nr, nph = constellation.n_rings, constellation.n_phases
     triples = np.array(
         [(rx, ry, t) for rx in range(nr) for ry in range(nr) for t in range(nph)],
         dtype=np.int64,
     )
-    radii = np.asarray(constellation.radii)
-    # any absolute phase consistent with theta works: the statistics depend on
-    # the hypothesis only through (|K_x|, |K_y|, delta)
-    ex = radii[triples[:, 0]].astype(complex)
-    ey = radii[triples[:, 1]] * np.exp(-1j * constellation.phase_step * triples[:, 2])
-    kx, ky = apply_jones(channel, ex, ey)
+    # the statistics depend on the hypothesis only through
+    # (|K_x|, |K_y|, delta), so the x-phase-anchored fields serve
+    kx, ky = apply_jones(channel, *_slot_fields(constellation, triples))
     means, covs = _stats123(kx, ky, channel.sigma2)
     if channel.sigma2 == 0.0:
         return _HypothesisBank(triples, means, None, None, None)
@@ -186,23 +194,16 @@ def detect_dims123_block(obs: np.ndarray, channel: JonesChannel, constellation: 
     return bank.triples[best], scores
 
 
-def ell_vector(channel: JonesChannel) -> np.ndarray:
-    """Coefficients of the four transmit beat terms in F_x[n]F_y*[n-1]:
-    (a^2, -b^2, -ab, ab) applied to
-    (E_xE_y'*, E_yE_x'*, E_xE_x'*, E_yE_y'*), primes denoting slot n-1."""
-    a, b = channel.a, channel.b
-    return np.array([a * a, -b * b, -a * b, a * b])
-
-
+# No library caller since beat_gain took the product of the slots' fields;
+# kept while perfbench's tracer lists it by name (see ROADMAP item 6).
 def context_vectors(constellation: RingPskConstellation, prev, now) -> np.ndarray:
     """Known-context beat vectors of (previous, current) slot pairs.
 
     ``prev`` and ``now`` are (n, 3) index arrays of (rx, ry, t); row k of
-    the returned (n, 4) matrix collects the transmit beat terms of the pair
-    (prev[k], now[k]) with the inter-slot phase factored out, so that
-    ell_vector(channel) @ row is the complex gain multiplying exp(i*eta) in
-    the noiseless delayed beat.  The consecutive slots of one stream ``idx``
-    are the pairs (idx[:-1], idx[1:]).
+    the returned (n, 4) matrix collects the transmit beat terms
+    (E_xE_y'*, E_yE_x'*, E_xE_x'*, E_yE_y'*) of the pair (prev[k], now[k])
+    with the inter-slot phase factored out, primes denoting slot n-1.  Their
+    coefficients (a^2, -b^2, -ab, ab) give the beat gain in expanded form.
     """
     radii = np.asarray(constellation.radii)
     step = constellation.phase_step
@@ -222,26 +223,31 @@ def context_vectors(constellation: RingPskConstellation, prev, now) -> np.ndarra
     return v
 
 
-def beat_gain(constellation: RingPskConstellation, channel: JonesChannel, prev, now) -> np.ndarray:
-    """Gain ell^T v multiplying exp(i*eta) in the noiseless delayed beat
-    F_x[n] F_y*[n-1] of each (previous, current) context pair."""
-    # einsum rather than @: OpenBLAS runs a matrix-vector product this long on
-    # all cores, and its helper threads then spin for ~0.1 s after every call,
-    # taking the cores the other pool workers need
-    return np.einsum("nj,j->n", context_vectors(constellation, prev, now), ell_vector(channel))
+def beat_gain(constellation: RingPskConstellation, channel: JonesChannel, idx) -> np.ndarray:
+    """Gain multiplying exp(i*eta) in the noiseless delayed beat
+    K_x[n] K_y*[n-1] of consecutive slots of one stream.
+
+    ``idx`` is the (n, 3) stream of (rx, ry, t); returns the (n-1,) gains of
+    slots 1..n-1.  Each slot's fields are anchored at arg(E_x) = 0, so the
+    previous slot's y field is rotated by exp(i*t'*step) to anchor it at
+    arg(E_y') = 0, the reference of the inter-slot phase.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    kx, ky = apply_jones(channel, *_slot_fields(constellation, idx))
+    return kx[1:] * np.conj(ky[:-1] * np.exp(1j * constellation.phase_step * idx[:-1, 2]))
 
 
 def detect_dim4_block(w56: np.ndarray, gain: np.ndarray, constellation: RingPskConstellation):
     """Vectorized inter-slot phase decision.
 
     ``w56`` holds w5 + i*w6 per slot (slot 0 excluded), ``gain`` the matching
-    ell^T v values.  The candidate means 2*gain*exp(i*c*step) share one
-    covariance, so the ML rule reduces to the nearest mean; erased slots
-    (vanishing gain) are marked -1.
+    beat gains.  The candidate means 2*gain*exp(i*c*step) share one
+    covariance and one modulus, so the ML rule is the nearest mean, which is
+    the phase of w56*conj(gain) rounded to the grid; erased slots (vanishing
+    gain) are marked -1.
     """
-    phases = np.exp(1j * constellation.phase_step * np.arange(constellation.n_phases))
-    dist = np.abs(w56[:, None] - 2.0 * gain[:, None] * phases[None, :]) ** 2
-    decided = dist.argmin(axis=1).astype(np.int64)
+    ratio = np.angle(w56 * np.conj(gain)) / constellation.phase_step
+    decided = np.rint(ratio).astype(np.int64) % constellation.n_phases
     erased = 2.0 * np.abs(gain) < ERASURE_TOL
     decided[erased] = -1
     return decided, erased
@@ -318,10 +324,8 @@ def estimate_channel(training_obs: np.ndarray) -> ChannelEstimate:
     else:
         b = cmath.sqrt(b2)
         a = ab / b
-    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    if norm == 0.0:
-        raise ValueError("training observables are degenerate")
-    a, b = _canonical_sign(a / norm, b / norm)
+    unit = channel_from_pair(a, b)
+    a, b = _canonical_sign(unit.a, unit.b)
 
     model = JonesChannel(a, b, 0.0)
     sq_err = 0.0
@@ -412,7 +416,7 @@ def run_successive_receiver(
         cond[0] = (PILOT.rx, PILOT.ry, PILOT.t)
         mode = "decision-directed"
 
-    gain = beat_gain(constellation, channel, cond[:-1], cond[1:])
+    gain = beat_gain(constellation, channel, cond)
     eta, erased = detect_dim4_block(w56[1:], gain, constellation)
 
     out = np.empty((len(arr), 4), dtype=np.int64)

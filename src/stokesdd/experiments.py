@@ -74,7 +74,7 @@ def _ser_block(args) -> np.ndarray:
             constellation,
             genie_indices=idx if cfg.detection_mode == "genie" else None,
         )
-        errors[i] = accumulate_ser(idx, result).errors
+        errors[i] = accumulate_ser(idx, result.indices).errors
     return errors
 
 

@@ -34,7 +34,7 @@ from .channel import (
     osnr_to_sigma2,
 )
 from .constellation import RingPskConstellation, draw_indices, encode_indices
-from .detection import PILOT, ReceiverResult, beat_gain, run_successive_receiver
+from .detection import PILOT, beat_gain, run_successive_receiver
 from .frontend import received_samples
 
 __all__ = [
@@ -58,25 +58,20 @@ class SerReport:
         return self.errors[dim - 1] / self.trials[dim - 1]
 
 
-def _indices_array(x) -> np.ndarray:
-    if isinstance(x, ReceiverResult):
-        return x.indices
-    if isinstance(x, np.ndarray):
-        return x
-    return np.array([(s.rx, s.ry, s.t, s.e) for s in x], dtype=np.int64)
-
-
-def accumulate_ser(truth, decisions) -> SerReport:
+def accumulate_ser(truth: np.ndarray, decisions: np.ndarray) -> SerReport:
     """Count per-dimension index mismatches between a truth stream and a
-    decision stream (arrays, SymbolIndices sequences, or a ReceiverResult).
+    decision stream, (n, 4) index arrays each.
 
     Erased inter-slot decisions (-1) count as errors; slot 0 carries no
     inter-slot information and is excluded from that dimension's trials.
     """
-    t = _indices_array(truth)
-    d = _indices_array(decisions)
-    if t.shape != d.shape:
-        raise ValueError("truth and decision streams differ in length or shape")
+    t = np.asarray(truth)
+    d = np.asarray(decisions)
+    if t.ndim != 2 or t.shape[1] != 4 or t.shape != d.shape:
+        raise ValueError(
+            "expected truth and decisions as (n, 4) index arrays of one shape, "
+            f"got {t.shape} and {d.shape}"
+        )
     n = len(t)
     if n < 2:
         raise ValueError("need at least two slots (slot 0 is the pilot)")
@@ -177,6 +172,8 @@ def _statistic(constellation, channel, sigma2, kx, ky, unit, genie_gain=None):
     the frame's samples (decision-directed) and its own conditioning gain
     normalizes the beat."""
     if genie_gain is not None:
+        # only the delayed beat is needed: received_samples would build all
+        # six samples per slot to read two of them
         fx, fy = add_unit_noise(kx, ky, sigma2, unit)
         beat, scale = fx[1:] * np.conj(fy[:-1]), genie_gain  # (w5 + i w6) / 2
     else:
@@ -239,11 +236,7 @@ def estimate_mi_dim4(
         # one stream per channel; slot 0 is the pilot, slots 1..m carry labels
         channel, idx, kx, ky, unit = draw_frame(constellation, seed, c, m + 1)
         eta_idx = idx[1:, 3]
-        genie_gain = (
-            beat_gain(constellation, channel, idx[:-1, :3], idx[1:, :3])
-            if context == "genie"
-            else None
-        )
+        genie_gain = beat_gain(constellation, channel, idx[:, :3]) if context == "genie" else None
         reference = np.exp(1j * constellation.phase_step * eta_idx)
 
         for k, sigma2 in enumerate(sigma2s):

@@ -20,7 +20,12 @@ from stokesdd.constellation import (
     SymbolIndices,
     encode_indices,
 )
-from stokesdd.detection import ERASURE_TOL, beat_gain, gaussian_stats_dim4, gaussian_stats_dims123
+from stokesdd.detection import (
+    ERASURE_TOL,
+    context_vectors,
+    gaussian_stats_dim4,
+    gaussian_stats_dims123,
+)
 
 
 def hypothesis_stats(channel: JonesChannel, constellation: RingPskConstellation):
@@ -302,6 +307,28 @@ def detect_dim4(
     return best
 
 
+def ell_vector(channel: JonesChannel) -> np.ndarray:
+    """Coefficients of the four transmit beat terms in F_x[n]F_y*[n-1]:
+    (a^2, -b^2, -ab, ab) applied to
+    (E_xE_y'*, E_yE_x'*, E_xE_x'*, E_yE_y'*), primes denoting slot n-1."""
+    a, b = channel.a, channel.b
+    return np.array([a * a, -b * b, -a * b, a * b])
+
+
+def ell_gain(constellation: RingPskConstellation, channel: JonesChannel, prev, now) -> np.ndarray:
+    """The paper's expanded form ell^T v of the delayed-beat gain of
+    (previous, current) pairs, (n, 3) index arrays each."""
+    return context_vectors(constellation, prev, now) @ ell_vector(channel)
+
+
+def nearest_phase_argmin(w56: np.ndarray, gain: np.ndarray, constellation: RingPskConstellation) -> np.ndarray:
+    """Inter-slot decision by an (n, n_phases) table of squared distances to
+    the candidate means 2*gain*exp(i*c*step); ties go to the lowest index."""
+    phases = np.exp(1j * constellation.phase_step * np.arange(constellation.n_phases))
+    dist = np.abs(w56[:, None] - 2.0 * gain[:, None] * phases[None, :]) ** 2
+    return dist.argmin(axis=1)
+
+
 def frames_to_array(frames) -> np.ndarray:
     if isinstance(frames, np.ndarray):
         return frames
@@ -315,8 +342,8 @@ def genie_pair_terms(constellation, channel, idx_prev, idx_now, eta_idx):
     """Genie beat terms of independent (previous, current) context draws, the
     rate's genie path before it read the sweep's keyed stream: the noiseless
     current x field, the noiseless previous y field, and the known gain of the
-    delayed beat, (kx_now, ky_prev, gain).  ``idx_prev``/``idx_now`` are
-    (n, 3) arrays of (rx, ry, t)."""
+    delayed beat in its expanded form ``ell_gain``, (kx_now, ky_prev, gain).
+    ``idx_prev``/``idx_now`` are (n, 3) arrays of (rx, ry, t)."""
     radii = np.asarray(constellation.radii)
     step = constellation.phase_step
     rxp, ryp, tp = (idx_prev[:, k] for k in range(3))
@@ -328,4 +355,4 @@ def genie_pair_terms(constellation, channel, idx_prev, idx_now, eta_idx):
     ey_now = radii[ryn] * np.exp(1j * step * (eta_idx - tn))
     _, ky_prev = apply_jones(channel, ex_prev, ey_prev)
     kx_now, _ = apply_jones(channel, ex_now, ey_now)
-    return kx_now, ky_prev, beat_gain(constellation, channel, idx_prev, idx_now)
+    return kx_now, ky_prev, ell_gain(constellation, channel, idx_prev, idx_now)

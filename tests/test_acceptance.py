@@ -18,7 +18,6 @@ from stokesdd.config import ExperimentConfig
 from stokesdd.constellation import build_constellation, encode_indices
 from stokesdd.detection import (
     context_vectors,
-    ell_vector,
     estimate_channel,
     gauge_aligned_error,
     run_successive_receiver,
@@ -36,7 +35,7 @@ from stokesdd.frontend import (
 )
 from stokesdd.metrics import estimate_mi_dim4
 
-from reference import wrap_angle
+from reference import ell_vector, wrap_angle
 
 def _stream(rng, constellation, n):
     idx = np.stack(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,9 +21,10 @@ from stokesdd.detection import (
     PILOT,
     SCORE_SLICE_ROWS,
     TRAINING_PILOTS,
-    detect_dims123_block,
+    beat_gain,
     context_vectors,
-    ell_vector,
+    detect_dim4_block,
+    detect_dims123_block,
     estimate_channel,
     gauge_aligned_error,
     gaussian_stats_dim4,
@@ -38,9 +40,12 @@ from reference import (
     detect_dim4,
     detect_dims123,
     einsum_bank_scores,
+    ell_gain,
+    ell_vector,
     frames_to_array,
     frontend_full,
     hypothesis_stats,
+    nearest_phase_argmin,
     wrap_angle,
 )
 
@@ -255,11 +260,9 @@ def test_zero_noise_scores_are_negative_squared_distances():
 def test_identity_channel_beat_gain_reduces_to_magnitude_product():
     c = build_constellation(2, 4)
     ch = JonesChannel(1.0 + 0j, 0j, 0.0)
-    ell = ell_vector(ch)
     rng = np.random.default_rng(6)
     idx = random_symbol_stream(rng, c, 10)
-    v = context_vectors(c, idx[:-1, :3], idx[1:, :3])
-    gain = v @ ell
+    gain = beat_gain(c, ch, idx[:, :3])
     radii = np.asarray(c.radii)
     expected = radii[idx[1:, 0]] * radii[idx[:-1, 1]]
     assert np.abs(gain - expected).max() < 1e-12
@@ -275,11 +278,83 @@ def test_noiseless_closed_form_eta_statistic():
         kx, ky = apply_jones(ch, ex, ey)
         frames = frontend_full_block(kx, ky)
         w56 = frames[1:, 4] + 1j * frames[1:, 5]
-        gain = context_vectors(c, idx[:-1, :3], idx[1:, :3]) @ ell_vector(ch)
+        gain = beat_gain(c, ch, idx[:, :3])
         stat = w56 / (2.0 * gain)
         assert np.abs(np.abs(stat) - 1.0).max() < 1e-9
         err = wrap_angle(np.angle(stat) - idx[1:, 3] * c.phase_step)
         assert np.abs(err).max() < 1e-8
+
+
+@pytest.mark.parametrize("rings, phases", [(1, 1), (2, 4), (3, 8), (4, 16)])
+def test_stream_gain_matches_expanded_form(rings, phases):
+    # K_x[n] K_y*[n-1] of the anchored fields is ell^T v, the paper's
+    # expansion into four transmit beat terms, up to rounding
+    rng = np.random.default_rng(rings * 100 + phases)
+    c = build_constellation(rings, phases)
+    for _ in range(20):
+        ch = haar_random_channel(rng)
+        idx = random_symbol_stream(rng, c, 2_000)[:, :3]
+        gain = beat_gain(c, ch, idx)
+        expected = ell_gain(c, ch, idx[:-1], idx[1:])
+        assert gain.shape == (len(idx) - 1,)
+        assert np.abs(gain - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_rounded_phase_decision_matches_argmin_oracle():
+    # random rows sit off the decision boundaries, where both rules agree
+    rng = np.random.default_rng(404)
+    rows = 0
+    for phases in (1, 2, 3, 4, 5, 8, 16, 33, 64):
+        c = build_constellation(1, phases)
+        for _ in range(6):
+            n = 20_000
+            w56 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            gain = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 1, n)
+            decided, erased = detect_dim4_block(w56, gain, c)
+            assert not erased.any()
+            assert np.array_equal(decided, nearest_phase_argmin(w56, gain, c))
+            rows += n
+    assert rows >= 1_000_000
+
+
+@pytest.mark.parametrize("phases", [1, 2, 3, 16])
+def test_rounded_phase_decision_at_ties_picks_a_nearest_mean(phases):
+    # w56 = 0 ties every candidate and half-step angles tie two; the rules
+    # may break a tie differently, but both pick a nearest mean
+    rng = np.random.default_rng(phases)
+    c = build_constellation(1, phases)
+    step = c.phase_step
+    gains = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    half = (np.arange(-phases, phases) + 0.5) * step
+    radii = (0.5, 1.0, 3.0)
+    w56 = np.concatenate(
+        [np.zeros(len(gains), dtype=complex)]
+        + [2.0 * r * g * np.exp(1j * half) for g in gains for r in radii]
+    )
+    gain = np.concatenate([gains] + [np.full(len(half), g) for g in gains for _ in radii])
+    decided, erased = detect_dim4_block(w56, gain, c)
+    assert not erased.any()
+    assert ((decided >= 0) & (decided < phases)).all()
+    means = 2.0 * gain[:, None] * np.exp(1j * step * np.arange(phases))[None, :]
+    dist = np.abs(w56[:, None] - means) ** 2
+    chosen = dist[np.arange(len(w56)), decided]
+    assert (np.abs(chosen - dist.min(axis=1)) <= 1e-12 * dist.min(axis=1)).all()
+
+
+def test_phase_decision_allocates_no_slot_by_phase_table():
+    n, phases = 10_000, 64
+    rng = np.random.default_rng(9)
+    c = build_constellation(1, phases)
+    w56 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    gain = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        detect_dim4_block(w56, gain, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an (n, n_phases) float64 table alone would take n * phases * 8 bytes
+    assert peak < n * phases * 8 // 4
 
 
 def test_receiver_gain_normalizes_noiseless_beat():

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -98,6 +99,13 @@ def test_oversized_osnr_grid_rejected_before_it_is_built(start, stop, step, monk
     with pytest.raises(ValueError, match="osnr_start_db/osnr_stop_db/osnr_step_db") as err:
         cfg.validate()
     assert str(MAX_OSNR_POINTS) in str(err.value)
+
+
+@pytest.mark.parametrize("step", [1e-9, 0.0, -1.0, math.nan])
+def test_unvalidated_osnr_grid_rejects_unbounded_steps(step):
+    cfg = ExperimentConfig(osnr_step_db=step)
+    with pytest.raises(ValueError, match="osnr_"):
+        cfg.osnr_grid()
 
 
 def test_osnr_grid_at_the_cap_accepted():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stokesdd.channel import haar_random_channel
-from stokesdd.constellation import SymbolIndices, build_constellation
-from stokesdd.detection import beat_gain, context_vectors, ell_vector
+from stokesdd.constellation import build_constellation
+from stokesdd.detection import beat_gain
 from stokesdd.metrics import (
     accumulate_ser,
     draw_frame,
@@ -13,7 +13,7 @@ from stokesdd.metrics import (
     histogram_mi_bits,
 )
 
-from reference import genie_pair_terms
+from reference import ell_gain, genie_pair_terms
 
 
 def test_accumulate_ser_identical_streams():
@@ -47,16 +47,16 @@ def test_accumulate_ser_counts_erasures_as_errors():
     assert accumulate_ser(truth, decided).errors[3] == 1
 
 
-def test_accumulate_ser_accepts_symbol_indices_sequences():
-    truth = [SymbolIndices(0, 0, 0, 0)] * 5
-    decided = [SymbolIndices(0, 0, 0, 0)] * 4 + [SymbolIndices(1, 0, 0, 0)]
-    report = accumulate_ser(truth, decided)
-    assert report.errors == (1, 0, 0, 0)
-
-
 def test_accumulate_ser_rejects_length_mismatch():
     with pytest.raises(ValueError):
         accumulate_ser(np.zeros((5, 4), dtype=int), np.zeros((6, 4), dtype=int))
+
+
+def test_accumulate_ser_rejects_what_is_not_an_n_by_4_index_array():
+    truth = np.zeros((5, 4), dtype=np.int64)
+    for bad in (truth[:, :3], [tuple(row) for row in truth[:, :3]], truth.ravel()):
+        with pytest.raises(ValueError, match=r"\(n, 4\)"):
+            accumulate_ser(bad, bad)
 
 
 def test_histogram_mi_independent_labels_near_zero():
@@ -169,13 +169,15 @@ def test_genie_terms_match_noiseless_beat(rings, phases):
     # the rate's stream: consecutive slots of one keyed frame are the pairs
     for key in range(20):
         channel, idx, kx, ky, _ = draw_frame(c, rings * 100 + phases, key, m)
-        gain = beat_gain(c, channel, idx[:-1, :3], idx[1:, :3])
+        gain = ell_gain(c, channel, idx[:-1, :3], idx[1:, :3])
         beat = kx[1:] * np.conj(ky[:-1])
         rows = np.abs(gain) > 1e-6
         assert rows.mean() > 0.99
-        expected = gain * np.exp(1j * c.phase_step * idx[1:, 3])
-        rel = np.abs(beat - expected)[rows] / np.abs(gain)[rows]
-        assert rel.max() <= 1e-12
+        # the oracle's expanded gain, and the beat-gain kernel on the stream
+        for g in (gain, beat_gain(c, channel, idx[:, :3])):
+            expected = g * np.exp(1j * c.phase_step * idx[1:, 3])
+            rel = np.abs(beat - expected)[rows] / np.abs(gain)[rows]
+            assert rel.max() <= 1e-12
     # independent (previous, current) pairs, through the reference genie path
     rng = np.random.default_rng(rings * 100 + phases)
     for _ in range(20):
@@ -196,10 +198,10 @@ def test_genie_terms_match_noiseless_beat(rings, phases):
         beat = kx_now * np.conj(ky_prev)
         rows = np.abs(gain) > 1e-6
         assert rows.mean() > 0.99
-        # the statistic's gain, and the beat-gain kernel on the same
-        # independent (previous, current) pairs
-        pairwise = context_vectors(c, idx_prev, idx_now) @ ell_vector(channel)
-        for g in (gain, pairwise):
+        # the statistic's gain, and the beat-gain kernel on a stream that
+        # interleaves the pairs: slot 2k is idx_prev[k], slot 2k+1 idx_now[k]
+        stream = np.stack([idx_prev, idx_now], axis=1).reshape(-1, 3)
+        for g in (gain, beat_gain(c, channel, stream)[::2]):
             expected = g * np.exp(1j * c.phase_step * eta)
             rel = np.abs(beat - expected)[rows] / np.abs(gain)[rows]
             assert rel.max() <= 1e-12
