@@ -1,16 +1,17 @@
 """Dual-polarization direct-detection link simulator.
 
 Modules: constellation (ring-PSK alphabet, phase encoder, the index draw
-``draw_indices``), channel (random unitary rotation and amplifier noise),
-frontend (photocurrent observables of both receiver variants, and
-``received_samples``, the one noisy forward path), detection
-(Gaussian-surrogate ML and successive detection from the known ``PILOT``:
-the inter-slot gain is the product K_x[n] K_y*[n-1] of the conditioning
-slots' noiseless fields and the decision rounds the phase of the delayed beat
-against it; training-based channel estimation), metrics (SER accumulation,
-plug-in rate estimation, and ``draw_frame``, the one keyed Monte Carlo frame
-of the SER and rate sweeps), experiments/config/cli (seeded sweeps and
-CSV/plot emission).
+``draw_indices``), channel (random unitary rotation, amplifier noise, and
+``stokes_vector``, the one formula of w1..w4 that the front-end, the surrogate
+moments and training build on), frontend (photocurrent observables of both
+receiver variants, and ``received_samples``, the one noisy forward path),
+detection (Gaussian-surrogate ML and successive detection from the known
+``PILOT``: the inter-slot gain is the product K_x[n] K_y*[n-1] of the
+conditioning slots' noiseless fields and the decision rounds the phase of the
+delayed beat against it; training-based channel estimation), metrics (SER
+accumulation, plug-in rate estimation, and ``draw_frame``, the one keyed Monte
+Carlo frame of the SER and rate sweeps), experiments/config/cli (seeded sweeps
+and CSV/plot emission).
 
 Every layer works on whole blocks of slots: index arrays (n, 4), field arrays
 (n,), sample arrays (n, 6).

@@ -119,4 +119,10 @@ STOKES_METRIC = np.diag([0.5, 0.5, 1.0, 1.0])
 def osnr_to_sigma2(osnr_db: float) -> float:
     """Per-quadrature noise variance at a given OSNR for unit average signal
     energy; total noise energy per slot is 4*sigma2 over both polarizations."""
-    return 10.0 ** (-osnr_db / 10.0) / 4.0
+    try:
+        sigma2 = 10.0 ** (-osnr_db / 10.0) / 4.0
+    except OverflowError:  # below about -3082 dB
+        sigma2 = math.inf
+    if not sigma2 < math.inf:  # +inf gives 0.0; NaN, -inf and overflow do not pass
+        raise ValueError(f"OSNR {osnr_db!r} dB gives no finite noise variance")
+    return sigma2

@@ -8,6 +8,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .channel import osnr_to_sigma2
+
 SEED_ENV_VAR = "STOKESDD_SEED"
 
 # largest OSNR grid a config may define; the repo's own sweeps use at most 11
@@ -60,6 +62,10 @@ class ExperimentConfig:
         self._check_grid_bounds()
         if not self.osnr_grid():
             raise ValueError("osnr_start_db/osnr_stop_db define an empty grid")
+        try:  # the grid's lowest point has its largest noise variance
+            osnr_to_sigma2(self.osnr_start_db)
+        except ValueError as err:
+            raise ValueError(f"osnr_start_db: {err}") from None
         if self.symbols_per_block < 2:
             raise ValueError("symbols_per_block must be at least 2")
         if self.blocks < 1:

@@ -11,8 +11,10 @@ available in closed form given the noiseless received fields (K_x, K_y):
     Var(w1) = 4s^2 + 4s|K_x|^2,  Var(w3) = Var(w4) = 8s^2 + 4s(|K_x|^2+|K_y|^2),
     Cov(w1, w3) = Cov(w2, w3) = 4s|K_x||K_y|cos(delta), etc.   (s = sigma2)
 
-The delayed beat pair (w5, w6) obeys the same structure with K_y replaced by
-the previous slot's K_y, its covariance reducing to a scalar times I_2.
+Every term reads the noiseless Stokes vector ``stokes_vector(K_x, K_y)``.
+The delayed beat pair (w5, w6) is the (w3, w4) block of the same statistics
+with K_y replaced by the previous slot's K_y; its covariance is a scalar
+times I_2.
 
 Per-slot detection enumerates all H magnitude/intra-phase hypotheses and
 scores each one by the Gaussian log-likelihood
@@ -34,7 +36,8 @@ w56*conj(gain) rounded to the grid: a few operations per slot.
 
 Every stage works on a whole frame: the receiver takes the (n, 6) samples,
 whose slot 0 is ``PILOT``, and returns (n, 4) indices with the gain it
-conditioned on; training passes the (3, 6) averaged pilot samples.
+conditioned on.  Training averages each pilot's noisy Stokes vector w1..w4
+and passes the (3, 4) averages to ``estimate_channel``.
 """
 
 from __future__ import annotations
@@ -46,9 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import JonesChannel, apply_jones, channel_from_pair, stokes_vector
+from .channel import JonesChannel, add_unit_noise, apply_jones, channel_from_pair, stokes_vector
 from .constellation import DualPolSymbol, RingPskConstellation, SymbolIndices
-from .frontend import received_samples
 
 # below this beat-mean amplitude the inter-slot phase hypotheses coincide and
 # the slot is flagged as an erasure
@@ -70,27 +72,21 @@ class GaussianStats:
 
 
 def _stats123(kx, ky, sigma2):
-    ax2 = np.abs(kx) ** 2
-    ay2 = np.abs(ky) ** 2
-    cross = kx * np.conj(ky)  # |K_x||K_y| e^{i delta}
-    mean = np.stack(
-        [2.0 * sigma2 + ax2, 2.0 * sigma2 + ay2, 2.0 * cross.real, 2.0 * cross.imag],
-        axis=-1,
-    )
+    # the noiseless Stokes vector gives the mean and every covariance entry:
+    # noise adds 2s to each intensity, and Cov(w_i, w_j) = 2s w_j for an
+    # intensity i and a beat j
+    mean = stokes_vector(kx, ky)
+    ax2, ay2 = mean[..., 0], mean[..., 1]
     s4 = 4.0 * sigma2 * sigma2
     c = 4.0 * sigma2
-    cov = np.zeros(np.shape(ax2) + (4, 4))
+    cov = np.zeros(mean.shape + (4,))
     cov[..., 0, 0] = s4 + c * ax2
     cov[..., 1, 1] = s4 + c * ay2
     cov[..., 2, 2] = 2.0 * s4 + c * (ax2 + ay2)
     cov[..., 3, 3] = cov[..., 2, 2]
-    re = c * cross.real
-    im = c * cross.imag
-    for i in (0, 1):
-        cov[..., i, 2] = re
-        cov[..., 2, i] = re
-        cov[..., i, 3] = im
-        cov[..., 3, i] = im
+    cov[..., :2, 2:] = 2.0 * sigma2 * mean[..., None, 2:]
+    cov[..., 2:, :2] = np.swapaxes(cov[..., :2, 2:], -1, -2)
+    mean[..., :2] += 2.0 * sigma2
     return mean, cov
 
 
@@ -99,21 +95,15 @@ def gaussian_stats_dims123(kx: complex, ky: complex, sigma2: float) -> GaussianS
     received fields of the slot."""
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    mean, cov = _stats123(np.asarray(kx), np.asarray(ky), sigma2)
-    return GaussianStats(mean, cov)
+    return GaussianStats(*_stats123(np.asarray(kx), np.asarray(ky), sigma2))
 
 
 def gaussian_stats_dim4(kx_now: complex, ky_prev: complex, sigma2: float) -> GaussianStats:
     """Exact mean and (isotropic) covariance of (w5, w6) given the current
-    X field and the previous slot's Y field."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    cross = np.asarray(kx_now) * np.conj(np.asarray(ky_prev))
-    mean = np.stack([2.0 * cross.real, 2.0 * cross.imag], axis=-1)
-    var = 8.0 * sigma2 * sigma2 + 4.0 * sigma2 * (
-        np.abs(kx_now) ** 2 + np.abs(ky_prev) ** 2
-    )
-    return GaussianStats(mean, float(var) * np.eye(2))
+    X field and the previous slot's Y field: the (w3, w4) block of a slot
+    with those fields."""
+    stats = gaussian_stats_dims123(kx_now, ky_prev, sigma2)
+    return GaussianStats(stats.mean[..., 2:], stats.cov[..., 2:, 2:])
 
 
 @dataclass
@@ -276,17 +266,15 @@ class ChannelEstimate:
 
 
 def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) -> np.ndarray:
-    """Transmit each training pilot ``repeats`` times and average the
-    photocurrents; returns the (3, 6) averaged samples, one row per pilot."""
+    """Transmit each training pilot ``repeats`` times and average its noisy
+    Stokes vector; returns the (3, 4) averaged w1..w4, one row per pilot."""
     if repeats < 1:
         raise ValueError("repeats must be positive")
-    averaged = np.empty((len(TRAINING_PILOTS), 6))
+    averaged = np.empty((len(TRAINING_PILOTS), 4))
     for i, pilot in enumerate(TRAINING_PILOTS):
-        ex = np.full(repeats, pilot.ex, dtype=complex)
-        ey = np.full(repeats, pilot.ey, dtype=complex)
-        kx, ky = apply_jones(channel, ex, ey)
+        kx, ky = apply_jones(channel, pilot.ex, pilot.ey)
         unit = rng.standard_normal((repeats, 4))
-        averaged[i] = received_samples(kx, ky, channel.sigma2, unit, "full").mean(axis=0)
+        averaged[i] = stokes_vector(*add_unit_noise(kx, ky, channel.sigma2, unit)).mean(axis=0)
     return averaged
 
 
@@ -300,8 +288,8 @@ def _canonical_sign(a: complex, b: complex):
 
 
 def estimate_channel(training_obs: np.ndarray) -> ChannelEstimate:
-    """Solve for the rotation from the (3, 6) averaged pilot observables of
-    ``run_training``, one row (w1..w6) per pilot.
+    """Solve for the rotation from the (3, 4) averaged pilot observables of
+    ``run_training``, one row (w1..w4) per pilot.
 
     The beat samples are unbiased: pilot 1 gives -ab, pilots 2 and 3 give
     a^2 - b^2 and i(a^2 + b^2), fixing both squared parameters and their
@@ -309,9 +297,9 @@ def estimate_channel(training_obs: np.ndarray) -> ChannelEstimate:
     normalized; intensities enter only through the reported residual.
     """
     training_obs = np.asarray(training_obs)
-    if training_obs.shape != (3, 6):
+    if training_obs.shape != (3, 4):
         raise ValueError(
-            "expected the (3, 6) averaged observables of the three pilots, "
+            "expected the (3, 4) averaged observables w1..w4 of the three pilots, "
             f"got shape {training_obs.shape}"
         )
     beats = [complex(o[2], o[3]) / 2.0 for o in training_obs]
@@ -331,7 +319,7 @@ def estimate_channel(training_obs: np.ndarray) -> ChannelEstimate:
     sq_err = 0.0
     for obs, pilot in zip(training_obs, TRAINING_PILOTS):
         predicted = stokes_vector(*apply_jones(model, pilot.ex, pilot.ey))
-        sq_err += float(((obs[:4] - predicted) ** 2).sum())
+        sq_err += float(((obs - predicted) ** 2).sum())
     return ChannelEstimate(a, b, math.sqrt(sq_err))
 
 

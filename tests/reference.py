@@ -6,6 +6,7 @@ block (array) forms make up the library."""
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,10 +23,12 @@ from stokesdd.constellation import (
 )
 from stokesdd.detection import (
     ERASURE_TOL,
+    TRAINING_PILOTS,
     context_vectors,
     gaussian_stats_dim4,
     gaussian_stats_dims123,
 )
+from stokesdd.frontend import received_samples
 
 
 def hypothesis_stats(channel: JonesChannel, constellation: RingPskConstellation):
@@ -58,6 +61,37 @@ def einsum_bank_scores(means: np.ndarray, covs: np.ndarray, sigma2: float, obs: 
     logdets = np.linalg.slogdet(covs)[1]
     quad = np.einsum("nhi,hij,nhj->nh", diffs, icovs, diffs)
     return -0.5 * (quad + logdets[None, :])
+
+
+def gauss_hermite_moments(kx: complex, ky: complex, sigma2: float):
+    """Exact mean (4,) and covariance (4, 4) of (w1, w2, w3, w4) given the
+    noiseless fields, by a 3-node Gauss-Hermite rule on each of the four noise
+    quadratures (81 nodes).  w is degree 2 in the quadratures, so the mean and
+    covariance integrands are of degree at most 4 in each, and 3 nodes
+    integrate up to degree 5 exactly."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(3)
+    weights = weights / weights.sum()  # standard-normal probabilities
+    idx = np.array(list(itertools.product(range(3), repeat=4)))  # (81, 4) node per quadrature
+    g = nodes[idx]
+    p = weights[idx].prod(axis=1)
+    s = math.sqrt(sigma2)
+    nx = s * (g[:, 0] + 1j * g[:, 1])
+    ny = s * (g[:, 2] + 1j * g[:, 3])
+    beat = kx * np.conj(ky)
+    w0 = np.array([abs(kx) ** 2, abs(ky) ** 2, 2.0 * beat.real, 2.0 * beat.imag])
+    # w(K + n) - w(K) expanded, so no digits cancel at small sigma2
+    dbeat = kx * np.conj(ny) + nx * np.conj(ky) + nx * np.conj(ny)
+    dev = np.stack(
+        [
+            2.0 * (np.conj(kx) * nx).real + np.abs(nx) ** 2,
+            2.0 * (np.conj(ky) * ny).real + np.abs(ny) ** 2,
+            2.0 * dbeat.real,
+            2.0 * dbeat.imag,
+        ],
+        axis=1,
+    )
+    shift = p @ dev
+    return w0 + shift, (p[:, None] * dev).T @ dev - np.outer(shift, shift)
 
 
 # --- constellation ------------------------------------------------------------
@@ -223,6 +257,21 @@ def recover_full(reduced: ReducedFrontendOutputs, w2_prev: float) -> FrontendOut
     w5 = 2.0 * (reduced.w5p - reduced.w1 - w2_prev)
     w6 = 2.0 * (reduced.w6p - reduced.w1 - w2_prev)
     return FrontendOutputs(reduced.w1, reduced.w2, w3, w4, w5, w6, reduced.n)
+
+
+def training_samples(channel: JonesChannel, repeats: int, rng: np.random.Generator) -> np.ndarray:
+    """Training through the full frame path: each pilot's fields repeated
+    ``repeats`` times, the noisy (repeats, 6) samples w1..w6 of
+    ``received_samples``, and their mean; returns (3, 6), one row per pilot.
+    Draws the same noise from ``rng`` as ``run_training``."""
+    averaged = np.empty((len(TRAINING_PILOTS), 6))
+    for i, pilot in enumerate(TRAINING_PILOTS):
+        ex = np.full(repeats, pilot.ex, dtype=complex)
+        ey = np.full(repeats, pilot.ey, dtype=complex)
+        kx, ky = apply_jones(channel, ex, ey)
+        unit = rng.standard_normal((repeats, 4))
+        averaged[i] = received_samples(kx, ky, channel.sigma2, unit, "full").mean(axis=0)
+    return averaged
 
 
 # --- detection ----------------------------------------------------------------

@@ -158,3 +158,12 @@ def test_osnr_values(osnr_db, expected):
 def test_osnr_log_linearity():
     for db in (-3.0, 7.5, 14.0):
         assert osnr_to_sigma2(db + 10.0) == pytest.approx(osnr_to_sigma2(db) / 10.0, rel=1e-12)
+
+
+def test_osnr_without_finite_noise_variance_rejected():
+    # 10^(4000/10) overflows a float; -inf and NaN have no variance at all
+    for osnr_db in (-4000.0, -3083.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"OSNR {osnr_db!r} dB"):
+            osnr_to_sigma2(osnr_db)
+    assert osnr_to_sigma2(math.inf) == 0.0
+    assert math.isfinite(osnr_to_sigma2(-3082.0))

@@ -44,8 +44,10 @@ from reference import (
     ell_vector,
     frames_to_array,
     frontend_full,
+    gauss_hermite_moments,
     hypothesis_stats,
     nearest_phase_argmin,
+    training_samples,
     wrap_angle,
 )
 
@@ -113,6 +115,26 @@ def test_stats_reject_negative_sigma2():
         gaussian_stats_dims123(1.0, 0.0, -0.1)
     with pytest.raises(ValueError):
         gaussian_stats_dim4(1.0, 0.0, -0.1)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 1e-6, 1e-2, 1.0])
+def test_closed_form_moments_match_exact_quadrature(sigma2):
+    # the 81-node Gauss-Hermite rule is exact for moments of w, so the closed
+    # forms must agree to rounding, not to Monte Carlo error
+    rng = np.random.default_rng(94)
+    for _ in range(50):
+        g = rng.standard_normal(4) * rng.uniform(0.1, 2.0)
+        kx, ky = complex(g[0], g[1]), complex(g[2], g[3])
+        mean, cov = gauss_hermite_moments(kx, ky, sigma2)
+        stats = gaussian_stats_dims123(kx, ky, sigma2)
+        assert np.abs(stats.mean - mean).max() <= 1e-12 * np.abs(mean).max()
+        assert np.abs(stats.cov - cov).max() <= 1e-12 * np.abs(cov).max()
+        # (w5, w6) of (K_x[n], K_y[n-1]) is the (w3, w4) block of a slot
+        # with those fields
+        stats4 = gaussian_stats_dim4(kx, ky, sigma2)
+        assert np.abs(stats4.mean - mean[2:]).max() <= 1e-12 * np.abs(mean[2:]).max()
+        cov4 = cov[2:, 2:]
+        assert np.abs(stats4.cov - cov4).max() <= 1e-12 * np.abs(cov4).max()
 
 
 def test_monte_carlo_moment_oracle_small():
@@ -574,7 +596,7 @@ def test_estimate_invariant_to_whole_matrix_phase():
         obs = []
         for pilot in TRAINING_PILOTS:
             kx, ky = apply_jones(ch, pilot.ex, pilot.ey)
-            obs.append(frontend_full(DualPolSymbol(rot * kx, rot * ky), dark).as_array())
+            obs.append(frontend_full(DualPolSymbol(rot * kx, rot * ky), dark).as_array()[:4])
         est = estimate_channel(np.array(obs))
         assert abs(est.a_hat - est_ref.a_hat) < 1e-12
         assert abs(est.b_hat - est_ref.b_hat) < 1e-12
@@ -606,8 +628,23 @@ def test_estimate_channel_recovers_complex_rotations_for_detection():
 def test_estimate_channel_requires_three_pilot_blocks():
     ch = JonesChannel(1.0 + 0j, 0j, 0.0)
     obs = run_training(ch, 1, np.random.default_rng(0))
-    assert obs.shape == (3, 6)
+    assert obs.shape == (3, 4)
     assert obs.dtype == np.float64
-    for bad in (obs[:2], obs[:, :4], np.vstack([obs, obs[:1]])):
-        with pytest.raises(ValueError, match=r"\(3, 6\)"):
+    for bad in (obs[:2], np.vstack([obs, obs[:1]]), np.hstack([obs, obs[:, 2:]])):
+        with pytest.raises(ValueError, match=r"\(3, 4\)"):
             estimate_channel(bad)
+
+
+@pytest.mark.parametrize("repeats", [1, 2, 17, 10_000])
+def test_training_matches_the_frame_path_oracle(repeats):
+    # averaging each pilot's Stokes vector equals the first four columns of
+    # the full (repeats, 6) frame path's average, bit for bit
+    rng = np.random.default_rng(95)
+    for _ in range(4):
+        ch = haar_random_channel(rng)
+        for sigma2 in (0.0, osnr_to_sigma2(10.0), osnr_to_sigma2(20.0), osnr_to_sigma2(40.0)):
+            noisy = JonesChannel(ch.a, ch.b, sigma2)
+            seed = int(rng.integers(2**32))
+            got = run_training(noisy, repeats, np.random.default_rng(seed))
+            want = training_samples(noisy, repeats, np.random.default_rng(seed))
+            assert np.array_equal(got, want[:, :4])

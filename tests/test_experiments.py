@@ -60,6 +60,7 @@ def test_config_rejects_unknown_fields():
         ("n_rings", 2.0),
         ("blocks", True),
         ("osnr_start_db", "10"),
+        ("osnr_start_db", -4000.0),  # 10^400 overflows: no finite noise variance
     ],
 )
 def test_config_validation_names_the_field(field, value):
@@ -302,11 +303,16 @@ _SMALL_CAL = ["--configs", "1", "--draws", "8"]
         (["estimate-channel-demo", "--repeats", "10"], "seven", SEED_ENV_VAR),
         (["ser", "--blocks", "1", "--symbols-per-block", "10"], "2.5", SEED_ENV_VAR),
         (["ser", "--osnr-step-db", "1e-9"], None, "osnr_step_db"),
+        (["ser", "--osnr-start-db", "-4000", "--osnr-stop-db", "-4000"], None, "osnr_start_db"),
+        (["rate", "--osnr-start-db", "-4000", "--osnr-stop-db", "-4000"], None, "osnr_start_db"),
+        (["estimate-channel-demo", "--osnr-db", "-4000"], None, "OSNR -4000.0 dB"),
+        (["estimate-channel-demo", "--osnr-db=-inf"], None, "OSNR -inf dB"),
     ],
     ids=[
         "cal-seed", "demo-seed", "cal-draws-1", "cal-draws-7", "cal-configs-0",
         "demo-repeats-0", "cal-env-negative", "demo-env-word", "ser-env-float",
-        "ser-tiny-osnr-step",
+        "ser-tiny-osnr-step", "ser-osnr-overflow", "rate-osnr-overflow",
+        "demo-osnr-overflow", "demo-osnr-minus-inf",
     ],
 )
 def test_cli_rejects_bad_inputs_by_name(argv, env_seed, named, tmp_path, monkeypatch, capsys):
