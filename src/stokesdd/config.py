@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import osnr_to_sigma2
+from .detection import gaussian_stats_dims123
 
 SEED_ENV_VAR = "STOKESDD_SEED"
 
@@ -63,7 +64,10 @@ class ExperimentConfig:
         if not self.osnr_grid():
             raise ValueError("osnr_start_db/osnr_stop_db define an empty grid")
         try:  # the grid's lowest point has its largest noise variance
-            osnr_to_sigma2(self.osnr_start_db)
+            sigma2 = osnr_to_sigma2(self.osnr_start_db)
+            # the detectors' surrogate covariance must stay finite there; its
+            # noise-only term 8*sigma2^2, a dark slot's, is what overflows
+            gaussian_stats_dims123(0j, 0j, sigma2)
         except ValueError as err:
             raise ValueError(f"osnr_start_db: {err}") from None
         if self.symbols_per_block < 2:

@@ -36,8 +36,10 @@ w56*conj(gain) rounded to the grid: a few operations per slot.
 
 Every stage works on a whole frame: the receiver takes the (n, 6) samples,
 whose slot 0 is ``PILOT``, and returns (n, 4) indices with the gain it
-conditioned on.  Training averages each pilot's noisy Stokes vector w1..w4
-and passes the (3, 4) averages to ``estimate_channel``.
+conditioned on.  Training draws each pilot's Stokes vector w1..w4 averaged
+over r noisy transmissions from its sufficient statistics, the noise's
+sample mean and Wishart scatter, at a cost independent of r, and passes the
+(3, 4) averages to ``estimate_channel``.
 """
 
 from __future__ import annotations
@@ -90,12 +92,24 @@ def _stats123(kx, ky, sigma2):
     return mean, cov
 
 
+def _require_finite(sigma2, *arrays):
+    # past sigma2 ~ 4.7e153 (OSNR below about -1542.8 dB) the noise term
+    # 8*sigma2^2 overflows; a bank built on it scores every hypothesis -inf
+    # and argmax silently decides hypothesis 0
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(
+            f"sigma2 = {sigma2!r} overflows the surrogate covariance or its log-determinant"
+        )
+
+
 def gaussian_stats_dims123(kx: complex, ky: complex, sigma2: float) -> GaussianStats:
     """Exact mean and covariance of (w1, w2, w3, w4) given the noiseless
     received fields of the slot."""
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    return GaussianStats(*_stats123(np.asarray(kx), np.asarray(ky), sigma2))
+    stats = GaussianStats(*_stats123(np.asarray(kx), np.asarray(ky), sigma2))
+    _require_finite(sigma2, stats.cov)
+    return stats
 
 
 def gaussian_stats_dim4(kx_now: complex, ky_prev: complex, sigma2: float) -> GaussianStats:
@@ -147,6 +161,7 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     whiten = np.ascontiguousarray(inv_chol.transpose(2, 1, 0).reshape(4, -1))
     whitened_means = np.einsum("hji,hi->jh", inv_chol, means).ravel()
     logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    _require_finite(channel.sigma2, covs, logdets)
     return _HypothesisBank(triples, means, whiten, whitened_means, logdets)
 
 
@@ -266,15 +281,37 @@ class ChannelEstimate:
 
 
 def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) -> np.ndarray:
-    """Transmit each training pilot ``repeats`` times and average its noisy
-    Stokes vector; returns the (3, 4) averaged w1..w4, one row per pilot."""
+    """Average each training pilot's noisy Stokes vector over ``repeats``
+    transmissions; returns the (3, 4) averaged w1..w4, one row per pilot.
+
+    w1..w4 are linear in the coherency f f^H, and the mean of r coherencies
+    (K + n_k)(K + n_k)^H is (K + m)(K + m)^H + S/r, where the noise's sample
+    mean m ~ CN(0, (2 sigma2/r) I) and scatter S ~ complex Wishart_2(r-1,
+    2 sigma2 I) are independent (Goodman 1963).  So each pilot draws m from
+    four normals, as ``add_unit_noise(kx, ky, sigma2/r, ...)``, and S = L L^H
+    from its complex Bartlett factor (Bartlett 1933): L11^2 = 2 sigma2
+    Gamma(r-1), L22^2 = 2 sigma2 Gamma(r-2) (zero at r = 2) and
+    L21 = sqrt(sigma2) (g + i g') from two more normals.  The average is the
+    exact law of the brute-force one at a cost independent of r; at r = 1
+    the scatter vanishes and only the four normals are drawn.
+    """
     if repeats < 1:
         raise ValueError("repeats must be positive")
-    averaged = np.empty((len(TRAINING_PILOTS), 4))
-    for i, pilot in enumerate(TRAINING_PILOTS):
-        kx, ky = apply_jones(channel, pilot.ex, pilot.ey)
-        unit = rng.standard_normal((repeats, 4))
-        averaged[i] = stokes_vector(*add_unit_noise(kx, ky, channel.sigma2, unit)).mean(axis=0)
+    kx, ky = apply_jones(
+        channel,
+        np.array([p.ex for p in TRAINING_PILOTS]),
+        np.array([p.ey for p in TRAINING_PILOTS]),
+    )
+    g = rng.standard_normal((len(TRAINING_PILOTS), 4 if repeats == 1 else 6))
+    averaged = stokes_vector(*add_unit_noise(kx, ky, channel.sigma2 / repeats, g[:, :4]))
+    if repeats > 1:
+        # the columns (L11, L21) and (0, L22) of L / sqrt(r), whose rank-one
+        # coherencies sum to S / r
+        gammas = rng.standard_gamma([repeats - 1, repeats - 2], size=(len(TRAINING_PILOTS), 2))
+        scale = math.sqrt(channel.sigma2 / repeats)
+        l11, l22 = scale * np.sqrt(2.0 * gammas.T)
+        l21 = scale * (g[:, 4] + 1j * g[:, 5])
+        averaged += stokes_vector(l11, l21) + stokes_vector(np.zeros_like(l22), l22)
     return averaged
 
 

@@ -263,7 +263,9 @@ def training_samples(channel: JonesChannel, repeats: int, rng: np.random.Generat
     """Training through the full frame path: each pilot's fields repeated
     ``repeats`` times, the noisy (repeats, 6) samples w1..w6 of
     ``received_samples``, and their mean; returns (3, 6), one row per pilot.
-    Draws the same noise from ``rng`` as ``run_training``."""
+    The brute-force average whose law ``run_training`` draws from its
+    sufficient statistics; at repeats = 1 both draw the same noise from
+    ``rng``."""
     averaged = np.empty((len(TRAINING_PILOTS), 6))
     for i, pilot in enumerate(TRAINING_PILOTS):
         ex = np.full(repeats, pilot.ex, dtype=complex)

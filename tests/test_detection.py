@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 import tracemalloc
 import weakref
 
@@ -15,6 +16,7 @@ from stokesdd.channel import (
     haar_random_channel,
     osnr_to_sigma2,
     propagate_block,
+    stokes_vector,
 )
 from stokesdd.constellation import DualPolSymbol, SymbolIndices, build_constellation, encode_indices
 from stokesdd.detection import (
@@ -189,6 +191,21 @@ def test_detect_noiseless_recovers_symbols_exactly():
         frames = frontend_full_block(kx, ky)
         decided, _ = detect_dims123_block(frames[:, :4], ch, c)
         assert (decided == idx[:, :3]).all()
+
+
+def test_overflowing_surrogate_covariance_is_rejected():
+    # past sigma2 ~ 4.7e153 the covariance overflows; a bank built on it would
+    # score every hypothesis -inf and decide hypothesis 0 without a word
+    c = build_constellation(2, 4)
+    ch = haar_random_channel(np.random.default_rng(98))
+    bank = detection._build_bank(JonesChannel(ch.a, ch.b, osnr_to_sigma2(-1540.0)), c)
+    assert np.isfinite(bank.logdets).all()
+    for osnr_db in (-1545.0, -1600.0, -3000.0):
+        sigma2 = osnr_to_sigma2(osnr_db)
+        with pytest.raises(ValueError, match="sigma2"):
+            detection._build_bank(JonesChannel(ch.a, ch.b, sigma2), c)
+        with pytest.raises(ValueError, match="sigma2"):
+            gaussian_stats_dims123(1.0, 0.0, sigma2)
 
 
 def test_detect_returns_hypothesis_at_its_mean():
@@ -635,16 +652,82 @@ def test_estimate_channel_requires_three_pilot_blocks():
             estimate_channel(bad)
 
 
+# Monte Carlo bound of the statistical training checks: a sample moment lies
+# within this many of its standard errors of the value it estimates
+TRAINING_Z = 5.0
+
+
+def _moments_with_errors(draws):
+    """Per-entry means of (N, 3, 4) training draws and each pilot's (4, 4)
+    sample covariance, each with its Monte Carlo standard error."""
+    n = len(draws)
+    centred = draws - draws.mean(axis=0)
+    prods = centred[..., :, None] * centred[..., None, :]  # their mean is the covariance
+    return (
+        (draws.mean(axis=0), draws.std(axis=0) / math.sqrt(n)),
+        (prods.mean(axis=0), prods.std(axis=0) / math.sqrt(n)),
+    )
+
+
 @pytest.mark.parametrize("repeats", [1, 2, 17, 10_000])
 def test_training_matches_the_frame_path_oracle(repeats):
-    # averaging each pilot's Stokes vector equals the first four columns of
-    # the full (repeats, 6) frame path's average, bit for bit
+    # r = 1 draws the frame path's own noise, bit for bit; at r >= 2 the
+    # sufficient-statistic draw has the law of the frame path's average, so
+    # means and covariances agree within the Monte Carlo bound (r = 2 has
+    # L22 = 0); noiseless, both give the noiseless Stokes vector
     rng = np.random.default_rng(95)
-    for _ in range(4):
-        ch = haar_random_channel(rng)
-        for sigma2 in (0.0, osnr_to_sigma2(10.0), osnr_to_sigma2(20.0), osnr_to_sigma2(40.0)):
-            noisy = JonesChannel(ch.a, ch.b, sigma2)
-            seed = int(rng.integers(2**32))
-            got = run_training(noisy, repeats, np.random.default_rng(seed))
-            want = training_samples(noisy, repeats, np.random.default_rng(seed))
-            assert np.array_equal(got, want[:, :4])
+    for sigma2 in (0.0, osnr_to_sigma2(10.0), osnr_to_sigma2(20.0), osnr_to_sigma2(40.0)):
+        ch = haar_random_channel(rng, sigma2)
+        seed = int(rng.integers(2**32))
+        if repeats == 1:
+            got = run_training(ch, 1, np.random.default_rng(seed))
+            assert np.array_equal(got, training_samples(ch, 1, np.random.default_rng(seed))[:, :4])
+            continue
+        if sigma2 == 0.0:
+            got = run_training(ch, repeats, np.random.default_rng(seed))
+            noiseless = [stokes_vector(*apply_jones(ch, p.ex, p.ey)) for p in TRAINING_PILOTS]
+            assert np.array_equal(got, noiseless)
+            # the frame path sums r equal rows one by one: up to ~2000 ulp at r = 10^4
+            want = training_samples(ch, repeats, np.random.default_rng(seed))[:, :4]
+            assert np.abs(got - want).max() <= repeats * np.finfo(float).eps * np.abs(got).max()
+            continue
+        # 10^4 draws of each, but 400 of the frame path at r = 10^4, whose
+        # every draw costs 3 x 10^4 slots; the bound counts both sample sizes
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+        n_old = 400 if repeats == 10_000 else 10_000
+        new = np.array([run_training(ch, repeats, new_rng) for _ in range(10_000)])
+        old = np.array([training_samples(ch, repeats, old_rng)[:, :4] for _ in range(n_old)])
+        pairs = zip(_moments_with_errors(new), _moments_with_errors(old))
+        for (m_new, se_new), (m_old, se_old) in pairs:
+            assert (np.abs(m_new - m_old) <= TRAINING_Z * np.hypot(se_new, se_old)).all()
+
+
+@pytest.mark.parametrize("repeats", [2, 50, 10_000])
+def test_training_moments_match_the_closed_form(repeats):
+    # the averaged w1..w4 of a pilot are the mean of r independent slots, so
+    # their mean is the slot's mu and their covariance C / r, with mu and C
+    # those of gaussian_stats_dims123 for the pilot's fields
+    rng = np.random.default_rng(96)
+    for osnr_db in (0.0, 20.0):
+        ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
+        draws = np.array([run_training(ch, repeats, rng) for _ in range(10_000)])
+        (mean, mean_se), (cov, cov_se) = _moments_with_errors(draws)
+        for i, pilot in enumerate(TRAINING_PILOTS):
+            stats = gaussian_stats_dims123(*apply_jones(ch, pilot.ex, pilot.ey), ch.sigma2)
+            assert (np.abs(mean[i] - stats.mean) <= TRAINING_Z * mean_se[i]).all()
+            assert (np.abs(cov[i] - stats.cov / repeats) <= TRAINING_Z * cov_se[i]).all()
+
+
+def test_training_cost_is_independent_of_repeats():
+    # 10^12 repeats draws as many numbers as 2 repeats: the (10^12, 4)
+    # brute-force draw would not fit in memory
+    rng = np.random.default_rng(97)
+    ch = haar_random_channel(rng, osnr_to_sigma2(10.0))
+    start = time.perf_counter()
+    got = run_training(ch, 10**12, rng)
+    assert time.perf_counter() - start < 1.0
+    assert np.isfinite(got).all()
+    for row, pilot in zip(got, TRAINING_PILOTS):
+        # the noiseless Stokes vector, with the noise power 2 sigma2 on each intensity
+        mean = gaussian_stats_dims123(*apply_jones(ch, pilot.ex, pilot.ey), ch.sigma2).mean
+        assert np.abs(row - mean).max() < 1e-4

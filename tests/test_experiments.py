@@ -61,12 +61,18 @@ def test_config_rejects_unknown_fields():
         ("blocks", True),
         ("osnr_start_db", "10"),
         ("osnr_start_db", -4000.0),  # 10^400 overflows: no finite noise variance
+        ("osnr_start_db", -3000.0),  # finite variance, overflowing surrogate covariance
     ],
 )
 def test_config_validation_names_the_field(field, value):
     cfg = ExperimentConfig(**{field: value})
     with pytest.raises(ValueError, match=field.split("_")[0]):
         cfg.validate()
+
+
+def test_config_accepts_osnr_whose_surrogate_covariance_is_finite():
+    # 8*sigma2^2 overflows below about -1542.8 dB; -1500 dB still detects
+    ExperimentConfig(osnr_start_db=-1500.0, osnr_stop_db=-1500.0).validate()
 
 
 def test_rate_config_needs_a_sample_per_channel():
@@ -305,13 +311,19 @@ _SMALL_CAL = ["--configs", "1", "--draws", "8"]
         (["ser", "--osnr-step-db", "1e-9"], None, "osnr_step_db"),
         (["ser", "--osnr-start-db", "-4000", "--osnr-stop-db", "-4000"], None, "osnr_start_db"),
         (["rate", "--osnr-start-db", "-4000", "--osnr-stop-db", "-4000"], None, "osnr_start_db"),
+        (
+            ["ser", "--osnr-start-db", "-3000", "--osnr-stop-db", "-3000",
+             "--blocks", "1", "--symbols-per-block", "100"],
+            None,
+            "osnr_start_db",
+        ),
         (["estimate-channel-demo", "--osnr-db", "-4000"], None, "OSNR -4000.0 dB"),
         (["estimate-channel-demo", "--osnr-db=-inf"], None, "OSNR -inf dB"),
     ],
     ids=[
         "cal-seed", "demo-seed", "cal-draws-1", "cal-draws-7", "cal-configs-0",
         "demo-repeats-0", "cal-env-negative", "demo-env-word", "ser-env-float",
-        "ser-tiny-osnr-step", "ser-osnr-overflow", "rate-osnr-overflow",
+        "ser-tiny-osnr-step", "ser-osnr-overflow", "rate-osnr-overflow", "ser-covariance-overflow",
         "demo-osnr-overflow", "demo-osnr-minus-inf",
     ],
 )
