@@ -33,11 +33,6 @@ class JonesChannel:
         if not self.sigma2 >= 0.0:
             raise ValueError("sigma2 must be nonnegative")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.a, self.b], [-np.conj(self.b), np.conj(self.a)]], dtype=complex
-        )
-
 
 def channel_from_pair(z1: complex, z2: complex, sigma2: float = 0.0) -> JonesChannel:
     """Normalize a complex pair onto the unit sphere |a|^2 + |b|^2 = 1."""
@@ -85,8 +80,7 @@ def propagate_block(channel: JonesChannel, ex, ey, rng: np.random.Generator):
 def stokes_vector(ex, ey) -> np.ndarray:
     """Observable 4-vector (|E_x|^2, |E_y|^2, 2Re E_xE_y*, 2Im E_xE_y*);
     broadcasts over arrays, stacking on the last axis."""
-    ex = np.asarray(ex)
-    ey = np.asarray(ey)
+    ex, ey = np.broadcast_arrays(ex, ey)
     p = ex * np.conj(ey)
     return np.stack(
         [np.abs(ex) ** 2, np.abs(ey) ** 2, 2.0 * p.real, 2.0 * p.imag], axis=-1

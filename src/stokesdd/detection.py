@@ -311,7 +311,7 @@ def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) 
         scale = math.sqrt(channel.sigma2 / repeats)
         l11, l22 = scale * np.sqrt(2.0 * gammas.T)
         l21 = scale * (g[:, 4] + 1j * g[:, 5])
-        averaged += stokes_vector(l11, l21) + stokes_vector(np.zeros_like(l22), l22)
+        averaged += stokes_vector(l11, l21) + stokes_vector(0.0, l22)
     return averaged
 
 

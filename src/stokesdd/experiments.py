@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import Pool
 
 import numpy as np
@@ -48,10 +49,8 @@ def _format(value: float) -> str:
     return repr(float(value))
 
 
-def _ser_block(args) -> np.ndarray:
+def _ser_block(cfg: ExperimentConfig, block: int) -> np.ndarray:
     """Error counts of one Monte Carlo block: (n_osnr, 4) integers."""
-    cfg_dict, block = args
-    cfg = ExperimentConfig(**cfg_dict)
     constellation = build_constellation(cfg.n_rings, cfg.n_phases)
     grid = cfg.osnr_grid()
     n = cfg.symbols_per_block
@@ -78,19 +77,17 @@ def _ser_block(args) -> np.ndarray:
     return errors
 
 
-def _map_blocks(func, argses, workers: int):
-    if workers <= 1 or len(argses) <= 1:
-        return [func(a) for a in argses]
-    with Pool(processes=min(workers, len(argses))) as pool:
-        return pool.map(func, argses)  # ordered gather keeps merging canonical
+def _map_blocks(func, blocks, workers: int):
+    if workers <= 1 or len(blocks) <= 1:
+        return [func(b) for b in blocks]
+    with Pool(processes=min(workers, len(blocks))) as pool:
+        return pool.map(func, blocks)  # ordered gather keeps merging canonical
 
 
 def run_ser_experiment(config: ExperimentConfig) -> list[str]:
     """Symbol-error-rate sweep; returns CSV rows (header included)."""
     config.validate()
-    cfg_dict = config.__dict__.copy()
-    argses = [(cfg_dict, block) for block in range(config.blocks)]
-    per_block = _map_blocks(_ser_block, argses, config.workers)
+    per_block = _map_blocks(partial(_ser_block, config), range(config.blocks), config.workers)
     errors = np.sum(per_block, axis=0)
 
     grid = config.osnr_grid()
@@ -184,7 +181,7 @@ print("wrote", CSV_PATH + ".png")
 '''
 
 
-def emit_plot_script(csv_path, kind: str, out_path=None) -> str:
+def emit_plot_script(csv_path, kind: str) -> str:
     """Write a standalone matplotlib script for an existing results CSV."""
     if kind not in ("ser", "rate"):
         raise ValueError("kind must be 'ser' or 'rate'")
@@ -197,7 +194,7 @@ def emit_plot_script(csv_path, kind: str, out_path=None) -> str:
         raise ValueError(
             f"CSV header {header!r} does not match the {kind} schema {expected!r}"
         )
-    out_path = out_path or str(csv_path) + "_plot.py"
+    out_path = str(csv_path) + "_plot.py"
     template = _PLOT_TEMPLATE_SER if kind == "ser" else _PLOT_TEMPLATE_RATE
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(template.format(csv_path=str(csv_path)))
@@ -237,14 +234,15 @@ def _rel_dev(empirical: np.ndarray, model: np.ndarray, floor_frac: float = 0.05)
 def _whitened_normals(rng: np.random.Generator, shape) -> np.ndarray:
     # moment-matched draws: antithetic pairing zeroes every odd sample moment
     # exactly, and whitening pins the sample mean/covariance to 0/I, so the
-    # propagated-moment oracle is left with fourth-moment sampling error only
+    # propagated-moment oracle is left with fourth-moment sampling error only.
+    # The mirrored draws have zero mean and twice the half's Gram matrix, so
+    # the half is whitened by that Gram matrix over the padded count n, then
+    # mirrored and padded
     n, dim = shape
     half = rng.standard_normal((n // 2, dim))
-    unit = np.concatenate([half, -half])
-    if len(unit) < n:
-        unit = np.concatenate([unit, np.zeros((1, dim))])
-    chol = np.linalg.cholesky(np.cov(unit.T, bias=True))
-    return unit @ np.linalg.inv(chol).T
+    chol = np.linalg.cholesky(half.T @ half * (2.0 / n))
+    white = half @ np.linalg.inv(chol).T
+    return np.concatenate([white, -white, np.zeros((n % 2, dim))])
 
 
 def covariance_calibration(

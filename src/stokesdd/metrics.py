@@ -35,7 +35,7 @@ from .channel import (
 )
 from .constellation import RingPskConstellation, draw_indices, encode_indices
 from .detection import PILOT, beat_gain, run_successive_receiver
-from .frontend import received_samples
+from .frontend import frontend_full_block
 
 __all__ = [
     "SerReport",
@@ -165,24 +165,19 @@ def draw_frame(constellation: RingPskConstellation, seed: int, key: int, n: int)
 
 
 def _statistic(constellation, channel, sigma2, kx, ky, unit, genie_gain=None):
-    """Normalized delayed-beat statistic of one frame at one noise level.
+    """Normalized delayed-beat statistic of one frame at one noise level: the
+    beat (w5 + i w6) / 2 of the noisy fields over its gain.
 
-    Given ``genie_gain``, the beat gain of the true contexts, the beat is
-    formed from the noisy fields directly.  Without it the receiver runs on
-    the frame's samples (decision-directed) and its own conditioning gain
-    normalizes the beat."""
-    if genie_gain is not None:
-        # only the delayed beat is needed: received_samples would build all
-        # six samples per slot to read two of them
-        fx, fy = add_unit_noise(kx, ky, sigma2, unit)
-        beat, scale = fx[1:] * np.conj(fy[:-1]), genie_gain  # (w5 + i w6) / 2
-    else:
-        frames = received_samples(kx, ky, sigma2, unit, "full")
+    Given ``genie_gain``, the beat gain of the true contexts, that gain is
+    used.  Without it the receiver runs on the frame's samples
+    (decision-directed) and its own conditioning gain is used."""
+    fx, fy = add_unit_noise(kx, ky, sigma2, unit)
+    gain = genie_gain
+    if gain is None:
         noisy = JonesChannel(channel.a, channel.b, sigma2)
-        gain = run_successive_receiver(frames, noisy, constellation).gain
-        beat, scale = frames[1:, 4] + 1j * frames[1:, 5], 2.0 * gain
+        gain = run_successive_receiver(frontend_full_block(fx, fy), noisy, constellation).gain
     with np.errstate(divide="ignore", invalid="ignore"):
-        return beat / scale
+        return fx[1:] * np.conj(fy[:-1]) / gain
 
 
 def estimate_mi_dim4(

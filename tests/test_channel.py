@@ -112,6 +112,17 @@ def test_stokes_matrix_maps_transmit_to_received_observables():
     assert worst < 1e-9
 
 
+def test_stokes_vector_broadcasts_its_fields():
+    ey = np.array([1.0, -2.0 + 1j, 0.5j])
+    w = stokes_vector(0.0, ey)
+    assert w.shape == (3, 4)
+    np.testing.assert_array_equal(w, stokes_vector(np.zeros_like(ey), ey))
+    ex = np.array([[1.0], [0.3 - 1j]])
+    grid = stokes_vector(ex, ey)
+    assert grid.shape == (2, 3, 4)
+    np.testing.assert_array_equal(grid[1, 2], stokes_vector(0.3 - 1j, 0.5j))
+
+
 def test_stokes_matrix_scaled_orthogonality():
     rng = np.random.default_rng(3)
     for _ in range(300):

@@ -4,11 +4,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from stokesdd.cli import _add_experiment_args, _build_config, main
 from stokesdd.config import MAX_OSNR_POINTS, SEED_ENV_VAR, ExperimentConfig
 from stokesdd.experiments import (
+    _whitened_normals,
     covariance_calibration,
     emit_plot_script,
     run_rate_experiment,
@@ -285,6 +287,14 @@ def test_emit_plot_script_rejects_missing_or_mismatched_csv(tmp_path):
 def test_covariance_calibration_tight():
     cal = covariance_calibration(n_configs=5, n_draws=200_000, seed=1)
     assert cal.worst < 0.03
+
+
+@pytest.mark.parametrize("n", [8, 9, 1001])
+def test_whitened_normals_pin_the_sample_moments(n):
+    unit = _whitened_normals(np.random.default_rng(n), (n, 4))
+    assert unit.shape == (n, 4)
+    np.testing.assert_allclose(unit.mean(axis=0), 0.0, atol=1e-15)
+    np.testing.assert_allclose(unit.T @ unit / n, np.eye(4), atol=1e-13)
 
 
 @pytest.mark.parametrize("n_configs, n_draws", [(0, 1000), (1, 7)])
