@@ -46,6 +46,6 @@ from .detection import (
     run_successive_receiver,
     run_training,
 )
-from .metrics import MiEstimate, SerReport, accumulate_ser, estimate_mi_dim4
+from .metrics import MiEstimate, accumulate_ser, estimate_mi_dim4
 
 __version__ = "0.1.0"

@@ -5,8 +5,9 @@ Each slot carries four quantities: the field magnitude on each polarization
 (a ring index per polarization), the intra-slot phase difference between the
 two polarizations, and the phase difference between the current X field and
 the previous Y field.  The last quantity is differential, so a sequence is
-generated recursively from an initial phase reference; the first slot has no
-predecessor and its inter-slot index is ignored.
+generated recursively from arg(E_y) = 0 in the first slot, which has no
+predecessor and whose inter-slot index is ignored.  A common phase on every
+field changes no observable, so that reference loses no generality.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class RingPskConstellation:
     radii: tuple
     phase_step: float
 
-    @property
-    def size(self) -> int:
-        return self.n_rings**2 * self.n_phases**2
-
 
 def build_constellation(n_rings: int, n_phases: int) -> RingPskConstellation:
     """Build an amplitude-ring/PSK alphabet with unit average total energy.
@@ -77,12 +74,12 @@ def draw_indices(rng: np.random.Generator, constellation: RingPskConstellation, 
     return np.stack([rng.integers(0, high, n) for high in highs], axis=1)
 
 
-def encode_indices(constellation: RingPskConstellation, idx, initial_ey_phase: float = 0.0):
+def encode_indices(constellation: RingPskConstellation, idx):
     """Map an (n, 4) integer index array to transmit field arrays (ex, ey).
 
     Recursion: arg(E_x[n]) = e[n]*step + arg(E_y[n-1]) and
-    arg(E_y[n]) = arg(E_x[n]) - t[n]*step.  Slot 0 anchors arg(E_y[0]) to
-    ``initial_ey_phase`` and ignores its inter-slot index.
+    arg(E_y[n]) = arg(E_x[n]) - t[n]*step.  Slot 0 anchors arg(E_y[0]) at
+    zero and ignores its inter-slot index.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != 4 or idx.shape[0] == 0:
@@ -93,11 +90,9 @@ def encode_indices(constellation: RingPskConstellation, idx, initial_ey_phase: f
         raise ValueError("symbol index out of range")
     step = constellation.phase_step
     radii = np.asarray(constellation.radii)
-    phase_y = np.empty(len(idx))
-    phase_y[0] = initial_ey_phase
-    if len(idx) > 1:
-        # arg(E_y) advances by (e - t)*step per slot
-        phase_y[1:] = initial_ey_phase + np.cumsum((idx[1:, 3] - idx[1:, 2]) * step)
+    # arg(E_y) starts at zero and advances by (e - t)*step per slot
+    phase_y = np.zeros(len(idx))
+    phase_y[1:] = np.cumsum((idx[1:, 3] - idx[1:, 2]) * step)
     phase_x = phase_y + idx[:, 2] * step
     ex = radii[idx[:, 0]] * np.exp(1j * phase_x)
     ey = radii[idx[:, 1]] * np.exp(1j * phase_y)

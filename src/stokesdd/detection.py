@@ -389,7 +389,6 @@ class ReceiverResult:
 
     indices: np.ndarray
     erasures: np.ndarray
-    mode: str
     gain: np.ndarray
 
 
@@ -435,11 +434,9 @@ def run_successive_receiver(
 
     if genie_indices is not None:
         cond = genie[:, :3].astype(np.int64)
-        mode = "genie"
     else:
         cond = decided.copy()
         cond[0] = (PILOT.rx, PILOT.ry, PILOT.t)
-        mode = "decision-directed"
 
     gain = beat_gain(constellation, channel, cond)
     eta, erased = detect_dim4_block(w56[1:], gain, constellation)
@@ -450,4 +447,4 @@ def run_successive_receiver(
     out[1:, 3] = eta
     erasures = np.zeros(len(arr), dtype=bool)
     erasures[1:] = erased
-    return ReceiverResult(out, erasures, mode, gain)
+    return ReceiverResult(out, erasures, gain)

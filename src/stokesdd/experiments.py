@@ -73,7 +73,7 @@ def _ser_block(cfg: ExperimentConfig, block: int) -> np.ndarray:
             constellation,
             genie_indices=idx if cfg.detection_mode == "genie" else None,
         )
-        errors[i] = accumulate_ser(idx, result.indices).errors
+        errors[i] = accumulate_ser(idx, result.indices)
     return errors
 
 
@@ -223,9 +223,12 @@ class CovarianceCalibration:
         )
 
 
-def _rel_dev(empirical: np.ndarray, model: np.ndarray, floor_frac: float = 0.05) -> float:
+REL_DEV_FLOOR = 0.05  # model entries below this share of the largest are not compared
+
+
+def _rel_dev(empirical: np.ndarray, model: np.ndarray) -> float:
     scale = np.abs(model).max()
-    mask = np.abs(model) > floor_frac * scale
+    mask = np.abs(model) > REL_DEV_FLOOR * scale
     if not mask.any():
         return 0.0
     return float((np.abs(empirical - model)[mask] / np.abs(model)[mask]).max())
@@ -272,15 +275,16 @@ def covariance_calibration(
 
         unit = _whitened_normals(rng, (n_draws, 4))
         w = stokes_vector(*add_unit_noise(kx, ky, sigma2, unit))
+        mean, cov = w.mean(axis=0), np.cov(w.T)
         stats = gaussian_stats_dims123(kx, ky, sigma2)
-        worst[0] = max(worst[0], _rel_dev(w.mean(axis=0), stats.mean))
-        worst[1] = max(worst[1], _rel_dev(np.cov(w.T), stats.cov))
+        worst[0] = max(worst[0], _rel_dev(mean, stats.mean))
+        worst[1] = max(worst[1], _rel_dev(cov, stats.cov))
 
-        # with ky as the previous slot's Y field, (w5, w6) is this beat pair
-        w56 = w[:, 2:]
+        # with ky as the previous slot's Y field, (w5, w6) is this beat pair:
+        # its moments are the (w3, w4) block of the ones above
         stats4 = gaussian_stats_dim4(kx, ky, sigma2)
-        worst[2] = max(worst[2], _rel_dev(w56.mean(axis=0), stats4.mean))
-        worst[3] = max(worst[3], _rel_dev(np.cov(w56.T), stats4.cov))
+        worst[2] = max(worst[2], _rel_dev(mean[2:], stats4.mean))
+        worst[3] = max(worst[3], _rel_dev(cov[2:, 2:], stats4.cov))
     return CovarianceCalibration(*worst, n_configs, n_draws)
 
 

@@ -15,14 +15,14 @@ is averaged over channel draws.
 
 An OSNR sweep processes the channel draws one at a time: the terms that do not
 depend on the OSNR are computed once per channel, and each OSNR point adds its
-scaled noise and histograms into its own accumulators.
+scaled noise and keeps the channel's plug-in bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .detection import PILOT, beat_gain, run_successive_receiver
 from .frontend import frontend_full_block
 
 __all__ = [
-    "SerReport",
     "MiEstimate",
     "accumulate_ser",
     "draw_frame",
@@ -47,23 +46,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SerReport:
-    """Per-dimension error counts; dimension 4 excludes the slot-0 pilot."""
-
-    errors: tuple
-    trials: tuple
-
-    def ser(self, dim: int) -> float:
-        return self.errors[dim - 1] / self.trials[dim - 1]
-
-
-def accumulate_ser(truth: np.ndarray, decisions: np.ndarray) -> SerReport:
+def accumulate_ser(truth: np.ndarray, decisions: np.ndarray) -> np.ndarray:
     """Count per-dimension index mismatches between a truth stream and a
-    decision stream, (n, 4) index arrays each.
+    decision stream, (n, 4) index arrays each; returns the (4,) int64 error
+    counts.
 
     Erased inter-slot decisions (-1) count as errors; slot 0 carries no
-    inter-slot information and is excluded from that dimension's trials.
+    inter-slot information and is excluded from that dimension's count.
     """
     t = np.asarray(truth)
     d = np.asarray(decisions)
@@ -72,29 +61,22 @@ def accumulate_ser(truth: np.ndarray, decisions: np.ndarray) -> SerReport:
             "expected truth and decisions as (n, 4) index arrays of one shape, "
             f"got {t.shape} and {d.shape}"
         )
-    n = len(t)
-    if n < 2:
+    if len(t) < 2:
         raise ValueError("need at least two slots (slot 0 is the pilot)")
-    errors = (
-        int((t[:, 0] != d[:, 0]).sum()),
-        int((t[:, 1] != d[:, 1]).sum()),
-        int((t[:, 2] != d[:, 2]).sum()),
-        int((t[1:, 3] != d[1:, 3]).sum()),
-    )
-    return SerReport(errors, (n, n, n, n - 1))
+    mismatch = t != d
+    mismatch[0, 3] = False  # the pilot's inter-slot entry is a placeholder
+    return mismatch.sum(axis=0, dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MiEstimate:
     """Plug-in mutual information of one OSNR point, averaged over channels."""
 
     osnr_db: float
     bits_per_channel_use: float
-    counts: np.ndarray  # pooled (n_labels, n_bins, n_bins) histogram
     n_samples: int
     n_bins: int
-    box_halfwidth: float  # mean of the per-channel histogram boxes
-    per_channel_bits: tuple = ()
+    per_channel_bits: tuple
 
 
 def _mi_from_counts(counts: np.ndarray) -> float:
@@ -115,10 +97,11 @@ def histogram_mi_bits(
     values: np.ndarray,
     n_labels: int,
     n_bins: int,
-    box_halfwidth: Optional[float] = None,
+    box_halfwidth: float,
 ):
     """Joint histogram of integer labels against a complex observable binned
-    on a square grid, plus its plug-in mutual information in bits.
+    on a square grid of half-width ``box_halfwidth``, plus its plug-in mutual
+    information in bits.
 
     Samples outside the box (including non-finite ones) clip into the edge
     bins, so the histogram always accounts for every sample.  Labels must lie
@@ -131,9 +114,6 @@ def histogram_mi_bits(
             f"[{labels.min()}, {labels.max()}]"
         )
     values = np.asarray(values, dtype=complex)
-    if box_halfwidth is None:
-        finite = np.abs(values)[np.isfinite(values)]
-        box_halfwidth = float(finite.max()) if finite.size else 1.0
     h = max(box_halfwidth, 1e-12)
     re = np.nan_to_num(values.real, nan=h, posinf=h, neginf=-h)
     im = np.nan_to_num(values.imag, nan=h, posinf=h, neginf=-h)
@@ -204,8 +184,8 @@ def estimate_mi_dim4(
     Channels are processed one at a time, so only one channel's arrays are
     alive at once.  The terms that do not depend on the OSNR (the frame, the
     genie gain, the reference phasors) are computed once per
-    channel; each OSNR point then adds its scaled noise and histograms into
-    per-OSNR accumulators (pooled counts, per-channel bits and boxes).
+    channel; each OSNR point then adds its scaled noise and keeps the
+    channel's plug-in bits, whose mean over channels is the point's rate.
 
     ``context`` selects the conditioning: "genie" (default) normalizes by the
     gain of the true per-slot values; "decision-directed" runs the receiver on
@@ -223,9 +203,7 @@ def estimate_mi_dim4(
     m = -(-n_samples // n_channels)  # ceil: per-channel sample count
     nph = constellation.n_phases
     sigma2s = [osnr_to_sigma2(osnr_db) for osnr_db in grid]
-    pooled = [np.zeros((nph, n_bins, n_bins), dtype=np.int64) for _ in grid]
     per_channel = [[] for _ in grid]
-    boxes = [[] for _ in grid]
 
     for c in range(n_channels):
         # one stream per channel; slot 0 is the pilot, slots 1..m carry labels
@@ -243,21 +221,15 @@ def estimate_mi_dim4(
                 if finite.any()
                 else 0.0
             )
-            boxes[k].append(1.0 + 4.0 * sigma_w)
-            counts, bits = histogram_mi_bits(
-                eta_idx, stat, nph, n_bins, box_halfwidth=boxes[k][-1]
-            )
-            pooled[k] += counts
+            _, bits = histogram_mi_bits(eta_idx, stat, nph, n_bins, 1.0 + 4.0 * sigma_w)
             per_channel[k].append(bits)
 
     return [
         MiEstimate(
             float(osnr_db),
             float(np.mean(per_channel[k])),
-            pooled[k],
             m * n_channels,
             n_bins,
-            float(np.mean(boxes[k])),
             tuple(per_channel[k]),
         )
         for k, osnr_db in enumerate(grid)

@@ -107,13 +107,11 @@ def wrap_angle(phi):
 
 
 def encode_sequence(
-    constellation: RingPskConstellation,
-    indices: Sequence[SymbolIndices],
-    initial_ey_phase: float = 0.0,
+    constellation: RingPskConstellation, indices: Sequence[SymbolIndices]
 ) -> list[DualPolSymbol]:
     """Encode a sequence of index tuples into dual-polarization fields."""
     idx = np.array([(s.rx, s.ry, s.t, s.e) for s in indices], dtype=np.int64)
-    ex, ey = encode_indices(constellation, idx, initial_ey_phase)
+    ex, ey = encode_indices(constellation, idx)
     return [DualPolSymbol(complex(x), complex(y)) for x, y in zip(ex, ey)]
 
 
@@ -259,21 +257,39 @@ def recover_full(reduced: ReducedFrontendOutputs, w2_prev: float) -> FrontendOut
     return FrontendOutputs(reduced.w1, reduced.w2, w3, w4, w5, w6, reduced.n)
 
 
-def training_samples(channel: JonesChannel, repeats: int, rng: np.random.Generator) -> np.ndarray:
-    """Training through the full frame path: each pilot's fields repeated
-    ``repeats`` times, the noisy (repeats, 6) samples w1..w6 of
-    ``received_samples``, and their mean; returns (3, 6), one row per pilot.
-    The brute-force average whose law ``run_training`` draws from its
-    sufficient statistics; at repeats = 1 both draw the same noise from
-    ``rng``."""
-    averaged = np.empty((len(TRAINING_PILOTS), 6))
-    for i, pilot in enumerate(TRAINING_PILOTS):
-        ex = np.full(repeats, pilot.ex, dtype=complex)
-        ey = np.full(repeats, pilot.ey, dtype=complex)
-        kx, ky = apply_jones(channel, ex, ey)
-        unit = rng.standard_normal((repeats, 4))
-        averaged[i] = received_samples(kx, ky, channel.sigma2, unit, "full").mean(axis=0)
-    return averaged
+# slots per chunk of the brute-force training draw: enough to spread numpy's
+# per-call cost over many short averages, few enough to stay in cache; an
+# average longer than this (r = 10^4) is a chunk of its own
+TRAINING_CHUNK_SLOTS = 4096
+
+
+def training_samples(
+    channel: JonesChannel, repeats: int, rng: np.random.Generator, draws: int = 1
+) -> np.ndarray:
+    """Training through the full frame path, ``draws`` times: each pilot's
+    fields repeated ``repeats`` times, the noisy samples of
+    ``received_samples``, and the mean of their w1..w4; returns
+    (draws, 3, 4), one row per pilot.  The brute-force average whose law
+    ``run_training`` draws from its sufficient statistics.  The noise is
+    drawn from ``rng`` in (draw, pilot, repeat, quadrature) order, so at
+    repeats = 1 each draw takes the same noise as one ``run_training``
+    call."""
+    pilots = len(TRAINING_PILOTS)
+    kx, ky = apply_jones(
+        channel,
+        np.array([p.ex for p in TRAINING_PILOTS]),
+        np.array([p.ey for p in TRAINING_PILOTS]),
+    )
+    rows = draws * pilots  # one average per (draw, pilot), in stream order
+    per_chunk = max(1, TRAINING_CHUNK_SLOTS // repeats)
+    averaged = np.empty((rows, 4))
+    for start in range(0, rows, per_chunk):
+        stop = min(start + per_chunk, rows)
+        pilot = np.repeat(np.arange(start, stop) % pilots, repeats)
+        unit = rng.standard_normal((len(pilot), 4))
+        w = received_samples(kx[pilot], ky[pilot], channel.sigma2, unit, "full")
+        averaged[start:stop] = w[:, :4].reshape(stop - start, repeats, 4).mean(axis=1)
+    return averaged.reshape(draws, pilots, 4)
 
 
 # --- detection ----------------------------------------------------------------

@@ -523,8 +523,7 @@ def test_receiver_rejects_malformed_genie_indices():
     for genie in bad:
         with pytest.raises(ValueError, match="genie_indices"):
             run_successive_receiver(frames, ch, c, genie_indices=genie)
-    res = run_successive_receiver(frames, ch, c, genie_indices=idx)
-    assert res.mode == "genie"
+    run_successive_receiver(frames, ch, c, genie_indices=idx)  # the true indices pass
 
 
 def test_receiver_frees_score_table_before_dim4_stage(monkeypatch):
@@ -572,8 +571,6 @@ def test_genie_mode_dominates_decision_directed_dim4():
         frames = frontend_full_block(fx, fy)
         dd = run_successive_receiver(frames, ch, c)
         genie = run_successive_receiver(frames, ch, c, genie_indices=idx)
-        assert dd.mode == "decision-directed"
-        assert genie.mode == "genie"
         # the per-slot stages are identical in both modes
         assert (dd.indices[:, :3] == genie.indices[:, :3]).all()
         genie_err += int((genie.indices[1:, 3] != idx[1:, 3]).sum())
@@ -681,14 +678,14 @@ def test_training_matches_the_frame_path_oracle(repeats):
         seed = int(rng.integers(2**32))
         if repeats == 1:
             got = run_training(ch, 1, np.random.default_rng(seed))
-            assert np.array_equal(got, training_samples(ch, 1, np.random.default_rng(seed))[:, :4])
+            assert np.array_equal(got, training_samples(ch, 1, np.random.default_rng(seed))[0])
             continue
         if sigma2 == 0.0:
             got = run_training(ch, repeats, np.random.default_rng(seed))
             noiseless = [stokes_vector(*apply_jones(ch, p.ex, p.ey)) for p in TRAINING_PILOTS]
             assert np.array_equal(got, noiseless)
             # the frame path sums r equal rows one by one: up to ~2000 ulp at r = 10^4
-            want = training_samples(ch, repeats, np.random.default_rng(seed))[:, :4]
+            want = training_samples(ch, repeats, np.random.default_rng(seed))[0]
             assert np.abs(got - want).max() <= repeats * np.finfo(float).eps * np.abs(got).max()
             continue
         # 10^4 draws of each, but 400 of the frame path at r = 10^4, whose
@@ -696,7 +693,7 @@ def test_training_matches_the_frame_path_oracle(repeats):
         new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
         n_old = 400 if repeats == 10_000 else 10_000
         new = np.array([run_training(ch, repeats, new_rng) for _ in range(10_000)])
-        old = np.array([training_samples(ch, repeats, old_rng)[:, :4] for _ in range(n_old)])
+        old = training_samples(ch, repeats, old_rng, n_old)
         pairs = zip(_moments_with_errors(new), _moments_with_errors(old))
         for (m_new, se_new), (m_old, se_old) in pairs:
             assert (np.abs(m_new - m_old) <= TRAINING_Z * np.hypot(se_new, se_old)).all()

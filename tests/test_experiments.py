@@ -139,6 +139,18 @@ def test_ser_rows_independent_of_worker_count():
     assert run_ser_experiment(base) == run_ser_experiment(parallel)
 
 
+def test_ser_trials_column_counts_every_slot_but_the_pilots_inter_slot_entry():
+    # each block's slot 0 is the pilot: it carries no inter-slot decision, so
+    # dimension 4 has n - 1 trials per block against n for dimensions 1-3
+    cfg = ExperimentConfig(seed=7, **FAST_SER)
+    rows = [row.split(",") for row in run_ser_experiment(cfg)[1:]]
+    assert [(float(r[0]), int(r[1]), int(r[3])) for r in rows] == [
+        (osnr_db, dim, trials)
+        for osnr_db in (20.0, 22.0, 24.0)
+        for dim, trials in zip((1, 2, 3, 4), (1000, 1000, 1000, 998))
+    ]
+
+
 def test_ser_very_high_osnr_is_error_free():
     cfg = ExperimentConfig(
         seed=3,

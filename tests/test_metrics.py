@@ -18,33 +18,30 @@ from reference import ell_gain, genie_pair_terms
 
 def test_accumulate_ser_identical_streams():
     truth = np.zeros((100, 4), dtype=np.int64)
-    report = accumulate_ser(truth, truth.copy())
-    assert report.errors == (0, 0, 0, 0)
-    assert report.trials == (100, 100, 100, 99)
-    assert report.ser(4) == 0.0
+    errors = accumulate_ser(truth, truth.copy())
+    assert errors.dtype == np.int64
+    assert np.array_equal(errors, [0, 0, 0, 0])
 
 
 def test_accumulate_ser_single_flipped_eta():
     truth = np.zeros((100, 4), dtype=np.int64)
     decided = truth.copy()
     decided[57, 3] = 1
-    report = accumulate_ser(truth, decided)
-    assert report.errors == (0, 0, 0, 1)
-    assert report.ser(4) == pytest.approx(1.0 / 99.0)
+    assert np.array_equal(accumulate_ser(truth, decided), [0, 0, 0, 1])
 
 
 def test_accumulate_ser_pilot_eta_not_counted():
     truth = np.zeros((10, 4), dtype=np.int64)
     decided = truth.copy()
     decided[0, 3] = 3  # slot 0 carries no inter-slot information
-    assert accumulate_ser(truth, decided).errors == (0, 0, 0, 0)
+    assert np.array_equal(accumulate_ser(truth, decided), [0, 0, 0, 0])
 
 
 def test_accumulate_ser_counts_erasures_as_errors():
     truth = np.zeros((10, 4), dtype=np.int64)
     decided = truth.copy()
     decided[4, 3] = -1
-    assert accumulate_ser(truth, decided).errors[3] == 1
+    assert np.array_equal(accumulate_ser(truth, decided), [0, 0, 0, 1])
 
 
 def test_accumulate_ser_rejects_length_mismatch():
@@ -63,14 +60,14 @@ def test_histogram_mi_independent_labels_near_zero():
     rng = np.random.default_rng(1)
     labels = rng.integers(0, 4, 50_000)
     values = rng.standard_normal(50_000) + 1j * rng.standard_normal(50_000)
-    _, bits = histogram_mi_bits(labels, values, 4, 16)
+    _, bits = histogram_mi_bits(labels, values, 4, 16, np.abs(values).max())
     assert 0.0 <= bits < 0.02
 
 
 def test_histogram_mi_deterministic_labeling_saturates():
     labels = np.arange(8_000) % 4
     values = np.exp(1j * (math.pi / 2) * labels)
-    counts, bits = histogram_mi_bits(labels, values, 4, 32)
+    counts, bits = histogram_mi_bits(labels, values, 4, 32, 1.0)
     assert counts.sum() == 8_000
     assert bits == pytest.approx(2.0, abs=1e-9)
 
@@ -78,7 +75,7 @@ def test_histogram_mi_deterministic_labeling_saturates():
 def test_histogram_mi_clips_nonfinite_samples_into_edge_bins():
     labels = np.array([0, 1, 0, 1])
     values = np.array([np.inf + 0j, 0.1 + 0.1j, complex(np.nan, 0), -1j * np.inf])
-    counts, _ = histogram_mi_bits(labels, values, 2, 8, box_halfwidth=1.0)
+    counts, _ = histogram_mi_bits(labels, values, 2, 8, 1.0)
     assert counts.sum() == 4
 
 
@@ -87,7 +84,7 @@ def test_histogram_mi_rejects_out_of_range_labels(bad_label):
     labels = np.arange(40) % 4
     labels[17] = bad_label
     with pytest.raises(ValueError, match=r"\[0, 4\)"):
-        histogram_mi_bits(labels, np.ones(40, dtype=complex), 4, 8)
+        histogram_mi_bits(labels, np.ones(40, dtype=complex), 4, 8, 1.0)
 
 
 def test_mi_noiseless_limit_reaches_log2_np():
@@ -121,14 +118,12 @@ def test_mi_deterministic_given_seed():
     a = estimate_mi_dim4(c, [18.0], 20_000, 32, n_channels=4, seed=9)[0]
     b = estimate_mi_dim4(c, [18.0], 20_000, 32, n_channels=4, seed=9)[0]
     assert a.bits_per_channel_use == b.bits_per_channel_use
-    assert (a.counts == b.counts).all()
+    assert a.per_channel_bits == b.per_channel_bits
 
 
 def _assert_same_estimate(a, b):
     assert a.osnr_db == b.osnr_db
     assert a.bits_per_channel_use == b.bits_per_channel_use
-    assert np.array_equal(a.counts, b.counts)
-    assert a.box_halfwidth == b.box_halfwidth
     assert a.per_channel_bits == b.per_channel_bits
     assert (a.n_samples, a.n_bins) == (b.n_samples, b.n_bins)
 
