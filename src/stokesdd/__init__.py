@@ -9,9 +9,10 @@ detection (Gaussian-surrogate ML and successive detection from the known
 ``PILOT``: the inter-slot gain is the product K_x[n] K_y*[n-1] of the
 conditioning slots' noiseless fields and the decision rounds the phase of the
 delayed beat against it; training-based channel estimation), metrics (SER
-accumulation, plug-in rate estimation, and ``draw_frame``, the one keyed Monte
-Carlo frame of the SER and rate sweeps), experiments/config/cli (seeded sweeps
-and CSV/plot emission).
+accumulation, ``draw_frame``, the one keyed Monte Carlo frame of the SER and
+rate sweeps, and ``estimate_mi_dim4(config, key)``, one channel's plug-in
+rate over the OSNR grid), experiments/config/cli (seeded sweeps, each a map
+of a keyed kernel over blocks or channels, and CSV/plot emission).
 
 Every layer works on whole blocks of slots: index arrays (n, 4), field arrays
 (n,), sample arrays (n, 6).
@@ -46,6 +47,6 @@ from .detection import (
     run_successive_receiver,
     run_training,
 )
-from .metrics import MiEstimate, accumulate_ser, estimate_mi_dim4
+from .metrics import accumulate_ser, estimate_mi_dim4
 
 __version__ = "0.1.0"

@@ -65,7 +65,10 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
     if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
+        try:
+            cfg = ExperimentConfig.from_file(args.config)
+        except (OSError, ValueError) as err:  # JSON syntax errors are ValueErrors
+            raise ValueError(f"--config: {err}") from None
     else:
         cfg = ExperimentConfig()
     overrides = {"experiment": experiment}

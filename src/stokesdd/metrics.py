@@ -10,19 +10,17 @@ stream whose consecutive slots are the (previous, current) pairs.  The genie
 context takes the gain of the true contexts from the receiver's beat-gain
 kernel; the decision-directed context runs the receiver and reads the gain it
 used, so the two differ only by the receiver's decision errors.  The
-normalized values are histogrammed on a square grid and the plug-in estimator
-is averaged over channel draws.
+normalized values are histogrammed on a square grid.
 
-An OSNR sweep processes the channel draws one at a time: the terms that do not
-depend on the OSNR are computed once per channel, and each OSNR point adds its
-scaled noise and keeps the channel's plug-in bits.
+``estimate_mi_dim4(config, key)`` is the rate sweep's per-channel kernel, as
+``_ser_block`` is the SER sweep's per-block one: it returns one channel's
+plug-in bits at every OSNR point, and the sweep averages them over channels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from typing import Iterable
+from dataclasses import astuple
 
 import numpy as np
 
@@ -33,12 +31,12 @@ from .channel import (
     haar_random_channel,
     osnr_to_sigma2,
 )
-from .constellation import RingPskConstellation, draw_indices, encode_indices
+from .config import ExperimentConfig
+from .constellation import RingPskConstellation, build_constellation, draw_indices, encode_indices
 from .detection import PILOT, beat_gain, run_successive_receiver
 from .frontend import frontend_full_block
 
 __all__ = [
-    "MiEstimate",
     "accumulate_ser",
     "draw_frame",
     "histogram_mi_bits",
@@ -68,17 +66,6 @@ def accumulate_ser(truth: np.ndarray, decisions: np.ndarray) -> np.ndarray:
     return mismatch.sum(axis=0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class MiEstimate:
-    """Plug-in mutual information of one OSNR point, averaged over channels."""
-
-    osnr_db: float
-    bits_per_channel_use: float
-    n_samples: int
-    n_bins: int
-    per_channel_bits: tuple
-
-
 def _mi_from_counts(counts: np.ndarray) -> float:
     total = counts.sum()
     if total == 0:
@@ -98,13 +85,12 @@ def histogram_mi_bits(
     n_labels: int,
     n_bins: int,
     box_halfwidth: float,
-):
-    """Joint histogram of integer labels against a complex observable binned
-    on a square grid of half-width ``box_halfwidth``, plus its plug-in mutual
-    information in bits.
+) -> float:
+    """Plug-in mutual information, in bits, between integer labels and a
+    complex observable binned on a square grid of half-width ``box_halfwidth``.
 
     Samples outside the box (including non-finite ones) clip into the edge
-    bins, so the histogram always accounts for every sample.  Labels must lie
+    bins, so the joint histogram accounts for every sample.  Labels must lie
     in [0, n_labels).
     """
     labels = np.asarray(labels, dtype=np.int64)
@@ -123,7 +109,7 @@ def histogram_mi_bits(
     counts = np.bincount(flat, minlength=n_labels * n_bins * n_bins).reshape(
         n_labels, n_bins, n_bins
     )
-    return counts, _mi_from_counts(counts)
+    return _mi_from_counts(counts)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -160,77 +146,46 @@ def _statistic(constellation, channel, sigma2, kx, ky, unit, genie_gain=None):
         return fx[1:] * np.conj(fy[:-1]) / gain
 
 
-def estimate_mi_dim4(
-    constellation: RingPskConstellation,
-    osnr_db_grid: Iterable[float],
-    n_samples: int,
-    n_bins: int,
-    *,
-    n_channels: int = 20,
-    seed: int = 0,
-    context: str = "genie",
-) -> list[MiEstimate]:
-    """Inter-slot phase rate over an OSNR grid.
+def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
+    """Plug-in inter-slot phase rate of channel draw ``key`` at each point of
+    ``config.osnr_grid()``: the rate sweep's per-channel kernel, an
+    (n_osnr,) float array of bits.
 
-    Per channel draw: one keyed frame of ceil(n_samples / n_channels) + 1
-    slots is drawn (``draw_frame``; slot 0 is the pilot), the delayed beat of
-    each later slot is normalized by its known gain, and the plug-in mutual
-    information is computed on an ``n_bins`` square grid covering the unit
-    circle widened by four empirical noise deviations.  Channel draws, context
-    draws, and noise quadratures are held fixed across the grid so that the
-    curve is monotone up to estimator noise, and each point equals the same
-    OSNR computed alone.  Both contexts read the same frame.
+    One keyed frame of ceil(n_samples / n_channels) + 1 slots is drawn
+    (``draw_frame``; slot 0 is the pilot), the delayed beat of each later slot
+    is normalized by its known gain, and the plug-in mutual information is
+    computed on an ``n_bins`` square grid covering the unit circle widened by
+    four empirical noise deviations.  The terms that do not depend on the OSNR
+    (the frame, the genie gain, the reference phasors) are computed once; each
+    OSNR point adds its scaled noise to the same frame, so the curve is
+    monotone up to estimator noise and each point equals the same OSNR
+    computed alone.
 
-    Channels are processed one at a time, so only one channel's arrays are
-    alive at once.  The terms that do not depend on the OSNR (the frame, the
-    genie gain, the reference phasors) are computed once per
-    channel; each OSNR point then adds its scaled noise and keeps the
-    channel's plug-in bits, whose mean over channels is the point's rate.
-
-    ``context`` selects the conditioning: "genie" (default) normalizes by the
-    gain of the true per-slot values; "decision-directed" runs the receiver on
-    the frame and normalizes by the gain of its own decisions.
+    ``config.rate_context`` selects the conditioning: "genie" normalizes by
+    the gain of the true per-slot values; "decision-directed" runs the
+    receiver on the frame and normalizes by the gain of its own decisions.
+    The config is taken as validated.
     """
-    if n_bins < 2:
-        raise ValueError("n_bins must be at least 2")
-    if n_channels < 1:
-        raise ValueError("n_channels must be positive")
-    if n_samples < n_channels:
-        raise ValueError("n_samples must be at least n_channels")
-    if context not in ("genie", "decision-directed"):
-        raise ValueError("context must be 'genie' or 'decision-directed'")
-    grid = list(osnr_db_grid)  # visited once per channel
-    m = -(-n_samples // n_channels)  # ceil: per-channel sample count
-    nph = constellation.n_phases
-    sigma2s = [osnr_to_sigma2(osnr_db) for osnr_db in grid]
-    per_channel = [[] for _ in grid]
+    constellation = build_constellation(config.n_rings, config.n_phases)
+    m = -(-config.n_samples // config.n_channels)  # ceil: per-channel sample count
+    channel, idx, kx, ky, unit = draw_frame(constellation, config.seed, key, m + 1)
+    eta_idx = idx[1:, 3]
+    genie = config.rate_context == "genie"
+    genie_gain = beat_gain(constellation, channel, idx[:, :3]) if genie else None
+    reference = np.exp(1j * constellation.phase_step * eta_idx)
 
-    for c in range(n_channels):
-        # one stream per channel; slot 0 is the pilot, slots 1..m carry labels
-        channel, idx, kx, ky, unit = draw_frame(constellation, seed, c, m + 1)
-        eta_idx = idx[1:, 3]
-        genie_gain = beat_gain(constellation, channel, idx[:, :3]) if context == "genie" else None
-        reference = np.exp(1j * constellation.phase_step * eta_idx)
-
-        for k, sigma2 in enumerate(sigma2s):
-            stat = _statistic(constellation, channel, sigma2, kx, ky, unit, genie_gain)
-            residual = stat - reference
-            finite = np.isfinite(residual)
-            sigma_w = (
-                math.sqrt(float((np.abs(residual[finite]) ** 2).mean()) / 2.0)
-                if finite.any()
-                else 0.0
-            )
-            _, bits = histogram_mi_bits(eta_idx, stat, nph, n_bins, 1.0 + 4.0 * sigma_w)
-            per_channel[k].append(bits)
-
-    return [
-        MiEstimate(
-            float(osnr_db),
-            float(np.mean(per_channel[k])),
-            m * n_channels,
-            n_bins,
-            tuple(per_channel[k]),
+    grid = config.osnr_grid()
+    bits = np.empty(len(grid))
+    for k, osnr_db in enumerate(grid):
+        stat = _statistic(constellation, channel, osnr_to_sigma2(osnr_db), kx, ky, unit, genie_gain)
+        residual = stat - reference
+        finite = np.isfinite(residual)
+        sigma_w = (
+            math.sqrt(float((np.abs(residual[finite]) ** 2).mean()) / 2.0)
+            if finite.any()
+            else 0.0
         )
-        for k, osnr_db in enumerate(grid)
-    ]
+        bits[k] = histogram_mi_bits(
+            eta_idx, stat, constellation.n_phases, config.n_bins, 1.0 + 4.0 * sigma_w
+        )
+    return bits

@@ -17,6 +17,7 @@ from stokesdd.experiments import (
     run_ser_experiment,
     write_csv,
 )
+from stokesdd.metrics import estimate_mi_dim4
 
 FAST_SER = dict(
     osnr_start_db=20.0,
@@ -253,6 +254,25 @@ def test_rate_decision_directed_context_rows():
     assert 0.0 <= float(rows[0].split(",")[1]) <= 2.0 + 1e-12
 
 
+def test_rate_mi_bits_is_the_channel_mean_of_the_kernel():
+    cfg = ExperimentConfig(
+        experiment="rate",
+        seed=3,
+        osnr_start_db=10.0,
+        osnr_stop_db=22.0,
+        osnr_step_db=4.0,
+        n_samples=3_600,
+        n_bins=16,
+        n_channels=12,
+    )
+    # at 12 channels bits.mean(axis=0) differs from the column means in the
+    # last bit at two of the four points
+    bits = np.stack([estimate_mi_dim4(cfg, k) for k in range(cfg.n_channels)])
+    assert bits.shape == (12, 4)
+    written = [float(row.split(",")[1]) for row in run_rate_experiment(cfg)[1:]]
+    assert written == [float(np.mean(column)) for column in bits.T]
+
+
 def test_rate_rows_deterministic_and_schema():
     cfg = ExperimentConfig(
         experiment="rate",
@@ -341,16 +361,23 @@ _SMALL_CAL = ["--configs", "1", "--draws", "8"]
         ),
         (["estimate-channel-demo", "--osnr-db", "-4000"], None, "OSNR -4000.0 dB"),
         (["estimate-channel-demo", "--osnr-db=-inf"], None, "OSNR -inf dB"),
+        (["ser", "--config", "nope.json"], None, "--config"),
+        (["ser", "--config", "."], None, "--config"),
+        (["ser", "--config", "five.json"], None, "--config"),
+        (["rate", "--config", "syntax.json"], None, "--config"),
     ],
     ids=[
         "cal-seed", "demo-seed", "cal-draws-1", "cal-draws-7", "cal-configs-0",
         "demo-repeats-0", "cal-env-negative", "demo-env-word", "ser-env-float",
         "ser-tiny-osnr-step", "ser-osnr-overflow", "rate-osnr-overflow", "ser-covariance-overflow",
         "demo-osnr-overflow", "demo-osnr-minus-inf",
+        "config-missing", "config-directory", "config-not-an-object", "config-syntax",
     ],
 )
 def test_cli_rejects_bad_inputs_by_name(argv, env_seed, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "five.json").write_text("5\n")
+    (tmp_path / "syntax.json").write_text('{"n_rings": 2,\n')
     if env_seed is None:
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     else:

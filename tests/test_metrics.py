@@ -6,13 +6,9 @@ import pytest
 from stokesdd.channel import haar_random_channel
 from stokesdd.constellation import build_constellation
 from stokesdd.detection import beat_gain
-from stokesdd.metrics import (
-    accumulate_ser,
-    draw_frame,
-    estimate_mi_dim4,
-    histogram_mi_bits,
-)
+from stokesdd.metrics import accumulate_ser, draw_frame, histogram_mi_bits
 
+from conftest import rate_bits
 from reference import ell_gain, genie_pair_terms
 
 
@@ -60,23 +56,26 @@ def test_histogram_mi_independent_labels_near_zero():
     rng = np.random.default_rng(1)
     labels = rng.integers(0, 4, 50_000)
     values = rng.standard_normal(50_000) + 1j * rng.standard_normal(50_000)
-    _, bits = histogram_mi_bits(labels, values, 4, 16, np.abs(values).max())
+    bits = histogram_mi_bits(labels, values, 4, 16, np.abs(values).max())
     assert 0.0 <= bits < 0.02
 
 
 def test_histogram_mi_deterministic_labeling_saturates():
     labels = np.arange(8_000) % 4
     values = np.exp(1j * (math.pi / 2) * labels)
-    counts, bits = histogram_mi_bits(labels, values, 4, 32, 1.0)
-    assert counts.sum() == 8_000
+    bits = histogram_mi_bits(labels, values, 4, 32, 1.0)
     assert bits == pytest.approx(2.0, abs=1e-9)
 
 
 def test_histogram_mi_clips_nonfinite_samples_into_edge_bins():
-    labels = np.array([0, 1, 0, 1])
+    # three label-0 samples are non-finite and land in edge bins apart from
+    # the one label-1 sample, so the bits are H(1/4); dropping them would
+    # leave one label and zero bits
+    labels = np.array([0, 1, 0, 0])
     values = np.array([np.inf + 0j, 0.1 + 0.1j, complex(np.nan, 0), -1j * np.inf])
-    counts, _ = histogram_mi_bits(labels, values, 2, 8, 1.0)
-    assert counts.sum() == 4
+    bits = histogram_mi_bits(labels, values, 2, 8, 1.0)
+    h_quarter = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
+    assert bits == pytest.approx(h_quarter, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad_label", [4, -1])
@@ -88,58 +87,48 @@ def test_histogram_mi_rejects_out_of_range_labels(bad_label):
 
 
 def test_mi_noiseless_limit_reaches_log2_np():
-    c = build_constellation(2, 4)
-    est = estimate_mi_dim4(c, [200.0], 40_000, 32, n_channels=8, seed=3)[0]
-    assert est.bits_per_channel_use > 1.99
-    assert est.bits_per_channel_use <= 2.0 + 1e-12
+    bits = np.mean(rate_bits([200.0], n_samples=40_000, n_bins=32, n_channels=8, seed=3))
+    assert bits > 1.99
+    assert bits <= 2.0 + 1e-12
 
 
 def test_mi_singleton_phase_alphabet_is_zero():
-    c = build_constellation(2, 1)
-    for est in estimate_mi_dim4(c, [10.0, 20.0], 20_000, 32, n_channels=4, seed=1):
-        assert est.bits_per_channel_use == pytest.approx(0.0, abs=1e-12)
+    bits = rate_bits([10.0, 20.0], n_phases=1, n_samples=20_000, n_bins=32, n_channels=4, seed=1)
+    for column in bits.T:
+        assert np.mean(column) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mi_bounds_and_monotone_trend():
-    c = build_constellation(2, 4)
-    grid = [8.0, 12.0, 16.0, 20.0]
-    ests = estimate_mi_dim4(c, grid, 80_000, 32, n_channels=10, seed=5)
+    bits = rate_bits([8.0, 12.0, 16.0, 20.0], n_samples=80_000, n_bins=32, n_channels=10, seed=5)
     cap = math.log2(4)
-    for est in ests:
-        assert 0.0 <= est.bits_per_channel_use <= cap + 1e-12
+    for column in bits.T:
+        assert 0.0 <= np.mean(column) <= cap + 1e-12
     # paired per-channel differences: shared channels/noise make the trend tight
-    for lo, hi in zip(ests, ests[1:]):
-        diffs = np.array(hi.per_channel_bits) - np.array(lo.per_channel_bits)
+    for diffs in (bits[:, 1:] - bits[:, :-1]).T:
         assert diffs.mean() >= -3.0 * diffs.std(ddof=1) / math.sqrt(len(diffs))
 
 
 def test_mi_deterministic_given_seed():
-    c = build_constellation(2, 4)
-    a = estimate_mi_dim4(c, [18.0], 20_000, 32, n_channels=4, seed=9)[0]
-    b = estimate_mi_dim4(c, [18.0], 20_000, 32, n_channels=4, seed=9)[0]
-    assert a.bits_per_channel_use == b.bits_per_channel_use
-    assert a.per_channel_bits == b.per_channel_bits
+    fields = dict(n_samples=20_000, n_bins=32, n_channels=4, seed=9)
+    assert np.array_equal(rate_bits([18.0], **fields), rate_bits([18.0], **fields))
 
 
 def _assert_same_estimate(a, b):
-    assert a.osnr_db == b.osnr_db
-    assert a.bits_per_channel_use == b.bits_per_channel_use
-    assert a.per_channel_bits == b.per_channel_bits
-    assert (a.n_samples, a.n_bins) == (b.n_samples, b.n_bins)
+    # per-channel bits of one OSNR point, bit for bit
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("context", ["genie", "decision-directed"])
 def test_mi_grid_point_equals_same_osnr_alone(context):
     # common random numbers: channel, context and noise draws do not depend on
     # the grid, so each point of a sweep is the single-point estimate exactly
-    c = build_constellation(2, 4)
     grid = [6.0, 14.0, 22.0]
-    kwargs = dict(n_channels=4, seed=11, context=context)
-    sweep = estimate_mi_dim4(c, grid, 4_000, 16, **kwargs)
-    assert len(sweep) == len(grid)
-    for osnr_db, est in zip(grid, sweep):
-        (alone,) = estimate_mi_dim4(c, [osnr_db], 4_000, 16, **kwargs)
-        _assert_same_estimate(est, alone)
+    fields = dict(n_samples=4_000, n_bins=16, n_channels=4, seed=11, rate_context=context)
+    sweep = rate_bits(grid, **fields)
+    assert sweep.shape == (4, len(grid))
+    for k, osnr_db in enumerate(grid):
+        alone = rate_bits([osnr_db], **fields)
+        _assert_same_estimate(sweep[:, k], alone[:, 0])
 
 
 @pytest.mark.parametrize(
@@ -149,11 +138,10 @@ def test_mi_grid_point_equals_same_osnr_alone(context):
 def test_mi_contexts_share_one_stream(rings, phases, osnr_db):
     # both contexts read one keyed frame per channel; where the receiver makes
     # no decision error, its conditioning gain is the genie gain, bit for bit
-    c = build_constellation(rings, phases)
-    kwargs = dict(n_channels=4, seed=21)
-    (genie,) = estimate_mi_dim4(c, [osnr_db], 8_000, 32, context="genie", **kwargs)
-    (dd,) = estimate_mi_dim4(c, [osnr_db], 8_000, 32, context="decision-directed", **kwargs)
-    _assert_same_estimate(genie, dd)
+    fields = dict(n_rings=rings, n_phases=phases, n_samples=8_000, n_bins=32, n_channels=4, seed=21)
+    genie = rate_bits([osnr_db], rate_context="genie", **fields)
+    dd = rate_bits([osnr_db], rate_context="decision-directed", **fields)
+    _assert_same_estimate(genie[:, 0], dd[:, 0])
 
 
 @pytest.mark.parametrize("rings, phases", [(1, 1), (2, 4), (3, 8)])
@@ -202,19 +190,6 @@ def test_genie_terms_match_noiseless_beat(rings, phases):
             assert rel.max() <= 1e-12
 
 
-def test_mi_grid_may_be_any_iterable():
-    c = build_constellation(2, 4)
-    grid = [8.0, 16.0]
-    kwargs = dict(n_channels=3, seed=4)
-    from_list = estimate_mi_dim4(c, grid, 3_000, 16, **kwargs)
-    from_generator = estimate_mi_dim4(c, (g for g in grid), 3_000, 16, **kwargs)
-    assert len(from_generator) == len(from_list) == 2
-    for a, b in zip(from_list, from_generator):
-        _assert_same_estimate(a, b)
-    assert estimate_mi_dim4(c, [], 3_000, 16, **kwargs) == []
-    assert estimate_mi_dim4(c, iter(()), 3_000, 16, **kwargs) == []
-
-
 def test_mi_dim4_consistent_with_fano():
     # any detector's error rate is constrained by the estimated rate
     from stokesdd.channel import add_unit_noise, apply_jones, haar_random_channel, osnr_to_sigma2
@@ -224,7 +199,7 @@ def test_mi_dim4_consistent_with_fano():
 
     c = build_constellation(2, 4)
     osnr_db = 14.0
-    est = estimate_mi_dim4(c, [osnr_db], 200_000, 32, n_channels=10, seed=30)[0]
+    bits = np.mean(rate_bits([osnr_db], n_samples=200_000, n_bins=32, n_channels=10, seed=30))
 
     rng = np.random.default_rng(31)
     errors = trials = 0
@@ -250,30 +225,14 @@ def test_mi_dim4_consistent_with_fano():
     pe = errors / trials
     h = -pe * math.log2(pe) - (1 - pe) * math.log2(1 - pe) if 0 < pe < 1 else 0.0
     fano_floor = math.log2(4) - h - pe * math.log2(3)
-    assert est.bits_per_channel_use >= fano_floor - 0.05
+    assert bits >= fano_floor - 0.05
 
 
 def test_mi_decision_directed_context_runs_below_genie():
-    c = build_constellation(2, 4)
-    genie = estimate_mi_dim4(c, [12.0], 40_000, 32, n_channels=6, seed=17)[0]
-    dd = estimate_mi_dim4(
-        c, [12.0], 40_000, 32, n_channels=6, seed=17, context="decision-directed"
-    )[0]
-    assert 0.0 <= dd.bits_per_channel_use <= 2.0 + 1e-12
+    fields = dict(n_samples=40_000, n_bins=32, n_channels=6, seed=17)
+    genie = np.mean(rate_bits([12.0], **fields))
+    dd = np.mean(rate_bits([12.0], rate_context="decision-directed", **fields))
+    assert 0.0 <= dd <= 2.0 + 1e-12
     # wrong conditioning scatters the statistic, so the DD rate cannot
     # meaningfully exceed the genie rate
-    assert dd.bits_per_channel_use <= genie.bits_per_channel_use + 0.05
-
-
-def test_mi_rejects_unknown_context():
-    c = build_constellation(2, 4)
-    with pytest.raises(ValueError, match="context"):
-        estimate_mi_dim4(c, [10.0], 1000, 16, n_channels=2, context="oracle")
-
-
-def test_mi_input_validation():
-    c = build_constellation(2, 4)
-    with pytest.raises(ValueError):
-        estimate_mi_dim4(c, [10.0], 100, 1)
-    with pytest.raises(ValueError):
-        estimate_mi_dim4(c, [10.0], 2, 32, n_channels=5)
+    assert dd <= genie + 0.05
