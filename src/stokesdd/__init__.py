@@ -5,7 +5,8 @@ Modules: constellation (ring-PSK alphabet, phase encoder, the index draw
 ``stokes_vector``, the one formula of w1..w4 that the front-end, the surrogate
 moments and training build on), frontend (photocurrent observables of both
 receiver variants, and ``received_samples``, the one noisy forward path),
-detection (Gaussian-surrogate ML and successive detection from the known
+detection (``gaussian_stats_dims123``, the one function of the surrogate
+moments, Gaussian-surrogate ML and successive detection from the known
 ``PILOT``: the inter-slot gain is the product K_x[n] K_y*[n-1] of the
 conditioning slots' noiseless fields and the decision rounds the phase of the
 delayed beat against it; training-based channel estimation), metrics (SER
@@ -15,7 +16,7 @@ rate over the OSNR grid), experiments/config/cli (seeded sweeps, each a map
 of a keyed kernel over blocks or channels, and CSV/plot emission).
 
 Every layer works on whole blocks of slots: index arrays (n, 4), field arrays
-(n,), sample arrays (n, 6).
+(n,), sample arrays (n, 6); scalar per-slot forms live in the tests as oracles.
 """
 
 from .channel import (
@@ -24,14 +25,11 @@ from .channel import (
     channel_from_pair,
     haar_random_channel,
     osnr_to_sigma2,
-    stokes_matrix,
     stokes_vector,
 )
 from .config import ExperimentConfig
 from .constellation import (
-    DualPolSymbol,
     RingPskConstellation,
-    SymbolIndices,
     build_constellation,
     draw_indices,
     encode_indices,
@@ -39,10 +37,8 @@ from .constellation import (
 from .detection import (
     PILOT,
     ChannelEstimate,
-    GaussianStats,
     ReceiverResult,
     estimate_channel,
-    gaussian_stats_dim4,
     gaussian_stats_dims123,
     run_successive_receiver,
     run_training,

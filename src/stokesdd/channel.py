@@ -1,12 +1,12 @@
-"""Unitary polarization rotation with amplifier noise, and the induced 4x4
-transfer matrix on the intensity/beat observables.
+"""Unitary polarization rotation with amplifier noise, and the Stokes vector
+of a field pair.
 
 The two-polarization field passes through a random unit-determinant rotation
 [[a, b], [-b*, a*]] and picks up circularly symmetric complex Gaussian noise of
-variance 2*sigma2 per polarization (sigma2 per real quadrature).  The four
-per-slot observables (|F_x|^2, |F_y|^2, 2Re F_xF_y*, 2Im F_xF_y*) are a fixed
-linear function of the same observables of the transmit field; that 4x4 matrix
-is exposed for diagnostics and tests.
+variance 2*sigma2 per polarization (sigma2 per real quadrature).
+``stokes_vector`` gives the four per-slot observables
+(|F_x|^2, |F_y|^2, 2Re F_xF_y*, 2Im F_xF_y*) of field arrays; the rotation
+acts on them as a fixed 4x4 matrix, which the tests keep as an oracle.
 """
 
 from __future__ import annotations
@@ -85,29 +85,6 @@ def stokes_vector(ex, ey) -> np.ndarray:
     return np.stack(
         [np.abs(ex) ** 2, np.abs(ey) ** 2, 2.0 * p.real, 2.0 * p.imag], axis=-1
     )
-
-
-def stokes_matrix(channel: JonesChannel) -> np.ndarray:
-    """4x4 matrix mapping the transmit observable vector to the received one."""
-    a, b = channel.a, channel.b
-    ab_conj = a * np.conj(b)
-    ab = a * b
-    a2 = a * a
-    b2 = b * b
-    return np.array(
-        [
-            [abs(a) ** 2, abs(b) ** 2, ab_conj.real, -ab_conj.imag],
-            [abs(b) ** 2, abs(a) ** 2, -ab_conj.real, ab_conj.imag],
-            [-2.0 * ab.real, 2.0 * ab.real, a2.real - b2.real, -(a2.imag + b2.imag)],
-            [-2.0 * ab.imag, 2.0 * ab.imag, a2.imag - b2.imag, a2.real + b2.real],
-        ]
-    )
-
-
-# the observable basis weights intensities and beats differently, so the
-# rotation is orthogonal only after rescaling: m @ G @ m.T == G, equivalently
-# D^-1 m D is orthogonal with D = sqrt(G)
-STOKES_METRIC = np.diag([0.5, 0.5, 1.0, 1.0])
 
 
 def osnr_to_sigma2(osnr_db: float) -> float:

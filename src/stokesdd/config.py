@@ -16,6 +16,10 @@ SEED_ENV_VAR = "STOKESDD_SEED"
 # largest OSNR grid a config may define; the repo's own sweeps use at most 11
 MAX_OSNR_POINTS = 10_000
 
+# largest rate histogram, n_phases * n_bins^2 cells at ~25 bytes each (~400
+# MiB): 2048 bins at 4 phases; the repo's own sweeps use at most 32,768
+MAX_HISTOGRAM_CELLS = 2**24
+
 # a grid point this far past osnr_stop_db still belongs to the grid
 _GRID_TOL = 1e-9
 
@@ -88,6 +92,8 @@ class ExperimentConfig:
             raise ValueError("n_samples must be positive")
         if self.n_bins < 2:
             raise ValueError("n_bins must be at least 2")
+        if self.n_phases * self.n_bins**2 > MAX_HISTOGRAM_CELLS:
+            raise ValueError(f"n_bins: n_phases * n_bins^2 exceeds {MAX_HISTOGRAM_CELLS} histogram cells")
         if self.n_channels < 1:
             raise ValueError("n_channels must be positive")
         if self.experiment == "rate" and self.n_samples < self.n_channels:

@@ -8,6 +8,9 @@ the previous Y field.  The last quantity is differential, so a sequence is
 generated recursively from arg(E_y) = 0 in the first slot, which has no
 predecessor and whose inter-slot index is ignored.  A common phase on every
 field changes no observable, so that reference loses no generality.
+
+A stream is an (n, 4) integer array of rows (rx, ry, t, e), and its fields
+are two complex (n,) arrays (E_x, E_y).
 """
 
 from __future__ import annotations
@@ -17,24 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class DualPolSymbol:
-    """Complex field pair on the X and Y polarizations of one slot."""
-
-    ex: complex
-    ey: complex
-
-
-@dataclass(frozen=True)
-class SymbolIndices:
-    """Index tuple selecting one point in the four information dimensions."""
-
-    rx: int  # ring of |E_x|
-    ry: int  # ring of |E_y|
-    t: int   # grid index of arg(E_x E_y*), intra-slot
-    e: int   # grid index of arg(E_x[n] E_y*[n-1]), inter-slot
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ available in closed form given the noiseless received fields (K_x, K_y):
     Var(w1) = 4s^2 + 4s|K_x|^2,  Var(w3) = Var(w4) = 8s^2 + 4s(|K_x|^2+|K_y|^2),
     Cov(w1, w3) = Cov(w2, w3) = 4s|K_x||K_y|cos(delta), etc.   (s = sigma2)
 
-Every term reads the noiseless Stokes vector ``stokes_vector(K_x, K_y)``.
-The delayed beat pair (w5, w6) is the (w3, w4) block of the same statistics
-with K_y replaced by the previous slot's K_y; its covariance is a scalar
-times I_2.
+Every term reads the noiseless Stokes vector ``stokes_vector(K_x, K_y)``,
+and one function, ``gaussian_stats_dims123``, returns the (mean, cov) arrays.
+The delayed beat pair (w5, w6) is their (w3, w4) block with K_y replaced by
+the previous slot's K_y; its covariance is a scalar times I_2.
 
 Per-slot detection enumerates all H magnitude/intra-phase hypotheses and
 scores each one by the Gaussian log-likelihood
@@ -36,10 +36,10 @@ w56*conj(gain) rounded to the grid: a few operations per slot.
 
 Every stage works on a whole frame: the receiver takes the (n, 6) samples,
 whose slot 0 is ``PILOT``, and returns (n, 4) indices with the gain it
-conditioned on.  Training draws each pilot's Stokes vector w1..w4 averaged
-over r noisy transmissions from its sufficient statistics, the noise's
-sample mean and Wishart scatter, at a cost independent of r, and passes the
-(3, 4) averages to ``estimate_channel``.
+conditioned on.  Training draws the Stokes vector w1..w4 of each (E_x, E_y)
+row of ``TRAINING_PILOTS``, averaged over r noisy transmissions, from its
+sufficient statistics (the noise's sample mean and Wishart scatter) at a
+cost independent of r, and passes the (3, 4) averages to ``estimate_channel``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import JonesChannel, add_unit_noise, apply_jones, channel_from_pair, stokes_vector
-from .constellation import DualPolSymbol, RingPskConstellation, SymbolIndices
+from .constellation import RingPskConstellation
 
 # below this beat-mean amplitude the inter-slot phase hypotheses coincide and
 # the slot is flagged as an erasure
@@ -64,16 +64,23 @@ ERASURE_TOL = 1e-12
 SCORE_SLICE_ROWS = 128
 
 
-@dataclass
-class GaussianStats:
-    """Mean vector and covariance of an observation block conditioned on the
-    noiseless received fields."""
+def _require_finite(sigma2, array):
+    # past sigma2 ~ 4.7e153 (OSNR below about -1542.8 dB) the noise term
+    # 8*sigma2^2 overflows; a bank built on it scores every hypothesis -inf
+    # and argmax silently decides hypothesis 0
+    if not np.isfinite(array).all():
+        raise ValueError(
+            f"sigma2 = {sigma2!r} overflows the surrogate covariance or its log-determinant"
+        )
 
-    mean: np.ndarray
-    cov: np.ndarray
 
-
-def _stats123(kx, ky, sigma2):
+def gaussian_stats_dims123(kx, ky, sigma2: float):
+    """Exact mean (..., 4) and covariance (..., 4, 4) of (w1, w2, w3, w4)
+    given a slot's noiseless received fields (arrays broadcast).  Given the
+    current X and the previous Y field instead, ``mean[..., 2:]`` and
+    ``cov[..., 2:, 2:]`` are those of the delayed beat pair (w5, w6)."""
+    if sigma2 < 0:
+        raise ValueError("sigma2 must be nonnegative")
     # the noiseless Stokes vector gives the mean and every covariance entry:
     # noise adds 2s to each intensity, and Cov(w_i, w_j) = 2s w_j for an
     # intensity i and a beat j
@@ -89,35 +96,8 @@ def _stats123(kx, ky, sigma2):
     cov[..., :2, 2:] = 2.0 * sigma2 * mean[..., None, 2:]
     cov[..., 2:, :2] = np.swapaxes(cov[..., :2, 2:], -1, -2)
     mean[..., :2] += 2.0 * sigma2
+    _require_finite(sigma2, cov)
     return mean, cov
-
-
-def _require_finite(sigma2, *arrays):
-    # past sigma2 ~ 4.7e153 (OSNR below about -1542.8 dB) the noise term
-    # 8*sigma2^2 overflows; a bank built on it scores every hypothesis -inf
-    # and argmax silently decides hypothesis 0
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError(
-            f"sigma2 = {sigma2!r} overflows the surrogate covariance or its log-determinant"
-        )
-
-
-def gaussian_stats_dims123(kx: complex, ky: complex, sigma2: float) -> GaussianStats:
-    """Exact mean and covariance of (w1, w2, w3, w4) given the noiseless
-    received fields of the slot."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    stats = GaussianStats(*_stats123(np.asarray(kx), np.asarray(ky), sigma2))
-    _require_finite(sigma2, stats.cov)
-    return stats
-
-
-def gaussian_stats_dim4(kx_now: complex, ky_prev: complex, sigma2: float) -> GaussianStats:
-    """Exact mean and (isotropic) covariance of (w5, w6) given the current
-    X field and the previous slot's Y field: the (w3, w4) block of a slot
-    with those fields."""
-    stats = gaussian_stats_dims123(kx_now, ky_prev, sigma2)
-    return GaussianStats(stats.mean[..., 2:], stats.cov[..., 2:, 2:])
 
 
 @dataclass
@@ -153,7 +133,7 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     # the statistics depend on the hypothesis only through
     # (|K_x|, |K_y|, delta), so the x-phase-anchored fields serve
     kx, ky = apply_jones(channel, *_slot_fields(constellation, triples))
-    means, covs = _stats123(kx, ky, channel.sigma2)
+    means, covs = gaussian_stats_dims123(kx, ky, channel.sigma2)
     if channel.sigma2 == 0.0:
         return _HypothesisBank(triples, means, None, None, None)
     chol = np.linalg.cholesky(covs)
@@ -161,7 +141,7 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     whiten = np.ascontiguousarray(inv_chol.transpose(2, 1, 0).reshape(4, -1))
     whitened_means = np.einsum("hji,hi->jh", inv_chol, means).ravel()
     logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    _require_finite(channel.sigma2, covs, logdets)
+    _require_finite(channel.sigma2, logdets)
     return _HypothesisBank(triples, means, whiten, whitened_means, logdets)
 
 
@@ -248,23 +228,20 @@ def detect_dim4_block(w56: np.ndarray, gain: np.ndarray, constellation: RingPskC
     ``w56`` holds w5 + i*w6 per slot (slot 0 excluded), ``gain`` the matching
     beat gains.  The candidate means 2*gain*exp(i*c*step) share one
     covariance and one modulus, so the ML rule is the nearest mean, which is
-    the phase of w56*conj(gain) rounded to the grid; erased slots (vanishing
-    gain) are marked -1.
+    the phase of w56*conj(gain) rounded to the grid.  Returns the decided
+    phase indices, with -1 marking an erased slot (vanishing gain).
     """
     ratio = np.angle(w56 * np.conj(gain)) / constellation.phase_step
     decided = np.rint(ratio).astype(np.int64) % constellation.n_phases
-    erased = 2.0 * np.abs(gain) < ERASURE_TOL
-    decided[erased] = -1
-    return decided, erased
+    decided[2.0 * np.abs(gain) < ERASURE_TOL] = -1
+    return decided
 
 
 # --- training-based channel estimation -------------------------------------
 
-TRAINING_PILOTS = (
-    DualPolSymbol(1.0 + 0.0j, 0.0 + 0.0j),
-    DualPolSymbol(1.0 + 0.0j, 1.0 + 0.0j),
-    DualPolSymbol(1.0j, 1.0 + 0.0j),
-)
+# one (E_x, E_y) row per pilot, read-only like the constant it is
+TRAINING_PILOTS = np.array([[1.0, 0.0], [1.0, 1.0], [1.0j, 1.0]], dtype=complex)
+TRAINING_PILOTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -297,11 +274,7 @@ def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) 
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
-    kx, ky = apply_jones(
-        channel,
-        np.array([p.ex for p in TRAINING_PILOTS]),
-        np.array([p.ey for p in TRAINING_PILOTS]),
-    )
+    kx, ky = apply_jones(channel, *TRAINING_PILOTS.T)
     g = rng.standard_normal((len(TRAINING_PILOTS), 4 if repeats == 1 else 6))
     averaged = stokes_vector(*add_unit_noise(kx, ky, channel.sigma2 / repeats, g[:, :4]))
     if repeats > 1:
@@ -352,11 +325,9 @@ def estimate_channel(training_obs: np.ndarray) -> ChannelEstimate:
     unit = channel_from_pair(a, b)
     a, b = _canonical_sign(unit.a, unit.b)
 
-    model = JonesChannel(a, b, 0.0)
-    sq_err = 0.0
-    for obs, pilot in zip(training_obs, TRAINING_PILOTS):
-        predicted = stokes_vector(*apply_jones(model, pilot.ex, pilot.ey))
-        sq_err += float(((obs - predicted) ** 2).sum())
+    predicted = stokes_vector(*apply_jones(JonesChannel(a, b), *TRAINING_PILOTS.T))
+    # each pilot's row sum, then the three in pilot order
+    sq_err = sum(((training_obs - predicted) ** 2).sum(axis=1))
     return ChannelEstimate(a, b, math.sqrt(sq_err))
 
 
@@ -373,8 +344,8 @@ def gauge_aligned_error(estimate: ChannelEstimate, channel: JonesChannel) -> flo
 
 # --- successive receiver ----------------------------------------------------
 
-# the known symbol in slot 0 of every frame
-PILOT = SymbolIndices(0, 0, 0, 0)
+# the known symbol (rx, ry, t, e) in slot 0 of every frame
+PILOT = (0, 0, 0, 0)
 
 
 @dataclass
@@ -436,15 +407,13 @@ def run_successive_receiver(
         cond = genie[:, :3].astype(np.int64)
     else:
         cond = decided.copy()
-        cond[0] = (PILOT.rx, PILOT.ry, PILOT.t)
+        cond[0] = PILOT[:3]
 
     gain = beat_gain(constellation, channel, cond)
-    eta, erased = detect_dim4_block(w56[1:], gain, constellation)
+    eta = detect_dim4_block(w56[1:], gain, constellation)
 
     out = np.empty((len(arr), 4), dtype=np.int64)
     out[:, :3] = decided
     out[0, 3] = 0
     out[1:, 3] = eta
-    erasures = np.zeros(len(arr), dtype=bool)
-    erasures[1:] = erased
-    return ReceiverResult(out, erasures, gain)
+    return ReceiverResult(out, out[:, 3] < 0, gain)

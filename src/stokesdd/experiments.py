@@ -35,7 +35,6 @@ from .constellation import build_constellation
 from .detection import (
     estimate_channel,
     gauge_aligned_error,
-    gaussian_stats_dim4,
     gaussian_stats_dims123,
     run_successive_receiver,
     run_training,
@@ -80,9 +79,12 @@ def _ser_block(cfg: ExperimentConfig, block: int) -> np.ndarray:
 
 
 def _map_blocks(func, blocks, workers: int):
-    if workers <= 1 or len(blocks) <= 1:
+    # more processes than blocks or CPUs add start-up cost and memory, never
+    # speed, and the results do not depend on the count
+    processes = min(workers, len(blocks), os.cpu_count() or 1)
+    if processes < 2:
         return [func(b) for b in blocks]
-    with Pool(processes=min(workers, len(blocks))) as pool:
+    with Pool(processes=processes) as pool:
         return pool.map(func, blocks)  # ordered gather keeps merging canonical
 
 
@@ -272,15 +274,14 @@ def covariance_calibration(
         unit = _whitened_normals(rng, (n_draws, 4))
         w = stokes_vector(*add_unit_noise(kx, ky, sigma2, unit))
         mean, cov = w.mean(axis=0), np.cov(w.T)
-        stats = gaussian_stats_dims123(kx, ky, sigma2)
-        worst[0] = max(worst[0], _rel_dev(mean, stats.mean))
-        worst[1] = max(worst[1], _rel_dev(cov, stats.cov))
+        model_mean, model_cov = gaussian_stats_dims123(kx, ky, sigma2)
+        worst[0] = max(worst[0], _rel_dev(mean, model_mean))
+        worst[1] = max(worst[1], _rel_dev(cov, model_cov))
 
         # with ky as the previous slot's Y field, (w5, w6) is this beat pair:
         # its moments are the (w3, w4) block of the ones above
-        stats4 = gaussian_stats_dim4(kx, ky, sigma2)
-        worst[2] = max(worst[2], _rel_dev(mean[2:], stats4.mean))
-        worst[3] = max(worst[3], _rel_dev(cov[2:, 2:], stats4.cov))
+        worst[2] = max(worst[2], _rel_dev(mean[2:], model_mean[2:]))
+        worst[3] = max(worst[3], _rel_dev(cov[2:, 2:], model_cov[2:, 2:]))
     return CovarianceCalibration(*worst, n_configs, n_draws)
 
 

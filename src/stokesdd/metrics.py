@@ -20,7 +20,6 @@ plug-in bits at every OSNR point, and the sweep averages them over channels.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 
@@ -124,7 +123,7 @@ def draw_frame(constellation: RingPskConstellation, seed: int, key: int, n: int)
     ``(channel, idx, kx, ky, unit)``; streams (seed, key, 0/1/2)."""
     channel = haar_random_channel(_rng(seed, key, 0))
     idx = draw_indices(_rng(seed, key, 1), constellation, n)
-    idx[0] = astuple(PILOT)
+    idx[0] = PILOT
     kx, ky = apply_jones(channel, *encode_indices(constellation, idx))
     unit = _rng(seed, key, 2).standard_normal((n, 4))
     return channel, idx, kx, ky, unit

@@ -1,7 +1,9 @@
 """Reference implementations that the library's fast kernels are tested
 against.  They favour the plainest form of each formula over speed: the
 per-slot (scalar) forms of the encoder, channel, front-end and detectors whose
-block (array) forms make up the library."""
+block (array) forms make up the library, the per-slot records they pass
+(``DualPolSymbol``, ``SymbolIndices``), and the 4x4 matrix ``stokes_matrix``
+by which the rotation acts on the observables."""
 
 from __future__ import annotations
 
@@ -14,21 +16,32 @@ from typing import Optional, Sequence
 import numpy as np
 
 from stokesdd.channel import JonesChannel, apply_jones
-from stokesdd.constellation import (
-    TWO_PI,
-    DualPolSymbol,
-    RingPskConstellation,
-    SymbolIndices,
-    encode_indices,
-)
+from stokesdd.constellation import TWO_PI, RingPskConstellation, encode_indices
 from stokesdd.detection import (
     ERASURE_TOL,
     TRAINING_PILOTS,
     context_vectors,
-    gaussian_stats_dim4,
     gaussian_stats_dims123,
 )
 from stokesdd.frontend import received_samples
+
+
+@dataclass(frozen=True)
+class DualPolSymbol:
+    """Complex field pair on the X and Y polarizations of one slot."""
+
+    ex: complex
+    ey: complex
+
+
+@dataclass(frozen=True)
+class SymbolIndices:
+    """Index tuple selecting one point in the four information dimensions."""
+
+    rx: int  # ring of |E_x|
+    ry: int  # ring of |E_y|
+    t: int   # grid index of arg(E_x E_y*), intra-slot
+    e: int   # grid index of arg(E_x[n] E_y*[n-1]), inter-slot
 
 
 def hypothesis_stats(channel: JonesChannel, constellation: RingPskConstellation):
@@ -45,9 +58,9 @@ def hypothesis_stats(channel: JonesChannel, constellation: RingPskConstellation)
     ex = radii[rx.ravel()].astype(complex)
     ey = radii[ry.ravel()] * np.exp(-1j * constellation.phase_step * t.ravel())
     kx, ky = apply_jones(channel, ex, ey)
-    stats = gaussian_stats_dims123(kx, ky, channel.sigma2)
+    means, covs = gaussian_stats_dims123(kx, ky, channel.sigma2)
     triples = np.stack([rx.ravel(), ry.ravel(), t.ravel()], axis=1)
-    return triples, stats.mean, stats.cov
+    return triples, means, covs
 
 
 def einsum_bank_scores(means: np.ndarray, covs: np.ndarray, sigma2: float, obs: np.ndarray) -> np.ndarray:
@@ -178,6 +191,29 @@ def propagate(channel: JonesChannel, symbol: DualPolSymbol, rng: np.random.Gener
     return noisy, DualPolSymbol(complex(kx), complex(ky))
 
 
+def stokes_matrix(channel: JonesChannel) -> np.ndarray:
+    """4x4 matrix mapping the transmit observable vector to the received one."""
+    a, b = channel.a, channel.b
+    ab_conj = a * np.conj(b)
+    ab = a * b
+    a2 = a * a
+    b2 = b * b
+    return np.array(
+        [
+            [abs(a) ** 2, abs(b) ** 2, ab_conj.real, -ab_conj.imag],
+            [abs(b) ** 2, abs(a) ** 2, -ab_conj.real, ab_conj.imag],
+            [-2.0 * ab.real, 2.0 * ab.real, a2.real - b2.real, -(a2.imag + b2.imag)],
+            [-2.0 * ab.imag, 2.0 * ab.imag, a2.imag - b2.imag, a2.real + b2.real],
+        ]
+    )
+
+
+# the observable basis weights intensities and beats differently, so the
+# rotation is orthogonal only after rescaling: m @ G @ m.T == G, equivalently
+# D^-1 m D is orthogonal with D = sqrt(G)
+STOKES_METRIC = np.diag([0.5, 0.5, 1.0, 1.0])
+
+
 # --- front-end ----------------------------------------------------------------
 
 
@@ -275,11 +311,7 @@ def training_samples(
     repeats = 1 each draw takes the same noise as one ``run_training``
     call."""
     pilots = len(TRAINING_PILOTS)
-    kx, ky = apply_jones(
-        channel,
-        np.array([p.ex for p in TRAINING_PILOTS]),
-        np.array([p.ey for p in TRAINING_PILOTS]),
-    )
+    kx, ky = apply_jones(channel, *TRAINING_PILOTS.T)
     rows = draws * pilots  # one average per (draw, pilot), in stream order
     per_chunk = max(1, TRAINING_CHUNK_SLOTS // repeats)
     averaged = np.empty((rows, 4))
@@ -364,9 +396,10 @@ def detect_dim4(
         kx = channel.a * ex + channel.b * ey
         if cand == 0 and 2.0 * abs(kx) * abs(ky_prev) < ERASURE_TOL:
             return None
-        stats = gaussian_stats_dim4(kx, ky_prev, channel.sigma2)
-        var = stats.cov[0, 0]
-        dist2 = float(((obs - stats.mean) ** 2).sum())
+        # (w5, w6) is the (w3, w4) block of a slot with fields (kx, ky_prev)
+        mean, cov = gaussian_stats_dims123(kx, ky_prev, channel.sigma2)
+        var = cov[2, 2]
+        dist2 = float(((obs - mean[2:]) ** 2).sum())
         score = -dist2 if var == 0.0 else -0.5 * dist2 / var - math.log(var)
         if score > best_score:
             best_score = score

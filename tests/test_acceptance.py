@@ -11,7 +11,6 @@ from stokesdd.channel import (
     apply_jones,
     haar_random_channel,
     osnr_to_sigma2,
-    stokes_matrix,
     stokes_vector,
 )
 from stokesdd.config import ExperimentConfig
@@ -34,7 +33,7 @@ from stokesdd.frontend import (
     recover_full_block,
 )
 
-from reference import ell_vector, wrap_angle
+from reference import ell_vector, stokes_matrix, wrap_angle
 
 def _stream(rng, constellation, n):
     idx = np.stack(

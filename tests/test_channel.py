@@ -6,19 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesdd.channel import (
-    STOKES_METRIC,
     JonesChannel,
     apply_jones,
     channel_from_pair,
     haar_random_channel,
     osnr_to_sigma2,
     propagate_block,
-    stokes_matrix,
     stokes_vector,
 )
-from stokesdd.constellation import DualPolSymbol
 
-from reference import propagate
+from reference import STOKES_METRIC, DualPolSymbol, propagate, stokes_matrix
 
 
 def random_channel(rng, sigma2=0.0):

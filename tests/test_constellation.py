@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdd.constellation import SymbolIndices, build_constellation, draw_indices, encode_indices
+from stokesdd.constellation import build_constellation, draw_indices, encode_indices
 
 from reference import (
+    SymbolIndices,
     dimension_values,
     encode_sequence,
     nearest_indices,

@@ -18,7 +18,7 @@ from stokesdd.channel import (
     propagate_block,
     stokes_vector,
 )
-from stokesdd.constellation import DualPolSymbol, SymbolIndices, build_constellation, encode_indices
+from stokesdd.constellation import build_constellation, encode_indices
 from stokesdd.detection import (
     PILOT,
     SCORE_SLICE_ROWS,
@@ -29,7 +29,6 @@ from stokesdd.detection import (
     detect_dims123_block,
     estimate_channel,
     gauge_aligned_error,
-    gaussian_stats_dim4,
     gaussian_stats_dims123,
     run_successive_receiver,
     run_training,
@@ -39,6 +38,8 @@ from stokesdd.frontend import frontend_full_block
 
 from reference import (
     Decision,
+    DualPolSymbol,
+    SymbolIndices,
     detect_dim4,
     detect_dims123,
     einsum_bank_scores,
@@ -73,19 +74,19 @@ def random_symbol_stream(rng, constellation, n):
 
 def test_stats123_zero_noise_collapses_to_noiseless_observables():
     kx, ky = 0.4 + 0.3j, -0.2 + 0.9j
-    stats = gaussian_stats_dims123(kx, ky, 0.0)
+    mean, cov = gaussian_stats_dims123(kx, ky, 0.0)
     beat = kx * np.conj(ky)
-    assert np.allclose(stats.cov, 0.0)
+    assert np.allclose(cov, 0.0)
     assert np.allclose(
-        stats.mean, [abs(kx) ** 2, abs(ky) ** 2, 2 * beat.real, 2 * beat.imag]
+        mean, [abs(kx) ** 2, abs(ky) ** 2, 2 * beat.real, 2 * beat.imag]
     )
 
 
 def test_stats123_hand_substitution():
-    stats = gaussian_stats_dims123(1.0 + 0j, 0j, 1.0)
-    assert np.allclose(stats.mean, [3.0, 2.0, 0.0, 0.0])
-    assert np.allclose(np.diag(stats.cov), [8.0, 4.0, 12.0, 12.0])
-    assert np.allclose(stats.cov - np.diag(np.diag(stats.cov)), 0.0)
+    mean, cov = gaussian_stats_dims123(1.0 + 0j, 0j, 1.0)
+    assert np.allclose(mean, [3.0, 2.0, 0.0, 0.0])
+    assert np.allclose(np.diag(cov), [8.0, 4.0, 12.0, 12.0])
+    assert np.allclose(cov - np.diag(np.diag(cov)), 0.0)
 
 
 def test_stats123_symmetry_and_psd():
@@ -93,30 +94,29 @@ def test_stats123_symmetry_and_psd():
     for _ in range(50):
         kx = complex(rng.standard_normal(), rng.standard_normal())
         ky = complex(rng.standard_normal(), rng.standard_normal())
-        stats = gaussian_stats_dims123(kx, ky, float(rng.uniform(0, 0.5)))
-        assert np.abs(stats.cov - stats.cov.T).max() < 1e-12
-        assert np.linalg.eigvalsh(stats.cov).min() > -1e-9
+        _, cov = gaussian_stats_dims123(kx, ky, float(rng.uniform(0, 0.5)))
+        assert np.abs(cov - cov.T).max() < 1e-12
+        assert np.linalg.eigvalsh(cov).min() > -1e-9
 
 
 def test_stats4_hand_substitution():
-    stats = gaussian_stats_dim4(1.0 + 0j, 1.0 + 0j, 1.0)
-    assert np.allclose(stats.mean, [2.0, 0.0])
-    assert np.allclose(stats.cov, 16.0 * np.eye(2))
+    # (w5, w6) of (K_x[n], K_y[n-1]) is the (w3, w4) block of a slot with those fields
+    mean, cov = gaussian_stats_dims123(1.0 + 0j, 1.0 + 0j, 1.0)
+    assert np.allclose(mean[2:], [2.0, 0.0])
+    assert np.allclose(cov[2:, 2:], 16.0 * np.eye(2))
 
 
 def test_stats4_zero_noise():
     kx, kyp = 0.7 - 0.1j, 0.2 + 0.5j
-    stats = gaussian_stats_dim4(kx, kyp, 0.0)
+    mean, cov = gaussian_stats_dims123(kx, kyp, 0.0)
     beat = kx * np.conj(kyp)
-    assert np.allclose(stats.cov, 0.0)
-    assert np.allclose(stats.mean, [2 * beat.real, 2 * beat.imag])
+    assert np.allclose(cov[2:, 2:], 0.0)
+    assert np.allclose(mean[2:], [2 * beat.real, 2 * beat.imag])
 
 
 def test_stats_reject_negative_sigma2():
     with pytest.raises(ValueError):
         gaussian_stats_dims123(1.0, 0.0, -0.1)
-    with pytest.raises(ValueError):
-        gaussian_stats_dim4(1.0, 0.0, -0.1)
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 1e-6, 1e-2, 1.0])
@@ -128,15 +128,14 @@ def test_closed_form_moments_match_exact_quadrature(sigma2):
         g = rng.standard_normal(4) * rng.uniform(0.1, 2.0)
         kx, ky = complex(g[0], g[1]), complex(g[2], g[3])
         mean, cov = gauss_hermite_moments(kx, ky, sigma2)
-        stats = gaussian_stats_dims123(kx, ky, sigma2)
-        assert np.abs(stats.mean - mean).max() <= 1e-12 * np.abs(mean).max()
-        assert np.abs(stats.cov - cov).max() <= 1e-12 * np.abs(cov).max()
+        got_mean, got_cov = gaussian_stats_dims123(kx, ky, sigma2)
+        assert np.abs(got_mean - mean).max() <= 1e-12 * np.abs(mean).max()
+        assert np.abs(got_cov - cov).max() <= 1e-12 * np.abs(cov).max()
         # (w5, w6) of (K_x[n], K_y[n-1]) is the (w3, w4) block of a slot
         # with those fields
-        stats4 = gaussian_stats_dim4(kx, ky, sigma2)
-        assert np.abs(stats4.mean - mean[2:]).max() <= 1e-12 * np.abs(mean[2:]).max()
+        assert np.abs(got_mean[2:] - mean[2:]).max() <= 1e-12 * np.abs(mean[2:]).max()
         cov4 = cov[2:, 2:]
-        assert np.abs(stats4.cov - cov4).max() <= 1e-12 * np.abs(cov4).max()
+        assert np.abs(got_cov[2:, 2:] - cov4).max() <= 1e-12 * np.abs(cov4).max()
 
 
 def test_monte_carlo_moment_oracle_small():
@@ -155,26 +154,26 @@ def test_monte_carlo_moment_oracle_small():
         w = np.stack(
             [np.abs(fx) ** 2, np.abs(fy) ** 2, 2 * beat.real, 2 * beat.imag], axis=1
         )
-        stats = gaussian_stats_dims123(kx, ky, sigma2)
+        mean, cov = gaussian_stats_dims123(kx, ky, sigma2)
         emp_mean = w.mean(axis=0)
         emp_cov = np.cov(w.T)
-        floor = 0.05 * np.abs(stats.mean).max()
-        mask = np.abs(stats.mean) > floor
+        floor = 0.05 * np.abs(mean).max()
+        mask = np.abs(mean) > floor
         assert (
-            np.abs(emp_mean - stats.mean)[mask] / np.abs(stats.mean)[mask]
+            np.abs(emp_mean - mean)[mask] / np.abs(mean)[mask]
         ).max() < 0.03
-        floor = 0.05 * np.abs(stats.cov).max()
-        mask = np.abs(stats.cov) > floor
+        floor = 0.05 * np.abs(cov).max()
+        mask = np.abs(cov) > floor
         assert (
-            np.abs(emp_cov - stats.cov)[mask] / np.abs(stats.cov)[mask]
+            np.abs(emp_cov - cov)[mask] / np.abs(cov)[mask]
         ).max() < 0.03
 
-        stats4 = gaussian_stats_dim4(kx, ky, sigma2)
+        cov4 = cov[2:, 2:]
         w56 = w[:, 2:4]
         emp = np.cov(w56.T)
-        assert abs(emp[0, 0] - stats4.cov[0, 0]) / stats4.cov[0, 0] < 0.03
-        assert abs(emp[1, 1] - stats4.cov[1, 1]) / stats4.cov[1, 1] < 0.03
-        assert abs(emp[0, 1]) < 0.03 * stats4.cov[0, 0]
+        assert abs(emp[0, 0] - cov4[0, 0]) / cov4[0, 0] < 0.03
+        assert abs(emp[1, 1] - cov4[1, 1]) / cov4[1, 1] < 0.03
+        assert abs(emp[0, 1]) < 0.03 * cov4[0, 0]
 
 
 # --- per-slot detection -------------------------------------------------------
@@ -215,8 +214,8 @@ def test_detect_returns_hypothesis_at_its_mean():
     for t in range(4):
         kx = r
         ky = r * cmath.exp(-1j * t * c.phase_step)
-        stats = gaussian_stats_dims123(kx, ky, 1.0)
-        decision = detect_dims123(np.concatenate([stats.mean, [0, 0]]), ch, c)
+        mean, _ = gaussian_stats_dims123(kx, ky, 1.0)
+        decision = detect_dims123(np.concatenate([mean, [0, 0]]), ch, c)
         assert decision.indices.t == t
 
 
@@ -349,7 +348,8 @@ def test_rounded_phase_decision_matches_argmin_oracle():
             n = 20_000
             w56 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             gain = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 1, n)
-            decided, erased = detect_dim4_block(w56, gain, c)
+            decided = detect_dim4_block(w56, gain, c)
+            erased = decided < 0
             assert not erased.any()
             assert np.array_equal(decided, nearest_phase_argmin(w56, gain, c))
             rows += n
@@ -371,7 +371,8 @@ def test_rounded_phase_decision_at_ties_picks_a_nearest_mean(phases):
         + [2.0 * r * g * np.exp(1j * half) for g in gains for r in radii]
     )
     gain = np.concatenate([gains] + [np.full(len(half), g) for g in gains for _ in radii])
-    decided, erased = detect_dim4_block(w56, gain, c)
+    decided = detect_dim4_block(w56, gain, c)
+    erased = decided < 0
     assert not erased.any()
     assert ((decided >= 0) & (decided < phases)).all()
     means = 2.0 * gain[:, None] * np.exp(1j * step * np.arange(phases))[None, :]
@@ -427,7 +428,7 @@ def test_decision_directed_gain_conditions_on_pilot_and_decisions():
     result = run_successive_receiver(frontend_full_block(fx, fy), ch, c)
     cond = result.indices[:, :3].copy()
     assert (cond[1:] != idx[1:, :3]).any()  # the decisions, not the truth
-    cond[0] = (PILOT.rx, PILOT.ry, PILOT.t)
+    cond[0] = PILOT[:3]
     expected = context_vectors(c, cond[:-1], cond[1:]) @ ell_vector(ch)
     assert np.allclose(result.gain, expected, rtol=1e-12, atol=0.0)
 
@@ -486,7 +487,7 @@ def test_slotwise_scalar_receiver_matches_block_receiver():
     arr = frames_to_array(frames)
     step = c.phase_step
     pilot_fields = DualPolSymbol(complex(ex[0]), complex(ey[0]))
-    prev_dec = Decision(PILOT, e_now=pilot_fields)
+    prev_dec = Decision(SymbolIndices(*PILOT), e_now=pilot_fields)
     decided = [detect_dims123(arr[0, :4], ch, c).indices]
     etas = [0]
     for n in range(1, len(arr)):
@@ -608,8 +609,8 @@ def test_estimate_invariant_to_whole_matrix_phase():
     for phi in (0.0, 0.4, -2.2, math.pi / 2):
         rot = cmath.exp(1j * phi)
         obs = []
-        for pilot in TRAINING_PILOTS:
-            kx, ky = apply_jones(ch, pilot.ex, pilot.ey)
+        for ex, ey in TRAINING_PILOTS:
+            kx, ky = apply_jones(ch, ex, ey)
             obs.append(frontend_full(DualPolSymbol(rot * kx, rot * ky), dark).as_array()[:4])
         est = estimate_channel(np.array(obs))
         assert abs(est.a_hat - est_ref.a_hat) < 1e-12
@@ -682,7 +683,7 @@ def test_training_matches_the_frame_path_oracle(repeats):
             continue
         if sigma2 == 0.0:
             got = run_training(ch, repeats, np.random.default_rng(seed))
-            noiseless = [stokes_vector(*apply_jones(ch, p.ex, p.ey)) for p in TRAINING_PILOTS]
+            noiseless = [stokes_vector(*apply_jones(ch, ex, ey)) for ex, ey in TRAINING_PILOTS]
             assert np.array_equal(got, noiseless)
             # the frame path sums r equal rows one by one: up to ~2000 ulp at r = 10^4
             want = training_samples(ch, repeats, np.random.default_rng(seed))[0]
@@ -709,10 +710,10 @@ def test_training_moments_match_the_closed_form(repeats):
         ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
         draws = np.array([run_training(ch, repeats, rng) for _ in range(10_000)])
         (mean, mean_se), (cov, cov_se) = _moments_with_errors(draws)
-        for i, pilot in enumerate(TRAINING_PILOTS):
-            stats = gaussian_stats_dims123(*apply_jones(ch, pilot.ex, pilot.ey), ch.sigma2)
-            assert (np.abs(mean[i] - stats.mean) <= TRAINING_Z * mean_se[i]).all()
-            assert (np.abs(cov[i] - stats.cov / repeats) <= TRAINING_Z * cov_se[i]).all()
+        for i, (ex, ey) in enumerate(TRAINING_PILOTS):
+            mu, c = gaussian_stats_dims123(*apply_jones(ch, ex, ey), ch.sigma2)
+            assert (np.abs(mean[i] - mu) <= TRAINING_Z * mean_se[i]).all()
+            assert (np.abs(cov[i] - c / repeats) <= TRAINING_Z * cov_se[i]).all()
 
 
 def test_training_cost_is_independent_of_repeats():
@@ -724,7 +725,7 @@ def test_training_cost_is_independent_of_repeats():
     got = run_training(ch, 10**12, rng)
     assert time.perf_counter() - start < 1.0
     assert np.isfinite(got).all()
-    for row, pilot in zip(got, TRAINING_PILOTS):
+    for row, (ex, ey) in zip(got, TRAINING_PILOTS):
         # the noiseless Stokes vector, with the noise power 2 sigma2 on each intensity
-        mean = gaussian_stats_dims123(*apply_jones(ch, pilot.ex, pilot.ey), ch.sigma2).mean
+        mean, _ = gaussian_stats_dims123(*apply_jones(ch, ex, ey), ch.sigma2)
         assert np.abs(row - mean).max() < 1e-4

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from stokesdd.cli import _add_experiment_args, _build_config, main
-from stokesdd.config import MAX_OSNR_POINTS, SEED_ENV_VAR, ExperimentConfig
+from stokesdd import experiments
+from stokesdd.config import MAX_HISTOGRAM_CELLS, MAX_OSNR_POINTS, SEED_ENV_VAR, ExperimentConfig
 from stokesdd.experiments import (
     _whitened_normals,
     covariance_calibration,
@@ -124,6 +125,20 @@ def test_osnr_grid_at_the_cap_accepted():
     assert len(cfg.osnr_grid()) == MAX_OSNR_POINTS
 
 
+def test_rate_histogram_cells_are_capped():
+    # the rate histogram holds n_phases * n_bins^2 cells of ~25 bytes each;
+    # the cap holds for either experiment, as the rate sweep takes any
+    # validated config, and is checked without allocating the histogram
+    ExperimentConfig(n_phases=4, n_bins=2048).validate()
+    ExperimentConfig(n_phases=8, n_bins=1448).validate()
+    for experiment in ("ser", "rate"):
+        for n_phases, n_bins in ((4, 2049), (8, 1449), (4, 100_000)):
+            cfg = ExperimentConfig(experiment=experiment, n_phases=n_phases, n_bins=n_bins)
+            with pytest.raises(ValueError, match="n_bins") as err:
+                cfg.validate()
+            assert str(MAX_HISTOGRAM_CELLS) in str(err.value)
+
+
 def test_osnr_grid_no_float_drift():
     cfg = ExperimentConfig(osnr_start_db=10.0, osnr_stop_db=26.0, osnr_step_db=2.0)
     assert cfg.osnr_grid() == [10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0, 24.0, 26.0]
@@ -138,6 +153,43 @@ def test_ser_rows_independent_of_worker_count():
     base = ExperimentConfig(seed=7, **FAST_SER)
     parallel = base.replaced(workers=2)
     assert run_ser_experiment(base) == run_ser_experiment(parallel)
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, blocks, processes",
+    [
+        (3, 100_000, 100_000, 3),
+        (8, 4, 2, 2),
+        (8, 3, 10, 3),
+        (None, 4, 10, None),
+        (1, 4, 10, None),
+        (8, 1, 10, None),
+        (8, 4, 1, None),
+    ],
+)
+def test_worker_pool_is_bounded_by_blocks_and_cpus(cpus, workers, blocks, processes, monkeypatch):
+    # a fake pool records its size and maps in this process, so no process
+    # starts; below two processes the map runs serially and makes no pool
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(experiments, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    got = experiments._map_blocks(lambda b: 2 * b, range(blocks), workers)
+    assert got == [2 * b for b in range(blocks)]
+    assert sizes == ([] if processes is None else [processes])
 
 
 def test_ser_trials_column_counts_every_slot_but_the_pilots_inter_slot_entry():
@@ -365,6 +417,7 @@ _SMALL_CAL = ["--configs", "1", "--draws", "8"]
         (["ser", "--config", "."], None, "--config"),
         (["ser", "--config", "five.json"], None, "--config"),
         (["rate", "--config", "syntax.json"], None, "--config"),
+        (["rate", "--n-bins", "100000"], None, "n_bins"),
     ],
     ids=[
         "cal-seed", "demo-seed", "cal-draws-1", "cal-draws-7", "cal-configs-0",
@@ -372,6 +425,7 @@ _SMALL_CAL = ["--configs", "1", "--draws", "8"]
         "ser-tiny-osnr-step", "ser-osnr-overflow", "rate-osnr-overflow", "ser-covariance-overflow",
         "demo-osnr-overflow", "demo-osnr-minus-inf",
         "config-missing", "config-directory", "config-not-an-object", "config-syntax",
+        "rate-histogram-too-large",
     ],
 )
 def test_cli_rejects_bad_inputs_by_name(argv, env_seed, named, tmp_path, monkeypatch, capsys):

@@ -7,10 +7,8 @@ from stokesdd.channel import (
     add_unit_noise,
     apply_jones,
     haar_random_channel,
-    stokes_matrix,
     stokes_vector,
 )
-from stokesdd.constellation import DualPolSymbol
 from stokesdd.frontend import (
     frontend_full_block,
     frontend_reduced_block,
@@ -18,7 +16,7 @@ from stokesdd.frontend import (
     recover_full_block,
 )
 
-from reference import frontend_full, frontend_reduced, recover_full
+from reference import DualPolSymbol, frontend_full, frontend_reduced, recover_full, stokes_matrix
 
 finite_complex = st.builds(
     complex,
