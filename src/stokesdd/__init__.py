@@ -36,7 +36,6 @@ from .constellation import (
 )
 from .detection import (
     PILOT,
-    ChannelEstimate,
     ReceiverResult,
     estimate_channel,
     gaussian_stats_dims123,

@@ -23,7 +23,8 @@ hypothesis covariance and W_h = L_h^-1 its Cholesky whitening map.  The
 hypothesis bank lays every W_h out side by side in one planar (4, 4H)
 matrix, so a slice of slots is scored by one GEMM, a subtraction of the
 whitened means, and a sum of the squares of four contiguous H-wide planes.
-At sigma2 = 0 the covariances vanish and the rule becomes the nearest mean.
+At sigma2 = 0 the covariances vanish and the bank whitens by I, so the same
+formula scores -0.5 |w - mu_h|^2: the rule becomes the nearest mean.
 
 The inter-slot phase is then detected successively, conditioned on those
 decisions and on the previous slot (its decided values, or the true ones in
@@ -39,7 +40,8 @@ whose slot 0 is ``PILOT``, and returns (n, 4) indices with the gain it
 conditioned on.  Training draws the Stokes vector w1..w4 of each (E_x, E_y)
 row of ``TRAINING_PILOTS``, averaged over r noisy transmissions, from its
 sufficient statistics (the noise's sample mean and Wishart scatter) at a
-cost independent of r, and passes the (3, 4) averages to ``estimate_channel``.
+cost independent of r, and passes the (3, 4) averages to ``estimate_channel``,
+which returns the ``JonesChannel`` the receiver runs on.
 """
 
 from __future__ import annotations
@@ -105,14 +107,12 @@ class _HypothesisBank:
     """Per-(channel, constellation) tables for the per-slot detector."""
 
     triples: np.ndarray  # (H, 3) in canonical rx-major order
-    means: np.ndarray  # (H, 4)
-    # the fields below are None at sigma2 = 0, where the nearest mean decides
     # (4, 4H) planar whitening map: column j*H + h is row j of W_h = L_h^-1,
     # so w @ whiten holds the whitened coordinate j of every hypothesis in
-    # the contiguous plane [j*H, (j+1)*H)
-    whiten: Optional[np.ndarray]
-    whitened_means: Optional[np.ndarray]  # (4H,) W_h mu_h in the same layout
-    logdets: Optional[np.ndarray]  # (H,) log det C_h = 2 sum log diag L_h
+    # the contiguous plane [j*H, (j+1)*H); at sigma2 = 0 every L_h is I
+    whiten: np.ndarray
+    whitened_means: np.ndarray  # (4H,) W_h mu_h in the same layout
+    logdets: np.ndarray  # (H,) log det C_h = 2 sum log diag L_h, 0 at sigma2 = 0
 
 
 def _slot_fields(constellation: RingPskConstellation, idx: np.ndarray):
@@ -134,22 +134,17 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     # (|K_x|, |K_y|, delta), so the x-phase-anchored fields serve
     kx, ky = apply_jones(channel, *_slot_fields(constellation, triples))
     means, covs = gaussian_stats_dims123(kx, ky, channel.sigma2)
-    if channel.sigma2 == 0.0:
-        return _HypothesisBank(triples, means, None, None, None)
-    chol = np.linalg.cholesky(covs)
+    # no Cholesky of the zero covariances at sigma2 = 0: I scores the nearest mean
+    chol = np.linalg.cholesky(covs) if channel.sigma2 > 0 else np.broadcast_to(np.eye(4), covs.shape)
     inv_chol = np.linalg.inv(chol)  # (H, 4, 4), row j of W_h at [h, j]
     whiten = np.ascontiguousarray(inv_chol.transpose(2, 1, 0).reshape(4, -1))
     whitened_means = np.einsum("hji,hi->jh", inv_chol, means).ravel()
     logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     _require_finite(channel.sigma2, logdets)
-    return _HypothesisBank(triples, means, whiten, whitened_means, logdets)
+    return _HypothesisBank(triples, whiten, whitened_means, logdets)
 
 
 def _bank_scores(bank: _HypothesisBank, obs: np.ndarray) -> np.ndarray:
-    if bank.whiten is None:
-        # degenerate covariance at sigma2 = 0: nearest-mean decision
-        diffs = obs[:, None, :] - bank.means[None, :, :]
-        return -np.einsum("nhi,nhi->nh", diffs, diffs)
     n, h = len(obs), len(bank.logdets)
     scores = np.empty((n, h))
     resid = np.empty((min(n, SCORE_SLICE_ROWS), 4 * h))
@@ -244,19 +239,6 @@ TRAINING_PILOTS = np.array([[1.0, 0.0], [1.0, 1.0], [1.0j, 1.0]], dtype=complex)
 TRAINING_PILOTS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Rotation estimate with the overall sign fixed canonically; ``residual``
-    is the L2 misfit of the averaged training observables."""
-
-    a_hat: complex
-    b_hat: complex
-    residual: float
-
-    def as_channel(self, sigma2: float) -> JonesChannel:
-        return channel_from_pair(self.a_hat, self.b_hat, sigma2)
-
-
 def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) -> np.ndarray:
     """Average each training pilot's noisy Stokes vector over ``repeats``
     transmissions; returns the (3, 4) averaged w1..w4, one row per pilot.
@@ -297,14 +279,16 @@ def _canonical_sign(a: complex, b: complex):
     return a, b
 
 
-def estimate_channel(training_obs: np.ndarray) -> ChannelEstimate:
+def estimate_channel(training_obs: np.ndarray) -> tuple[JonesChannel, float]:
     """Solve for the rotation from the (3, 4) averaged pilot observables of
-    ``run_training``, one row (w1..w4) per pilot.
+    ``run_training``, one row (w1..w4) per pilot.  Returns ``(channel,
+    residual)``: the noiseless ``JonesChannel`` estimate, with the overall
+    sign fixed canonically, and the L2 misfit of the observables.
 
     The beat samples are unbiased: pilot 1 gives -ab, pilots 2 and 3 give
     a^2 - b^2 and i(a^2 + b^2), fixing both squared parameters and their
     relative phase.  The pair is anchored on the larger of a^2, b^2, then
-    normalized; intensities enter only through the reported residual.
+    normalized; intensities enter only through the residual.
     """
     training_obs = np.asarray(training_obs)
     if training_obs.shape != (3, 4):
@@ -328,18 +312,15 @@ def estimate_channel(training_obs: np.ndarray) -> ChannelEstimate:
     predicted = stokes_vector(*apply_jones(JonesChannel(a, b), *TRAINING_PILOTS.T))
     # each pilot's row sum, then the three in pilot order
     sq_err = sum(((training_obs - predicted) ** 2).sum(axis=1))
-    return ChannelEstimate(a, b, math.sqrt(sq_err))
+    return channel_from_pair(a, b), math.sqrt(sq_err)
 
 
-def gauge_aligned_error(estimate: ChannelEstimate, channel: JonesChannel) -> float:
-    """Worst-component estimation error after resolving the unobservable
-    overall sign."""
-    errs = []
-    for s in (1.0, -1.0):
-        errs.append(
-            max(abs(s * estimate.a_hat - channel.a), abs(s * estimate.b_hat - channel.b))
-        )
-    return min(errs)
+def gauge_aligned_error(estimate: JonesChannel, channel: JonesChannel) -> float:
+    """Worst-component error of the (a, b) of one channel against another's,
+    after resolving the unobservable overall sign."""
+    return min(
+        max(abs(s * estimate.a - channel.a), abs(s * estimate.b - channel.b)) for s in (1.0, -1.0)
+    )
 
 
 # --- successive receiver ----------------------------------------------------

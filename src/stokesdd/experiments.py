@@ -66,7 +66,8 @@ def _ser_block(cfg: ExperimentConfig, block: int) -> np.ndarray:
         channel = JonesChannel(channel0.a, channel0.b, sigma2)
         if cfg.channel_mode == "estimated":
             training = run_training(channel, cfg.training_repeats, _rng(cfg.seed, block, 3, i))
-            channel = estimate_channel(training).as_channel(sigma2)
+            est = estimate_channel(training)[0]
+            channel = JonesChannel(est.a, est.b, sigma2)
 
         result = run_successive_receiver(
             frames,
@@ -288,14 +289,16 @@ def covariance_calibration(
 def channel_estimation_demo(osnr_db: float, repeats: int, seed: int = 0) -> dict:
     """Draw one channel, estimate it from averaged training pilots, and report
     the sign-aligned error and the fit residual."""
+    if repeats < 1:
+        raise ValueError(f"repeats (--repeats) must be at least 1, got {repeats}")
     sigma2 = osnr_to_sigma2(osnr_db)
     channel = haar_random_channel(_rng(seed, 901), sigma2)
-    estimate = estimate_channel(run_training(channel, repeats, _rng(seed, 902)))
+    estimate, residual = estimate_channel(run_training(channel, repeats, _rng(seed, 902)))
     return {
         "true_a": channel.a,
         "true_b": channel.b,
-        "a_hat": estimate.a_hat,
-        "b_hat": estimate.b_hat,
-        "residual": estimate.residual,
+        "a_hat": estimate.a,
+        "b_hat": estimate.b,
+        "residual": residual,
         "aligned_error": gauge_aligned_error(estimate, channel),
     }

@@ -129,6 +129,8 @@ def draw_frame(constellation: RingPskConstellation, seed: int, key: int, n: int)
     return channel, idx, kx, ky, unit
 
 
+# a function, not inlined in the OSNR loop: its return frees the noisy fx, fy
+# before the next point draws its own (inlined, rate-genie's peak RSS grew 1 MiB)
 def _statistic(constellation, channel, sigma2, kx, ky, unit, genie_gain=None):
     """Normalized delayed-beat statistic of one frame at one noise level: the
     beat (w5 + i w6) / 2 of the noisy fields over its gain.

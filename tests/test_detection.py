@@ -282,14 +282,23 @@ def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
     assert (np.abs(scores - ref) <= tol[:, None]).all()
 
 
-def test_zero_noise_scores_are_negative_squared_distances():
+@pytest.mark.parametrize("shape", [(1, 1), (2, 4), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize(
+    "n", [1, 2 * SCORE_SLICE_ROWS - 1, 2 * SCORE_SLICE_ROWS, 2 * SCORE_SLICE_ROWS + 1]
+)
+def test_zero_noise_scores_are_half_negative_squared_distances(shape, n):
+    # at sigma2 = 0 the bank whitens by I and every log-determinant is 0, so
+    # the slice loop sums the squared residual planes in plane order
     rng = np.random.default_rng(21)
-    c = build_constellation(3, 8)
+    c = build_constellation(*shape)
     ch = haar_random_channel(rng, 0.0)
-    obs = rng.standard_normal((50, 4))
-    _, scores = detect_dims123_block(obs, ch, c)
-    _, means, covs = hypothesis_stats(ch, c)
-    assert np.array_equal(scores, einsum_bank_scores(means, covs, 0.0, obs))
+    obs = rng.standard_normal((n, 4))
+    decided, scores = detect_dims123_block(obs, ch, c)
+    triples, means, covs = hypothesis_stats(ch, c)
+    d = obs[:, None, :] - means[None, :, :]
+    sq = d * d
+    assert np.array_equal(scores, -0.5 * (((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3]))
+    assert (decided == triples[einsum_bank_scores(means, covs, 0.0, obs).argmax(axis=1)]).all()
 
 
 # --- inter-slot detection -----------------------------------------------------
@@ -589,8 +598,8 @@ def test_estimate_channel_noiseless_exact():
     rng = np.random.default_rng(90)
     for _ in range(50):
         ch = haar_random_channel(rng, 0.0)
-        est = estimate_channel(run_training(ch, 1, rng))
-        assert est.residual < 1e-9
+        est, residual = estimate_channel(run_training(ch, 1, rng))
+        assert residual < 1e-9
         assert gauge_aligned_error(est, ch) < 1e-9
 
 
@@ -604,7 +613,7 @@ def test_estimate_invariant_to_whole_matrix_phase():
     # e^{i phi} J produces identical observables, hence an identical estimate
     rng = np.random.default_rng(91)
     ch = haar_random_channel(rng, 0.0)
-    est_ref = estimate_channel(run_training(ch, 1, rng))
+    est_ref, _ = estimate_channel(run_training(ch, 1, rng))
     dark = DualPolSymbol(0j, 0j)
     for phi in (0.0, 0.4, -2.2, math.pi / 2):
         rot = cmath.exp(1j * phi)
@@ -612,15 +621,15 @@ def test_estimate_invariant_to_whole_matrix_phase():
         for ex, ey in TRAINING_PILOTS:
             kx, ky = apply_jones(ch, ex, ey)
             obs.append(frontend_full(DualPolSymbol(rot * kx, rot * ky), dark).as_array()[:4])
-        est = estimate_channel(np.array(obs))
-        assert abs(est.a_hat - est_ref.a_hat) < 1e-12
-        assert abs(est.b_hat - est_ref.b_hat) < 1e-12
+        est, _ = estimate_channel(np.array(obs))
+        assert abs(est.a - est_ref.a) < 1e-12
+        assert abs(est.b - est_ref.b) < 1e-12
 
 
 def test_estimate_channel_noisy_convergence():
     rng = np.random.default_rng(92)
     ch = haar_random_channel(rng, osnr_to_sigma2(20.0))
-    est = estimate_channel(run_training(ch, 2000, rng))
+    est, _ = estimate_channel(run_training(ch, 2000, rng))
     assert gauge_aligned_error(est, ch) < 0.03
 
 
@@ -630,7 +639,7 @@ def test_estimate_channel_recovers_complex_rotations_for_detection():
     c = build_constellation(2, 4)
     for _ in range(10):
         ch = haar_random_channel(rng, 0.0)
-        est = estimate_channel(run_training(ch, 1, rng)).as_channel(0.0)
+        est, _ = estimate_channel(run_training(ch, 1, rng))
         idx = random_symbol_stream(rng, c, 40)
         ex, ey = encode_indices(c, idx)
         kx, ky = apply_jones(ch, ex, ey)
