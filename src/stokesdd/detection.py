@@ -18,13 +18,24 @@ the previous slot's K_y; its covariance is a scalar times I_2.
 
 Per-slot detection enumerates all H magnitude/intra-phase hypotheses and
 scores each one by the Gaussian log-likelihood
--0.5 (|W_h w - W_h mu_h|^2 + log det C_h), where C_h = L_h L_h^T is the
-hypothesis covariance and W_h = L_h^-1 its Cholesky whitening map.  The
-hypothesis bank lays every W_h out side by side in one planar (4, 4H)
-matrix, so a slice of slots is scored by one GEMM, a subtraction of the
-whitened means, and a sum of the squares of four contiguous H-wide planes.
-At sigma2 = 0 the covariances vanish and the bank whitens by I, so the same
-formula scores -0.5 |w - mu_h|^2: the rule becomes the nearest mean.
+-0.5 ((w - mu_h)^T P_h (w - mu_h) + log det C_h), with P_h = C_h^-1 and
+C_h = L_h L_h^T.  The score is a quadratic in w, so it is linear in the 15
+monomials (1, w_i, w_i w_j for i <= j): the quadratic discriminant of
+Hastie, Tibshirani & Friedman (Elements of Statistical Learning, 4.3).  The
+hypothesis bank stores their (15, H) coefficient table
+T = -0.5 [mu^T P mu + log det C; -2 P mu; P_ii, or 2 P_ij for i < j], and a
+slice of slots is scored by building its monomial rows and one GEMM.
+At sigma2 = 0 the covariances vanish and the bank takes P = I and log det
+C = 0, so the same table scores -0.5 |w - mu_h|^2: the rule becomes the
+nearest mean.
+
+The expanded form cancels: w^T P w and mu^T P mu are ~|P| while their
+difference is O(1), so its error grows with the condition number kappa of
+the covariances.  Past ``EXPANDED_FORM_MAX_KAPPA_EPS`` the bank hands over
+to the whitened form -0.5 (|W_h w - W_h mu_h|^2 + log det C_h), with
+W_h = L_h^-1 laid out side by side in one planar (4, 4H) matrix: a GEMM, a
+subtraction of the whitened means and a sum of four squared H-wide planes,
+within kappa eps of the quadratic.  No standing config reaches it.
 
 The inter-slot phase is then detected successively, conditioned on those
 decisions and on the previous slot (its decided values, or the true ones in
@@ -60,10 +71,23 @@ from .constellation import RingPskConstellation
 # the slot is flagged as an erasure
 ERASURE_TOL = 1e-12
 
-# slots per scoring slice: the slice's (rows, 4H) block of whitened
-# residuals is 1 MiB at H = 256, so it stays in a 2 MiB per-core L2 cache,
-# and each slice still spreads its half-dozen numpy calls over 128 slots
-SCORE_SLICE_ROWS = 128
+# slots per scoring slice, chosen by timing: the slice's (rows, H) block of
+# the table is 2 MiB at H = 256, one per-core L2 cache, and its ~16 numpy
+# calls are spread over enough slots (128-row slices took twice as long at
+# 2x4 and 4x16); one unsliced GEMM of the whole table halved the 2-worker
+# pool's throughput, probably through OpenBLAS helper threads
+SCORE_SLICE_ROWS = 1024
+
+# the hand-over from the expanded monomial table to the whitened form: the
+# expanded form is used while max_h kappa_h * eps stays below this bound,
+# with kappa_h estimated by (max diag L_h / min diag L_h)^2.  It hands over
+# near 100 dB, ~40 dB below the first wrong decisions of an unguarded
+# expanded form (from 140 dB at 4x16).  An exact likelihood rule for the
+# high-OSNR range would replace the whitened form at this same threshold.
+EXPANDED_FORM_MAX_KAPPA_EPS = 1e-6
+
+# the (i, j), i <= j, of the quadratic monomials w_i w_j, in table row order
+_PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 
 def _require_finite(sigma2, array):
@@ -104,15 +128,18 @@ def gaussian_stats_dims123(kx, ky, sigma2: float):
 
 @dataclass
 class _HypothesisBank:
-    """Per-(channel, constellation) tables for the per-slot detector."""
+    """Per-(channel, constellation) tables for the per-slot detector: the
+    monomial table below the hand-over, the whitened form past it."""
 
     triples: np.ndarray  # (H, 3) in canonical rx-major order
+    logdets: np.ndarray  # (H,) log det C_h = 2 sum log diag L_h, 0 at sigma2 = 0
+    # (15, H) coefficients of the monomials (1, w_i, w_i w_j for i <= j)
+    table: Optional[np.ndarray] = None
     # (4, 4H) planar whitening map: column j*H + h is row j of W_h = L_h^-1,
     # so w @ whiten holds the whitened coordinate j of every hypothesis in
-    # the contiguous plane [j*H, (j+1)*H); at sigma2 = 0 every L_h is I
-    whiten: np.ndarray
-    whitened_means: np.ndarray  # (4H,) W_h mu_h in the same layout
-    logdets: np.ndarray  # (H,) log det C_h = 2 sum log diag L_h, 0 at sigma2 = 0
+    # the contiguous plane [j*H, (j+1)*H)
+    whiten: Optional[np.ndarray] = None
+    whitened_means: Optional[np.ndarray] = None  # (4H,) W_h mu_h in the same layout
 
 
 def _slot_fields(constellation: RingPskConstellation, idx: np.ndarray):
@@ -136,28 +163,45 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     means, covs = gaussian_stats_dims123(kx, ky, channel.sigma2)
     # no Cholesky of the zero covariances at sigma2 = 0: I scores the nearest mean
     chol = np.linalg.cholesky(covs) if channel.sigma2 > 0 else np.broadcast_to(np.eye(4), covs.shape)
-    inv_chol = np.linalg.inv(chol)  # (H, 4, 4), row j of W_h at [h, j]
-    whiten = np.ascontiguousarray(inv_chol.transpose(2, 1, 0).reshape(4, -1))
-    whitened_means = np.einsum("hji,hi->jh", inv_chol, means).ravel()
-    logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    diag = np.diagonal(chol, axis1=1, axis2=2)
+    logdets = 2.0 * np.log(diag).sum(axis=1)
     _require_finite(channel.sigma2, logdets)
-    return _HypothesisBank(triples, whiten, whitened_means, logdets)
+    inv_chol = np.linalg.inv(chol)  # (H, 4, 4), row j of W_h at [h, j]
+    whitened_means = np.einsum("hji,hi->jh", inv_chol, means)
+    kappa = ((diag.max(axis=1) / diag.min(axis=1)) ** 2).max()
+    if kappa * np.finfo(float).eps > EXPANDED_FORM_MAX_KAPPA_EPS:
+        whiten = np.ascontiguousarray(inv_chol.transpose(2, 1, 0).reshape(4, -1))
+        return _HypothesisBank(triples, logdets, whiten=whiten, whitened_means=whitened_means.ravel())
+    prec = np.swapaxes(inv_chol, 1, 2) @ inv_chol  # P_h = W_h^T W_h
+    table = np.empty((15, len(triples)))
+    table[0] = -0.5 * ((whitened_means**2).sum(axis=0) + logdets)
+    table[1:5] = (prec @ means[:, :, None])[..., 0].T
+    iu, ju = np.array(_PAIRS).T
+    table[5:] = np.where(iu == ju, -0.5, -1.0)[:, None] * prec[:, iu, ju].T
+    return _HypothesisBank(triples, logdets, table=table)
 
 
 def _bank_scores(bank: _HypothesisBank, obs: np.ndarray) -> np.ndarray:
-    n, h = len(obs), len(bank.logdets)
+    n, h = len(obs), len(bank.triples)
     scores = np.empty((n, h))
-    resid = np.empty((min(n, SCORE_SLICE_ROWS), 4 * h))
+    mono = np.empty((15, min(n, SCORE_SLICE_ROWS)))
+    mono[0] = 1.0
     for start in range(0, n, SCORE_SLICE_ROWS):
         stop = min(start + SCORE_SLICE_ROWS, n)
-        z = resid[: stop - start]
-        np.matmul(obs[start:stop], bank.whiten, out=z)
-        z -= bank.whitened_means
-        np.square(z, out=z)
         out = scores[start:stop]
-        z.reshape(-1, 4, h).sum(axis=1, out=out)
-        out += bank.logdets
-        out *= -0.5
+        if bank.table is None:  # the whitened form, past the hand-over
+            z = obs[start:stop] @ bank.whiten
+            z -= bank.whitened_means
+            np.square(z, out=z)
+            z.reshape(-1, 4, h).sum(axis=1, out=out)
+            out += bank.logdets
+            out *= -0.5
+            continue
+        f = mono[:, : stop - start]
+        f[1:5] = obs[start:stop].T
+        for k, (i, j) in enumerate(_PAIRS):
+            np.multiply(f[1 + i], f[1 + j], out=f[5 + k])
+        np.matmul(f.T, bank.table, out=out)
     return scores
 
 
@@ -307,12 +351,12 @@ def estimate_channel(training_obs: np.ndarray) -> tuple[JonesChannel, float]:
         b = cmath.sqrt(b2)
         a = ab / b
     unit = channel_from_pair(a, b)
-    a, b = _canonical_sign(unit.a, unit.b)
+    channel = JonesChannel(*_canonical_sign(unit.a, unit.b))
 
-    predicted = stokes_vector(*apply_jones(JonesChannel(a, b), *TRAINING_PILOTS.T))
+    predicted = stokes_vector(*apply_jones(channel, *TRAINING_PILOTS.T))
     # each pilot's row sum, then the three in pilot order
     sq_err = sum(((training_obs - predicted) ** 2).sum(axis=1))
-    return channel_from_pair(a, b), math.sqrt(sq_err)
+    return channel, math.sqrt(sq_err)
 
 
 def gauge_aligned_error(estimate: JonesChannel, channel: JonesChannel) -> float:

@@ -246,13 +246,42 @@ def test_scalar_detect_matches_block():
         assert (d.indices.rx, d.indices.ry, d.indices.t) == tuple(block[n])
 
 
+def expanded_score_scale(means, covs, sigma2, obs):
+    """0.5 max_h sum_k |F_nk| |T_kh| per row: the forward-error scale of the
+    dot products F T of the monomials F = (1, w_i, w_i w_j) and the expanded
+    table T = [mu^T P mu + log det C; -2 P mu; P_ii, or 2 P_ij for i < j]
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), built
+    from the explicit inverses P = C^-1 (P = I, log det C = 0 at sigma2 = 0).
+    It is at least 0.5 (quad + |log det C|), the scale of the whitened form."""
+    if sigma2 == 0.0:
+        prec, logdets = np.broadcast_to(np.eye(4), covs.shape), np.zeros(len(covs))
+    else:
+        prec, logdets = np.linalg.inv(covs), np.linalg.slogdet(covs)[1]
+    iu, ju = np.triu_indices(4)
+    abs_table = np.concatenate(
+        [
+            (np.abs(np.einsum("hi,hij,hj->h", means, prec, means)) + np.abs(logdets))[None],
+            2.0 * np.abs(np.einsum("hij,hj->ih", prec, means)),
+            np.where(iu == ju, 1.0, 2.0)[:, None] * np.abs(prec[:, iu, ju]).T,
+        ]
+    )
+    mono = np.concatenate([np.ones((len(obs), 1)), obs, obs[:, iu] * obs[:, ju]], axis=1)
+    return 0.5 * (np.abs(mono) @ abs_table).max(axis=1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     shape=st.sampled_from([(1, 1), (2, 4), (3, 8), (4, 16)]),
     osnr_db=st.floats(0.0, 140.0),
     # no slice edge, one slot either side of an edge, on one, and many slices
     n=st.sampled_from(
-        [1, 2 * SCORE_SLICE_ROWS - 1, 2 * SCORE_SLICE_ROWS, 2 * SCORE_SLICE_ROWS + 1, 1000]
+        [
+            1,
+            2 * SCORE_SLICE_ROWS - 1,
+            2 * SCORE_SLICE_ROWS,
+            2 * SCORE_SLICE_ROWS + 1,
+            3 * SCORE_SLICE_ROWS + SCORE_SLICE_ROWS // 2,
+        ]
     ),
     seed=st.integers(0, 2**31),
 )
@@ -270,25 +299,30 @@ def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
     ref = einsum_bank_scores(means, covs, ch.sigma2, obs)
     assert scores.shape == ref.shape
     assert (decided == triples[ref.argmax(axis=1)]).all()
-    # Both forms are backward stable, so each is off the exact score by about
-    # the covariance condition number times eps, relative to the size of the
-    # terms summed into a score (0.5 (quad + |log det|)).  That bound is below
-    # 1e-12 up to about 15 dB and grows 10x per 10 dB beyond.
-    logdets = np.linalg.slogdet(covs)[1]
-    quads = -2.0 * ref - logdets
-    scale = 0.5 * (quads + np.abs(logdets)).max(axis=1)
+    # Both forms are off the exact score by about the covariance condition
+    # number times eps, relative to the size of the terms summed into a
+    # score: the expanded table's dot products (see expanded_score_scale),
+    # which also bounds the whitened form's 0.5 (quad + |log det|).  That
+    # bound is below 1e-12 up to about 15 dB and grows 10x per 10 dB beyond.
+    scale = expanded_score_scale(means, covs, ch.sigma2, obs)
     kappa = np.linalg.cond(covs).max()
     tol = 16.0 * kappa * np.finfo(float).eps * scale
     assert (np.abs(scores - ref) <= tol[:, None]).all()
 
 
+# the slice loop's edges are run at this slice size here, which keeps each
+# case's oracle small; the test above draws the edges of SCORE_SLICE_ROWS
+EDGE_SLICE_ROWS = 128
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (2, 4), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize(
-    "n", [1, 2 * SCORE_SLICE_ROWS - 1, 2 * SCORE_SLICE_ROWS, 2 * SCORE_SLICE_ROWS + 1]
+    "n", [1, 2 * EDGE_SLICE_ROWS - 1, 2 * EDGE_SLICE_ROWS, 2 * EDGE_SLICE_ROWS + 1]
 )
-def test_zero_noise_scores_are_half_negative_squared_distances(shape, n):
-    # at sigma2 = 0 the bank whitens by I and every log-determinant is 0, so
-    # the slice loop sums the squared residual planes in plane order
+def test_zero_noise_scores_are_half_negative_squared_distances(shape, n, monkeypatch):
+    # at sigma2 = 0 the bank takes P = I and every log-determinant is 0, so
+    # the table scores -0.5 |w - mu_h|^2, summed as |w|^2 - 2 mu.w + |mu|^2
+    monkeypatch.setattr(detection, "SCORE_SLICE_ROWS", EDGE_SLICE_ROWS)
     rng = np.random.default_rng(21)
     c = build_constellation(*shape)
     ch = haar_random_channel(rng, 0.0)
@@ -297,8 +331,39 @@ def test_zero_noise_scores_are_half_negative_squared_distances(shape, n):
     triples, means, covs = hypothesis_stats(ch, c)
     d = obs[:, None, :] - means[None, :, :]
     sq = d * d
-    assert np.array_equal(scores, -0.5 * (((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3]))
-    assert (decided == triples[einsum_bank_scores(means, covs, 0.0, obs).argmax(axis=1)]).all()
+    ref = -0.5 * (((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3])
+    tol = 16.0 * np.finfo(float).eps * expanded_score_scale(means, covs, 0.0, obs)
+    assert (np.abs(scores - ref) <= tol[:, None]).all()
+    oracle = einsum_bank_scores(means, covs, 0.0, obs).argmax(axis=1)
+    assert np.array_equal(scores.argmax(axis=1), oracle)
+    assert (decided == triples[oracle]).all()
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_high_osnr_decisions_are_exact_past_the_hand_over(shape):
+    # w^T P w and mu^T P mu of the expanded table are ~|P| while their
+    # difference is O(1); without the hand-over to the whitened form, 3x8
+    # made 87 wrong decisions in 20,000 slots at 145 dB
+    rng = np.random.default_rng(16)
+    c = build_constellation(*shape)
+    for osnr_db in (140.0, 145.0, 148.0):
+        for _ in range(10):
+            ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
+            idx = random_symbol_stream(rng, c, 2_000)
+            fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
+            decided, _ = detect_dims123_block(frontend_full_block(fx, fy)[:, :4], ch, c)
+            assert np.array_equal(decided, idx[:, :3]), (osnr_db, int((decided != idx[:, :3]).any(axis=1).sum()))
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_standing_osnr_range_scores_by_the_monomial_table(shape):
+    # every standing config (-10 to 60 dB, and sigma2 = 0) stays on the GEMM
+    c = build_constellation(*shape)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for sigma2 in [0.0] + [osnr_to_sigma2(db) for db in (-10.0, 0.0, 20.0, 40.0, 60.0)]:
+            bank = detection._build_bank(haar_random_channel(rng, sigma2), c)
+            assert bank.table is not None and bank.whiten is None
 
 
 # --- inter-slot detection -----------------------------------------------------

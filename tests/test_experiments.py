@@ -10,7 +10,13 @@ import pytest
 
 from stokesdd.cli import _add_experiment_args, _build_config, main
 from stokesdd import experiments
-from stokesdd.config import MAX_HISTOGRAM_CELLS, MAX_OSNR_POINTS, SEED_ENV_VAR, ExperimentConfig
+from stokesdd.config import (
+    MAX_HISTOGRAM_CELLS,
+    MAX_OSNR_POINTS,
+    MAX_SCORE_CELLS,
+    SEED_ENV_VAR,
+    ExperimentConfig,
+)
 from stokesdd.experiments import (
     _whitened_normals,
     covariance_calibration,
@@ -139,6 +145,27 @@ def test_rate_histogram_cells_are_capped():
             with pytest.raises(ValueError, match="n_bins") as err:
                 cfg.validate()
             assert str(MAX_HISTOGRAM_CELLS) in str(err.value)
+
+
+def test_score_table_cells_are_capped():
+    # one receiver call scores H = n_rings^2 * n_phases hypotheses on each of
+    # its slots: symbols_per_block of them in a SER block, ceil(n_samples /
+    # n_channels) + 1 in a decision-directed rate frame; genie rate frames
+    # never reach the receiver
+    h = 4 * 4 * 16
+    ExperimentConfig(n_rings=4, n_phases=16, symbols_per_block=MAX_SCORE_CELLS // h).validate()
+    frame = dict(experiment="rate", n_rings=4, n_phases=16, n_channels=1)
+    ExperimentConfig(rate_context="decision-directed", n_samples=MAX_SCORE_CELLS // h - 1, **frame).validate()
+    ExperimentConfig(rate_context="genie", n_samples=MAX_SCORE_CELLS // h, **frame).validate()
+    too_large = [
+        ExperimentConfig(n_rings=4, n_phases=16, symbols_per_block=MAX_SCORE_CELLS // h + 1),
+        ExperimentConfig(rate_context="decision-directed", n_samples=MAX_SCORE_CELLS // h, **frame),
+        ExperimentConfig(n_rings=64, n_phases=64),
+    ]
+    for cfg in too_large:
+        with pytest.raises(ValueError, match="n_rings/n_phases") as err:
+            cfg.validate()
+        assert str(MAX_SCORE_CELLS) in str(err.value)
 
 
 def test_osnr_grid_no_float_drift():
@@ -420,6 +447,7 @@ _SMALL_CAL = ["--configs", "1", "--draws", "8"]
         (["ser", "--config", "five.json"], None, "--config"),
         (["rate", "--config", "syntax.json"], None, "--config"),
         (["rate", "--n-bins", "100000"], None, "n_bins"),
+        (["ser", "--n-rings", "64", "--n-phases", "64"], None, "n_rings/n_phases"),
     ],
     ids=[
         "cal-seed", "demo-seed", "cal-draws-1", "cal-draws-7", "cal-configs-0",
@@ -427,7 +455,7 @@ _SMALL_CAL = ["--configs", "1", "--draws", "8"]
         "ser-tiny-osnr-step", "ser-osnr-overflow", "rate-osnr-overflow", "ser-covariance-overflow",
         "demo-osnr-overflow", "demo-osnr-minus-inf",
         "config-missing", "config-directory", "config-not-an-object", "config-syntax",
-        "rate-histogram-too-large",
+        "rate-histogram-too-large", "ser-score-table-too-large",
     ],
 )
 def test_cli_rejects_bad_inputs_by_name(argv, env_seed, named, tmp_path, monkeypatch, capsys):
