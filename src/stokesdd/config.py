@@ -20,10 +20,12 @@ MAX_OSNR_POINTS = 10_000
 # MiB): 2048 bins at 4 phases; the repo's own sweeps use at most 32,768
 MAX_HISTOGRAM_CELLS = 2**24
 
-# largest per-slot score table of one receiver call, H = n_rings^2 * n_phases
-# hypotheses times the call's slots, in float64 cells (256 MiB); the repo's
-# own sweeps use at most 2,560,000 (4 rings x 16 phases x 10^4 slots)
-MAX_SCORE_CELLS = 2**25
+# most per-slot hypotheses H = n_rings^2 * n_phases: the receiver scores a
+# frame in slices of detection.SCORE_SLICE_ROWS = 2^10 slots, so its largest
+# array, the whitened form's (slice, 4H) block, stays within 2^25 float64
+# cells (256 MiB) at any frame length; the repo's own sweeps use at most 256
+# (4 rings x 16 phases)
+MAX_HYPOTHESES = 2**13
 
 # a grid point this far past osnr_stop_db still belongs to the grid
 _GRID_TOL = 1e-9
@@ -105,16 +107,9 @@ class ExperimentConfig:
             raise ValueError("n_samples must be at least n_channels for a rate sweep")
         if self.rate_context not in ("genie", "decision-directed"):
             raise ValueError("rate_context must be 'genie' or 'decision-directed'")
-        # either sweep may run a validated config: the SER sweep calls the
-        # receiver on blocks of symbols_per_block slots, the decision-directed
-        # rate sweep on frames of ceil(n_samples / n_channels) + 1 slots
-        slots = self.symbols_per_block
-        if self.rate_context == "decision-directed":
-            slots = max(slots, -(-self.n_samples // self.n_channels) + 1)
-        if self.n_rings**2 * self.n_phases * slots > MAX_SCORE_CELLS:
+        if self.n_rings**2 * self.n_phases > MAX_HYPOTHESES:
             raise ValueError(
-                f"n_rings/n_phases: n_rings^2 * n_phases hypotheses times {slots} slots per "
-                f"receiver call exceed {MAX_SCORE_CELLS} score cells"
+                f"n_rings/n_phases: n_rings^2 * n_phases exceeds {MAX_HYPOTHESES} per-slot hypotheses"
             )
         if self.workers < 1:
             raise ValueError("workers must be positive")

@@ -24,7 +24,10 @@ monomials (1, w_i, w_i w_j for i <= j): the quadratic discriminant of
 Hastie, Tibshirani & Friedman (Elements of Statistical Learning, 4.3).  The
 hypothesis bank stores their (15, H) coefficient table
 T = -0.5 [mu^T P mu + log det C; -2 P mu; P_ii, or 2 P_ij for i < j], and a
-slice of slots is scored by building its monomial rows and one GEMM.
+slice of slots is scored by building its monomial rows and one GEMM.  The
+receiver builds the bank once per frame and scores the frame slice by slice,
+keeping only each slot's argmax, so the memory of a call is bounded by one
+slice's score block, never by a whole-frame (n, H) table.
 At sigma2 = 0 the covariances vanish and the bank takes P = I and log det
 C = 0, so the same table scores -0.5 |w - mu_h|^2: the rule becomes the
 nearest mean.
@@ -71,11 +74,13 @@ from .constellation import RingPskConstellation
 # the slot is flagged as an erasure
 ERASURE_TOL = 1e-12
 
-# slots per scoring slice, chosen by timing: the slice's (rows, H) block of
-# the table is 2 MiB at H = 256, one per-core L2 cache, and its ~16 numpy
-# calls are spread over enough slots (128-row slices took twice as long at
-# 2x4 and 4x16); one unsliced GEMM of the whole table halved the 2-worker
-# pool's throughput, probably through OpenBLAS helper threads
+# slots per scoring slice of the receiver, chosen by timing: the slice's
+# (rows, H) score block is 2 MiB at H = 256, one per-core L2 cache, and its
+# ~16 numpy calls are spread over enough slots (128-row slices took twice as
+# long at 2x4 and 4x16); one unsliced GEMM of a whole frame halved the
+# 2-worker pool's throughput, probably through OpenBLAS helper threads.  The
+# slice, not the frame, bounds a receiver call's memory: its largest array is
+# the (rows, H) block, or the whitened form's (rows, 4H) one
 SCORE_SLICE_ROWS = 1024
 
 # the hand-over from the expanded monomial table to the whitened form: the
@@ -147,7 +152,9 @@ def _slot_fields(constellation: RingPskConstellation, idx: np.ndarray):
     at zero: (r_x, r_y e^{-i t step})."""
     radii = np.asarray(constellation.radii)
     ex = radii[idx[:, 0]].astype(complex)
-    ey = radii[idx[:, 1]] * np.exp(-1j * constellation.phase_step * idx[:, 2])
+    # a gather from the n_phases phasors: one exp per phase, not per slot
+    phasors = np.exp(-1j * constellation.phase_step * np.arange(constellation.n_phases))
+    ey = radii[idx[:, 1]] * phasors[idx[:, 2]]
     return ex, ey
 
 
@@ -181,39 +188,30 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     return _HypothesisBank(triples, logdets, table=table)
 
 
-def _bank_scores(bank: _HypothesisBank, obs: np.ndarray) -> np.ndarray:
-    n, h = len(obs), len(bank.triples)
-    scores = np.empty((n, h))
-    mono = np.empty((15, min(n, SCORE_SLICE_ROWS)))
-    mono[0] = 1.0
-    for start in range(0, n, SCORE_SLICE_ROWS):
-        stop = min(start + SCORE_SLICE_ROWS, n)
-        out = scores[start:stop]
-        if bank.table is None:  # the whitened form, past the hand-over
-            z = obs[start:stop] @ bank.whiten
-            z -= bank.whitened_means
-            np.square(z, out=z)
-            z.reshape(-1, 4, h).sum(axis=1, out=out)
-            out += bank.logdets
-            out *= -0.5
-            continue
-        f = mono[:, : stop - start]
-        f[1:5] = obs[start:stop].T
-        for k, (i, j) in enumerate(_PAIRS):
-            np.multiply(f[1 + i], f[1 + j], out=f[5 + k])
-        np.matmul(f.T, bank.table, out=out)
-    return scores
-
-
-def detect_dims123_block(obs: np.ndarray, channel: JonesChannel, constellation: RingPskConstellation):
+def detect_dims123_block(obs: np.ndarray, bank: _HypothesisBank):
     """Vectorized per-slot detection of (ring_x, ring_y, intra-phase).
 
-    ``obs`` is (n, 4) rows of (w1, w2, w3, w4).  Returns the decided (n, 3)
-    index array and the (n, H) log-likelihood table.
+    ``obs`` is (rows, 4) rows of (w1, w2, w3, w4), scored against ``bank``
+    (``_build_bank``) with one monomial build and one GEMM, or the whitened
+    form past the hand-over.  Returns the decided (rows, 3) index array and
+    the (rows, H) log-likelihood block.  The receiver passes one slice of at
+    most ``SCORE_SLICE_ROWS`` rows per call.
     """
     obs = np.asarray(obs, dtype=float)
-    bank = _build_bank(channel, constellation)
-    scores = _bank_scores(bank, obs)
+    if bank.table is None:  # the whitened form, past the hand-over
+        z = obs @ bank.whiten
+        z -= bank.whitened_means
+        np.square(z, out=z)
+        scores = z.reshape(-1, 4, len(bank.triples)).sum(axis=1)
+        scores += bank.logdets
+        scores *= -0.5
+    else:
+        f = np.empty((15, len(obs)))
+        f[0] = 1.0
+        f[1:5] = obs.T
+        for k, (i, j) in enumerate(_PAIRS):
+            np.multiply(f[1 + i], f[1 + j], out=f[5 + k])
+        scores = f.T @ bank.table
     best = scores.argmax(axis=1)  # ties resolve to the lowest hypothesis index
     return bank.triples[best], scores
 
@@ -258,7 +256,8 @@ def beat_gain(constellation: RingPskConstellation, channel: JonesChannel, idx) -
     """
     idx = np.asarray(idx, dtype=np.int64)
     kx, ky = apply_jones(channel, *_slot_fields(constellation, idx))
-    return kx[1:] * np.conj(ky[:-1] * np.exp(1j * constellation.phase_step * idx[:-1, 2]))
+    phasors = np.exp(1j * constellation.phase_step * np.arange(constellation.n_phases))
+    return kx[1:] * np.conj(ky[:-1] * phasors[idx[:-1, 2]])
 
 
 def detect_dim4_block(w56: np.ndarray, gain: np.ndarray, constellation: RingPskConstellation):
@@ -421,24 +420,24 @@ def run_successive_receiver(
                 "genie_indices out of range: (rx, ry, t, e) must lie in "
                 f"[0, {nr}) x [0, {nr}) x [0, {nph}) x [0, {nph})"
             )
-    obs123 = arr[:, :4]
     w56 = arr[:, 4] + 1j * arr[:, 5]
-    # drop the (n, H) score table now, not at return: kept alive through the
-    # dim-4 stage, its freed block is split by the next call's arrays, and
-    # whether the next table then grows the heap depends on heap layout alone
-    decided = detect_dims123_block(obs123, channel, constellation)[0]
+    out = np.empty((len(arr), 4), dtype=np.int64)
+    # one bank per frame; each slice's score block is dropped once its argmax
+    # is written, so no (n, H) table is ever built
+    bank = _build_bank(channel, constellation)
+    for start in range(0, len(arr), SCORE_SLICE_ROWS):
+        rows = slice(start, start + SCORE_SLICE_ROWS)
+        out[rows, :3] = detect_dims123_block(arr[rows, :4], bank)[0]
 
     if genie_indices is not None:
         cond = genie[:, :3].astype(np.int64)
     else:
-        cond = decided.copy()
+        cond = out[:, :3].copy()
         cond[0] = PILOT[:3]
 
     gain = beat_gain(constellation, channel, cond)
     eta = detect_dim4_block(w56[1:], gain, constellation)
 
-    out = np.empty((len(arr), 4), dtype=np.int64)
-    out[:, :3] = decided
     out[0, 3] = 0
     out[1:, 3] = eta
     return ReceiverResult(out, out[:, 3] < 0, gain)

@@ -173,7 +173,7 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
     eta_idx = idx[1:, 3]
     genie = config.rate_context == "genie"
     genie_gain = beat_gain(constellation, channel, idx[:, :3]) if genie else None
-    reference = np.exp(1j * constellation.phase_step * eta_idx)
+    reference = np.exp(1j * constellation.phase_step * np.arange(constellation.n_phases))[eta_idx]
 
     grid = config.osnr_grid()
     bits = np.empty(len(grid))

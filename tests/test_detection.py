@@ -2,7 +2,6 @@ import cmath
 import math
 import time
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -188,7 +187,7 @@ def test_detect_noiseless_recovers_symbols_exactly():
         ex, ey = encode_indices(c, idx)
         kx, ky = apply_jones(ch, ex, ey)
         frames = frontend_full_block(kx, ky)
-        decided, _ = detect_dims123_block(frames[:, :4], ch, c)
+        decided, _ = detect_dims123_block(frames[:, :4], detection._build_bank(ch, c))
         assert (decided == idx[:, :3]).all()
 
 
@@ -227,7 +226,7 @@ def test_argmax_invariant_to_affine_score_changes():
     ex, ey = encode_indices(c, idx)
     fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
     frames = frontend_full_block(fx, fy)
-    _, scores = detect_dims123_block(frames[:, :4], ch, c)
+    _, scores = detect_dims123_block(frames[:, :4], detection._build_bank(ch, c))
     base = scores.argmax(axis=1)
     assert (np.argmax(3.7 * scores + 11.0, axis=1) == base).all()
 
@@ -240,7 +239,7 @@ def test_scalar_detect_matches_block():
     ex, ey = encode_indices(c, idx)
     fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
     frames = frontend_full_block(fx, fy)
-    block, _ = detect_dims123_block(frames[:, :4], ch, c)
+    block, _ = detect_dims123_block(frames[:, :4], detection._build_bank(ch, c))
     for n in range(len(idx)):
         d = detect_dims123(frames[n, :4], ch, c)
         assert (d.indices.rx, d.indices.ry, d.indices.t) == tuple(block[n])
@@ -273,16 +272,9 @@ def expanded_score_scale(means, covs, sigma2, obs):
 @given(
     shape=st.sampled_from([(1, 1), (2, 4), (3, 8), (4, 16)]),
     osnr_db=st.floats(0.0, 140.0),
-    # no slice edge, one slot either side of an edge, on one, and many slices
-    n=st.sampled_from(
-        [
-            1,
-            2 * SCORE_SLICE_ROWS - 1,
-            2 * SCORE_SLICE_ROWS,
-            2 * SCORE_SLICE_ROWS + 1,
-            3 * SCORE_SLICE_ROWS + SCORE_SLICE_ROWS // 2,
-        ]
-    ),
+    # the row counts of a receiver's slices: one, two, a short and a full
+    # slice (the receiver's slice edges are drawn by the test below)
+    n=st.sampled_from([1, 2, SCORE_SLICE_ROWS - 1, SCORE_SLICE_ROWS]),
     seed=st.integers(0, 2**31),
 )
 def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
@@ -295,7 +287,7 @@ def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
     fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
     obs = frontend_full_block(fx, fy)[:, :4]
 
-    decided, scores = detect_dims123_block(obs, ch, c)
+    decided, scores = detect_dims123_block(obs, detection._build_bank(ch, c))
     ref = einsum_bank_scores(means, covs, ch.sigma2, obs)
     assert scores.shape == ref.shape
     assert (decided == triples[ref.argmax(axis=1)]).all()
@@ -310,24 +302,18 @@ def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
     assert (np.abs(scores - ref) <= tol[:, None]).all()
 
 
-# the slice loop's edges are run at this slice size here, which keeps each
-# case's oracle small; the test above draws the edges of SCORE_SLICE_ROWS
-EDGE_SLICE_ROWS = 128
-
-
 @pytest.mark.parametrize("shape", [(1, 1), (2, 4), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
-@pytest.mark.parametrize(
-    "n", [1, 2 * EDGE_SLICE_ROWS - 1, 2 * EDGE_SLICE_ROWS, 2 * EDGE_SLICE_ROWS + 1]
-)
-def test_zero_noise_scores_are_half_negative_squared_distances(shape, n, monkeypatch):
+# one row, and row counts on and either side of a power of two, where the
+# GEMM's row blocking leaves different tails
+@pytest.mark.parametrize("n", [1, 255, 256, 257])
+def test_zero_noise_scores_are_half_negative_squared_distances(shape, n):
     # at sigma2 = 0 the bank takes P = I and every log-determinant is 0, so
     # the table scores -0.5 |w - mu_h|^2, summed as |w|^2 - 2 mu.w + |mu|^2
-    monkeypatch.setattr(detection, "SCORE_SLICE_ROWS", EDGE_SLICE_ROWS)
     rng = np.random.default_rng(21)
     c = build_constellation(*shape)
     ch = haar_random_channel(rng, 0.0)
     obs = rng.standard_normal((n, 4))
-    decided, scores = detect_dims123_block(obs, ch, c)
+    decided, scores = detect_dims123_block(obs, detection._build_bank(ch, c))
     triples, means, covs = hypothesis_stats(ch, c)
     d = obs[:, None, :] - means[None, :, :]
     sq = d * d
@@ -351,7 +337,8 @@ def test_high_osnr_decisions_are_exact_past_the_hand_over(shape):
             ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
             idx = random_symbol_stream(rng, c, 2_000)
             fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
-            decided, _ = detect_dims123_block(frontend_full_block(fx, fy)[:, :4], ch, c)
+            obs = frontend_full_block(fx, fy)[:, :4]
+            decided, _ = detect_dims123_block(obs, detection._build_bank(ch, c))
             assert np.array_equal(decided, idx[:, :3]), (osnr_db, int((decided != idx[:, :3]).any(axis=1).sum()))
 
 
@@ -364,6 +351,32 @@ def test_standing_osnr_range_scores_by_the_monomial_table(shape):
         for sigma2 in [0.0] + [osnr_to_sigma2(db) for db in (-10.0, 0.0, 20.0, 40.0, 60.0)]:
             bank = detection._build_bank(haar_random_channel(rng, sigma2), c)
             assert bank.table is not None and bank.whiten is None
+
+
+@pytest.mark.parametrize("osnr_db", [20.0, 120.0], ids=["monomial-table", "whitened"])
+@pytest.mark.parametrize(
+    "n",
+    [
+        2,
+        2 * SCORE_SLICE_ROWS - 1,
+        2 * SCORE_SLICE_ROWS,
+        2 * SCORE_SLICE_ROWS + 1,
+        3 * SCORE_SLICE_ROWS + SCORE_SLICE_ROWS // 2,
+    ],
+)
+def test_receiver_slices_decide_as_the_whole_frame_oracle(n, osnr_db):
+    # the receiver scores the frame SCORE_SLICE_ROWS slots at a time: no
+    # slice edge, one slot either side of an edge, on one, and many slices
+    rng = np.random.default_rng(n)
+    c = build_constellation(4, 16)
+    ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
+    assert (detection._build_bank(ch, c).table is None) == (osnr_db > 100.0)
+    idx = random_symbol_stream(rng, c, n)
+    fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
+    frames = frontend_full_block(fx, fy)
+    triples, means, covs = hypothesis_stats(ch, c)
+    oracle = triples[einsum_bank_scores(means, covs, ch.sigma2, frames[:, :4]).argmax(axis=1)]
+    assert np.array_equal(run_successive_receiver(frames, ch, c).indices[:, :3], oracle)
 
 
 # --- inter-slot detection -----------------------------------------------------
@@ -507,6 +520,22 @@ def test_decision_directed_gain_conditions_on_pilot_and_decisions():
     assert np.allclose(result.gain, expected, rtol=1e-12, atol=0.0)
 
 
+def test_phasor_gathers_equal_the_per_slot_exp_bit_for_bit():
+    # the fields' phase factors are gathered from an n_phases table built by
+    # the same expression as the former one exp per slot, so no bit moves
+    rng = np.random.default_rng(64)
+    ch = haar_random_channel(rng)
+    for n_phases in range(1, 65):
+        c = build_constellation(2, n_phases)
+        idx = random_symbol_stream(rng, c, 30_001)[:, :3]
+        radii, step = np.asarray(c.radii), c.phase_step
+        ey = radii[idx[:, 1]] * np.exp(-1j * step * idx[:, 2])
+        assert np.array_equal(detection._slot_fields(c, idx)[1].view(np.uint64), ey.view(np.uint64))
+        kx, ky = apply_jones(ch, radii[idx[:, 0]].astype(complex), ey)
+        gain = kx[1:] * np.conj(ky[:-1] * np.exp(1j * step * idx[:-1, 2]))
+        assert np.array_equal(beat_gain(c, ch, idx).view(np.uint64), gain.view(np.uint64))
+
+
 def test_detect_dim4_noiseless_exact():
     rng = np.random.default_rng(31)
     c = build_constellation(2, 4)
@@ -601,34 +630,24 @@ def test_receiver_rejects_malformed_genie_indices():
     run_successive_receiver(frames, ch, c, genie_indices=idx)  # the true indices pass
 
 
-def test_receiver_frees_score_table_before_dim4_stage(monkeypatch):
-    # the (n, H) table is the largest array of a receiver call; holding it
-    # through the dim-4 stage raises the peak and fragments the heap
+def test_receiver_peak_memory_is_bounded_by_the_score_slice():
+    # the receiver keeps only each slice's argmax; a whole-frame (n, H) score
+    # table (19.5 MiB here) alone would break the bound of two score slices
     rng = np.random.default_rng(4)
-    c = build_constellation(2, 4)
-    ch = haar_random_channel(rng, 0.01)
-    idx = random_symbol_stream(rng, c, 300)
-    ex, ey = encode_indices(c, idx)
-    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
+    c = build_constellation(4, 16)
+    ch = haar_random_channel(rng, osnr_to_sigma2(20.0))
+    idx = random_symbol_stream(rng, c, 10_000)
+    fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
     frames = frontend_full_block(fx, fy)
-    original_dim4 = detection.detect_dim4_block
-    tables = []
-    live_at_dim4 = []
-
-    def recording_dims123(*args, **kwargs):
-        decided, scores = detect_dims123_block(*args, **kwargs)
-        tables.append(weakref.ref(scores))
-        return decided, scores
-
-    def recording_dim4(*args, **kwargs):
-        live_at_dim4.append(tables[-1]() is not None)
-        return original_dim4(*args, **kwargs)
-
-    monkeypatch.setattr(detection, "detect_dims123_block", recording_dims123)
-    monkeypatch.setattr(detection, "detect_dim4_block", recording_dim4)
+    bound = 2 * SCORE_SLICE_ROWS * c.n_rings**2 * c.n_phases * 8
     for genie in (None, idx):
-        run_successive_receiver(frames, ch, c, genie_indices=genie)
-    assert live_at_dim4 == [False, False]
+        tracemalloc.start()
+        try:
+            run_successive_receiver(frames, ch, c, genie_indices=genie)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 def test_genie_mode_dominates_decision_directed_dim4():

@@ -12,11 +12,12 @@ from stokesdd.cli import _add_experiment_args, _build_config, main
 from stokesdd import experiments
 from stokesdd.config import (
     MAX_HISTOGRAM_CELLS,
+    MAX_HYPOTHESES,
     MAX_OSNR_POINTS,
-    MAX_SCORE_CELLS,
     SEED_ENV_VAR,
     ExperimentConfig,
 )
+from stokesdd.detection import SCORE_SLICE_ROWS
 from stokesdd.experiments import (
     _whitened_normals,
     covariance_calibration,
@@ -148,24 +149,23 @@ def test_rate_histogram_cells_are_capped():
 
 
 def test_score_table_cells_are_capped():
-    # one receiver call scores H = n_rings^2 * n_phases hypotheses on each of
-    # its slots: symbols_per_block of them in a SER block, ceil(n_samples /
-    # n_channels) + 1 in a decision-directed rate frame; genie rate frames
-    # never reach the receiver
-    h = 4 * 4 * 16
-    ExperimentConfig(n_rings=4, n_phases=16, symbols_per_block=MAX_SCORE_CELLS // h).validate()
+    # the receiver scores SCORE_SLICE_ROWS slots at a time, so bounding the
+    # H = n_rings^2 * n_phases hypotheses bounds its largest per-slice block
+    # (the whitened form's 4H columns) at 2^25 cells, whatever the frame length
+    assert SCORE_SLICE_ROWS * 4 * MAX_HYPOTHESES == 2**25
     frame = dict(experiment="rate", n_rings=4, n_phases=16, n_channels=1)
-    ExperimentConfig(rate_context="decision-directed", n_samples=MAX_SCORE_CELLS // h - 1, **frame).validate()
-    ExperimentConfig(rate_context="genie", n_samples=MAX_SCORE_CELLS // h, **frame).validate()
+    ExperimentConfig(n_rings=4, n_phases=16, symbols_per_block=2**20).validate()
+    ExperimentConfig(rate_context="decision-directed", n_samples=2**20, **frame).validate()
+    ExperimentConfig(n_rings=32, n_phases=8, symbols_per_block=100).validate()  # H = 2^13
     too_large = [
-        ExperimentConfig(n_rings=4, n_phases=16, symbols_per_block=MAX_SCORE_CELLS // h + 1),
-        ExperimentConfig(rate_context="decision-directed", n_samples=MAX_SCORE_CELLS // h, **frame),
+        ExperimentConfig(n_rings=32, n_phases=16, symbols_per_block=100),
+        ExperimentConfig(experiment="rate", n_rings=32, n_phases=9, symbols_per_block=2),
         ExperimentConfig(n_rings=64, n_phases=64),
     ]
     for cfg in too_large:
         with pytest.raises(ValueError, match="n_rings/n_phases") as err:
             cfg.validate()
-        assert str(MAX_SCORE_CELLS) in str(err.value)
+        assert str(MAX_HYPOTHESES) in str(err.value)
 
 
 def test_osnr_grid_no_float_drift():
