@@ -7,9 +7,10 @@ moments and training build on), frontend (photocurrent observables of both
 receiver variants, and ``received_samples``, the one noisy forward path),
 detection (``gaussian_stats_dims123``, the one function of the surrogate
 moments, Gaussian-surrogate ML and successive detection from the known
-``PILOT``: the inter-slot gain is the product K_x[n] K_y*[n-1] of the
-conditioning slots' noiseless fields and the decision rounds the phase of the
-delayed beat against it; training-based channel estimation), metrics (SER
+``PILOT``: the inter-slot decision rounds the phase of the delayed beat
+against one gain per slot, K_x[n] K_y*[n-1] of the decided slots' noiseless
+fields or a gain the receiver is given, such as the true values' gain in
+genie mode; training-based channel estimation), metrics (SER
 accumulation, ``draw_frame``, the one keyed Monte Carlo frame of the SER and
 rate sweeps, and ``estimate_mi_dim4(config, key)``, one channel's plug-in
 rate over the OSNR grid), experiments/config/cli (seeded sweeps, each a map

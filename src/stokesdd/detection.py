@@ -40,14 +40,14 @@ W_h = L_h^-1 laid out side by side in one planar (4, 4H) matrix: a GEMM, a
 subtraction of the whitened means and a sum of four squared H-wide planes,
 within kappa eps of the quadratic.  No standing config reaches it.
 
-The inter-slot phase is then detected successively, conditioned on those
-decisions and on the previous slot (its decided values, or the true ones in
-genie mode).  The gain of each slot's candidate means is one product of
-noiseless fields, K_x[n] K_y*[n-1], of the conditioning stream with each
-slot's phase anchored (``beat_gain``); the rate estimate applies the same
-kernel.  The candidate means 2*gain*exp(i*c*step) share one isotropic
-covariance and one modulus, so the nearest mean is the phase of
-w56*conj(gain) rounded to the grid: a few operations per slot.
+The inter-slot phase is then detected successively, conditioned on one
+gain per slot, the noiseless K_x[n] K_y*[n-1] of the current and previous
+slot with each slot's phase anchored (``beat_gain``): that of the receiver's
+own decisions, or one the caller passes, such as genie mode's gain of the
+true values.  The bank and ``beat_gain`` read one table of the hypotheses'
+fields (``_hypothesis_fields``).  The candidate means 2*gain*exp(i*c*step)
+share one isotropic covariance and one modulus, so the nearest mean is the
+phase of w56*conj(gain) rounded to the grid: a few operations per slot.
 
 Every stage works on a whole frame: the receiver takes the (n, 6) samples,
 whose slot 0 is ``PILOT``, and returns (n, 4) indices with the gain it
@@ -85,10 +85,11 @@ SCORE_SLICE_ROWS = 1024
 
 # the hand-over from the expanded monomial table to the whitened form: the
 # expanded form is used while max_h kappa_h * eps stays below this bound,
-# with kappa_h estimated by (max diag L_h / min diag L_h)^2.  It hands over
-# near 100 dB, ~40 dB below the first wrong decisions of an unguarded
-# expanded form (from 140 dB at 4x16).  An exact likelihood rule for the
-# high-OSNR range would replace the whitened form at this same threshold.
+# with kappa_h bounded from above by |L_h|^2 |L_h^-1|^2 (Frobenius).  It
+# hands over at 84-86 dB from 1x1 to 4x16, ~55 dB below the first wrong
+# decisions of an unguarded expanded form (from 140 dB at 4x16).  An exact
+# likelihood rule for the high-OSNR range would replace the whitened form at
+# this same threshold.
 EXPANDED_FORM_MAX_KAPPA_EPS = 1e-6
 
 # the (i, j), i <= j, of the quadratic monomials w_i w_j, in table row order
@@ -147,26 +148,24 @@ class _HypothesisBank:
     whitened_means: Optional[np.ndarray] = None  # (4H,) W_h mu_h in the same layout
 
 
-def _slot_fields(constellation: RingPskConstellation, idx: np.ndarray):
-    """Transmit fields of (n, 3) rows (rx, ry, t) with the x phase anchored
-    at zero: (r_x, r_y e^{-i t step})."""
+def _hypothesis_fields(channel: JonesChannel, constellation: RingPskConstellation):
+    """The (H, 3) hypotheses (rx, ry, t) in canonical rx-major order, so that
+    row h is hypothesis ``np.ravel_multi_index((rx, ry, t), (nr, nr, nph))``,
+    and their noiseless received fields (K_x, K_y), each (H,), of the transmit
+    fields anchored at arg(E_x) = 0: (r_x, r_y e^{-i t step})."""
+    nr, nph = constellation.n_rings, constellation.n_phases
+    triples = np.indices((nr, nr, nph)).reshape(3, -1).T
     radii = np.asarray(constellation.radii)
-    ex = radii[idx[:, 0]].astype(complex)
-    # a gather from the n_phases phasors: one exp per phase, not per slot
-    phasors = np.exp(-1j * constellation.phase_step * np.arange(constellation.n_phases))
-    ey = radii[idx[:, 1]] * phasors[idx[:, 2]]
-    return ex, ey
+    ex = radii[triples[:, 0]].astype(complex)
+    phasors = np.exp(-1j * constellation.phase_step * np.arange(nph))
+    ey = radii[triples[:, 1]] * phasors[triples[:, 2]]
+    return triples, *apply_jones(channel, ex, ey)
 
 
 def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _HypothesisBank:
-    nr, nph = constellation.n_rings, constellation.n_phases
-    triples = np.array(
-        [(rx, ry, t) for rx in range(nr) for ry in range(nr) for t in range(nph)],
-        dtype=np.int64,
-    )
     # the statistics depend on the hypothesis only through
     # (|K_x|, |K_y|, delta), so the x-phase-anchored fields serve
-    kx, ky = apply_jones(channel, *_slot_fields(constellation, triples))
+    triples, kx, ky = _hypothesis_fields(channel, constellation)
     means, covs = gaussian_stats_dims123(kx, ky, channel.sigma2)
     # no Cholesky of the zero covariances at sigma2 = 0: I scores the nearest mean
     chol = np.linalg.cholesky(covs) if channel.sigma2 > 0 else np.broadcast_to(np.eye(4), covs.shape)
@@ -175,7 +174,8 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     _require_finite(channel.sigma2, logdets)
     inv_chol = np.linalg.inv(chol)  # (H, 4, 4), row j of W_h at [h, j]
     whitened_means = np.einsum("hji,hi->jh", inv_chol, means)
-    kappa = ((diag.max(axis=1) / diag.min(axis=1)) ** 2).max()
+    # |L_h|^2 |W_h|^2 is at least the 2-norm kappa of C_h and at most 16 kappa
+    kappa = ((chol**2).sum(axis=(1, 2)) * (inv_chol**2).sum(axis=(1, 2))).max()
     if kappa * np.finfo(float).eps > EXPANDED_FORM_MAX_KAPPA_EPS:
         whiten = np.ascontiguousarray(inv_chol.transpose(2, 1, 0).reshape(4, -1))
         return _HypothesisBank(triples, logdets, whiten=whiten, whitened_means=whitened_means.ravel())
@@ -249,15 +249,25 @@ def beat_gain(constellation: RingPskConstellation, channel: JonesChannel, idx) -
     """Gain multiplying exp(i*eta) in the noiseless delayed beat
     K_x[n] K_y*[n-1] of consecutive slots of one stream.
 
-    ``idx`` is the (n, 3) stream of (rx, ry, t); returns the (n-1,) gains of
-    slots 1..n-1.  Each slot's fields are anchored at arg(E_x) = 0, so the
-    previous slot's y field is rotated by exp(i*t'*step) to anchor it at
-    arg(E_y') = 0, the reference of the inter-slot phase.
+    ``idx`` is the (n, 3) integer stream of (rx, ry, t), each index inside
+    the alphabet; anything else raises a ValueError.  Returns the (n-1,)
+    gains of slots 1..n-1.  Each slot's fields are anchored at arg(E_x) = 0,
+    so the previous slot's y field is rotated by exp(i*t'*step) to anchor it
+    at arg(E_y') = 0, the reference of the inter-slot phase.  The fields are
+    gathers from the H-row table of ``_hypothesis_fields``.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    kx, ky = apply_jones(channel, *_slot_fields(constellation, idx))
-    phasors = np.exp(1j * constellation.phase_step * np.arange(constellation.n_phases))
-    return kx[1:] * np.conj(ky[:-1] * phasors[idx[:-1, 2]])
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or idx.shape[1] != 3 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"idx must be an integer (n, 3) array of (rx, ry, t), got {idx.dtype} {idx.shape}")
+    nr, nph = constellation.n_rings, constellation.n_phases
+    # raises a ValueError on any index outside the alphabet, negative ones included
+    h = np.ravel_multi_index(tuple(idx.T), (nr, nr, nph))
+    _, kx, ky = _hypothesis_fields(channel, constellation)
+    phasors = np.exp(1j * constellation.phase_step * np.arange(nph))
+    # re-anchored per slot, not in the table: numpy computes a product with a
+    # temporary operand of >= 256 KiB in place, operands swapped, which rounds
+    # a complex product's imaginary part differently; this keeps every n's bits
+    return kx[h][1:] * np.conj(ky[h][:-1] * phasors[idx[:-1, 2]])
 
 
 def detect_dim4_block(w56: np.ndarray, gain: np.ndarray, constellation: RingPskConstellation):
@@ -392,34 +402,26 @@ def run_successive_receiver(
     channel: JonesChannel,
     constellation: RingPskConstellation,
     *,
-    genie_indices: Optional[np.ndarray] = None,
+    gain: Optional[np.ndarray] = None,
 ) -> ReceiverResult:
     """Two-stage detection of a frame: per-slot dimensions first, then the
-    inter-slot phase conditioned on the decided (or, in genie mode, true)
-    values of the current and previous slot.
+    inter-slot phase conditioned on the beat gain K_x[n] K_y*[n-1] of the
+    current and previous slot.
 
     ``frames`` is the (n, 6) array of samples w1..w6; slot 0 must be
-    ``PILOT``.  Passing ``genie_indices`` (the true (n, 4) indices)
-    replaces the decision-directed conditioning to isolate the last stage from
-    error propagation; it must be an integer array with every index inside
-    the constellation.
+    ``PILOT``.  Without ``gain`` the receiver conditions on its own decisions,
+    from the pilot on (``beat_gain`` of the decided stream).  A given ``gain``,
+    a finite (n-1,) array for slots 1..n-1, replaces that conditioning; the
+    genie mode passes the gain of the true values (``beat_gain(constellation,
+    channel, idx[:, :3])``) to isolate the last stage from error propagation.
     """
     arr = np.asarray(frames)
     if arr.ndim != 2 or arr.shape[1] != 6 or arr.shape[0] < 2:
         raise ValueError("expected at least two slots of six samples")
-    if genie_indices is not None:
-        genie = np.asarray(genie_indices)
-        if genie.shape != (len(arr), 4) or not np.issubdtype(genie.dtype, np.integer):
-            raise ValueError(
-                f"genie_indices must be an integer array of shape ({len(arr)}, 4), "
-                f"got {genie.dtype} {genie.shape}"
-            )
-        nr, nph = constellation.n_rings, constellation.n_phases
-        if (genie < 0).any() or (genie >= (nr, nr, nph, nph)).any():
-            raise ValueError(
-                "genie_indices out of range: (rx, ry, t, e) must lie in "
-                f"[0, {nr}) x [0, {nr}) x [0, {nph}) x [0, {nph})"
-            )
+    if gain is not None:
+        gain = np.asarray(gain)
+        if gain.shape != (len(arr) - 1,) or not np.isfinite(gain).all():
+            raise ValueError(f"gain must be a finite ({len(arr) - 1},) array, got {gain.dtype} {gain.shape}")
     w56 = arr[:, 4] + 1j * arr[:, 5]
     out = np.empty((len(arr), 4), dtype=np.int64)
     # one bank per frame; each slice's score block is dropped once its argmax
@@ -429,13 +431,10 @@ def run_successive_receiver(
         rows = slice(start, start + SCORE_SLICE_ROWS)
         out[rows, :3] = detect_dims123_block(arr[rows, :4], bank)[0]
 
-    if genie_indices is not None:
-        cond = genie[:, :3].astype(np.int64)
-    else:
+    if gain is None:
         cond = out[:, :3].copy()
         cond[0] = PILOT[:3]
-
-    gain = beat_gain(constellation, channel, cond)
+        gain = beat_gain(constellation, channel, cond)
     eta = detect_dim4_block(w56[1:], gain, constellation)
 
     out[0, 3] = 0

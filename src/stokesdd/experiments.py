@@ -33,6 +33,7 @@ from .channel import (
 from .config import ExperimentConfig
 from .constellation import build_constellation
 from .detection import (
+    beat_gain,
     estimate_channel,
     gauge_aligned_error,
     gaussian_stats_dims123,
@@ -69,12 +70,9 @@ def _ser_block(cfg: ExperimentConfig, block: int) -> np.ndarray:
             est = estimate_channel(training)[0]
             channel = JonesChannel(est.a, est.b, sigma2)
 
-        result = run_successive_receiver(
-            frames,
-            channel,
-            constellation,
-            genie_indices=idx if cfg.detection_mode == "genie" else None,
-        )
+        # genie mode: the true values' gain through the receiver's channel
+        gain = beat_gain(constellation, channel, idx[:, :3]) if cfg.detection_mode == "genie" else None
+        result = run_successive_receiver(frames, channel, constellation, gain=gain)
         errors[i] = accumulate_ser(idx, result.indices)
     return errors
 

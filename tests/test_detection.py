@@ -302,6 +302,32 @@ def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
     assert (np.abs(scores - ref) <= tol[:, None]).all()
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 4)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_scores_past_the_hand_over_match_each_hypothesis_terms(shape):
+    # past the hand-over each score is within kappa eps of its own
+    # hypothesis' terms 0.5 (quad_h + |log det C_h|), not of the expanded
+    # table's |P| |w|^2 scale: an expanded form left in place here is 1e7 to
+    # 1e10 times off this bound
+    rng = np.random.default_rng(110)
+    c = build_constellation(*shape)
+    eps = np.finfo(float).eps
+    for osnr_db in (110.0, 115.0, 120.0, 125.0, 130.0, 135.0, 140.0):
+        for _ in range(5):
+            ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
+            bank = detection._build_bank(ch, c)
+            assert bank.table is None, osnr_db
+            triples, means, covs = hypothesis_stats(ch, c)
+            idx = random_symbol_stream(rng, c, 256)
+            fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
+            obs = frontend_full_block(fx, fy)[:, :4]
+            _, scores = detect_dims123_block(obs, bank)
+            ref = einsum_bank_scores(means, covs, ch.sigma2, obs)
+            logdets = np.linalg.slogdet(covs)[1]
+            quad = -2.0 * ref - logdets
+            tol = 16.0 * np.linalg.cond(covs) * eps * 0.5 * (quad + np.abs(logdets))
+            assert (np.abs(scores - ref) <= tol).all(), osnr_db
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (2, 4), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
 # one row, and row counts on and either side of a power of two, where the
 # GEMM's row blocking leaves different tails
@@ -496,8 +522,8 @@ def test_receiver_gain_normalizes_noiseless_beat():
         kx, ky = apply_jones(ch, ex, ey)
         frames = frontend_full_block(kx, ky)
         w56 = frames[1:, 4] + 1j * frames[1:, 5]
-        for genie in (None, idx):
-            gain = run_successive_receiver(frames, ch, c, genie_indices=genie).gain
+        for given in (None, beat_gain(c, ch, idx[:, :3])):
+            gain = run_successive_receiver(frames, ch, c, gain=given).gain
             assert gain.shape == (len(idx) - 1,)
             stat = w56 / (2.0 * gain)
             assert np.abs(np.abs(stat) - 1.0).max() < 1e-9
@@ -530,7 +556,10 @@ def test_phasor_gathers_equal_the_per_slot_exp_bit_for_bit():
         idx = random_symbol_stream(rng, c, 30_001)[:, :3]
         radii, step = np.asarray(c.radii), c.phase_step
         ey = radii[idx[:, 1]] * np.exp(-1j * step * idx[:, 2])
-        assert np.array_equal(detection._slot_fields(c, idx)[1].view(np.uint64), ey.view(np.uint64))
+        triples, _, ky_h = detection._hypothesis_fields(ch, c)
+        ey_h = radii[triples[:, 1]] * np.exp(-1j * step * triples[:, 2])
+        ky_ref = apply_jones(ch, radii[triples[:, 0]].astype(complex), ey_h)[1]
+        assert np.array_equal(ky_h.view(np.uint64), ky_ref.view(np.uint64))
         kx, ky = apply_jones(ch, radii[idx[:, 0]].astype(complex), ey)
         gain = kx[1:] * np.conj(ky[:-1] * np.exp(1j * step * idx[:-1, 2]))
         assert np.array_equal(beat_gain(c, ch, idx).view(np.uint64), gain.view(np.uint64))
@@ -611,7 +640,26 @@ def test_slotwise_scalar_receiver_matches_block_receiver():
             assert etas[n] == block.indices[n, 3]
 
 
-def test_receiver_rejects_malformed_genie_indices():
+def test_beat_gain_rejects_indices_outside_the_alphabet():
+    # a negative index would otherwise wrap around to the alphabet's end, and
+    # a float array would be cast to integers
+    rng = np.random.default_rng(3)
+    c = build_constellation(2, 4)
+    ch = haar_random_channel(rng)
+    idx = random_symbol_stream(rng, c, 20)[:, :3]
+    bad = [idx[:, :2], idx[:, None], idx.ravel(), idx.astype(float), idx > 0]
+    for row, col, value in ((5, 0, -1), (6, 1, c.n_rings), (7, 2, c.n_phases), (8, 2, -2)):
+        wrong = idx.copy()
+        wrong[row, col] = value
+        bad.append(wrong)
+    bad.append(np.full_like(idx, -1))
+    for stream in bad:
+        with pytest.raises(ValueError):
+            beat_gain(c, ch, stream)
+    assert beat_gain(c, ch, idx).shape == (len(idx) - 1,)  # the true indices pass
+
+
+def test_receiver_rejects_a_malformed_gain():
     rng = np.random.default_rng(3)
     c = build_constellation(2, 4)
     ch = haar_random_channel(rng, 0.01)
@@ -619,15 +667,15 @@ def test_receiver_rejects_malformed_genie_indices():
     ex, ey = encode_indices(c, idx)
     fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
     frames = frontend_full_block(fx, fy)
-    bad = [idx[:-1], idx[:, :3], idx.astype(float)]
-    for row, col, value in ((5, 0, -1), (6, 1, c.n_rings), (7, 2, c.n_phases), (8, 3, -2)):
-        wrong = idx.copy()
-        wrong[row, col] = value
-        bad.append(wrong)
-    for genie in bad:
-        with pytest.raises(ValueError, match="genie_indices"):
-            run_successive_receiver(frames, ch, c, genie_indices=genie)
-    run_successive_receiver(frames, ch, c, genie_indices=idx)  # the true indices pass
+    gain = beat_gain(c, ch, idx[:, :3])
+    with_nan = gain.copy()
+    with_nan[4] = np.nan
+    with_inf = gain.copy()
+    with_inf[7] = np.inf
+    for wrong in (gain[:-1], np.append(gain, gain[0]), gain[:, None], with_nan, with_inf):
+        with pytest.raises(ValueError, match="gain"):
+            run_successive_receiver(frames, ch, c, gain=wrong)
+    run_successive_receiver(frames, ch, c, gain=gain)  # the true values' gain passes
 
 
 def test_receiver_peak_memory_is_bounded_by_the_score_slice():
@@ -640,10 +688,10 @@ def test_receiver_peak_memory_is_bounded_by_the_score_slice():
     fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
     frames = frontend_full_block(fx, fy)
     bound = 2 * SCORE_SLICE_ROWS * c.n_rings**2 * c.n_phases * 8
-    for genie in (None, idx):
+    for gain in (None, beat_gain(c, ch, idx[:, :3])):
         tracemalloc.start()
         try:
-            run_successive_receiver(frames, ch, c, genie_indices=genie)
+            run_successive_receiver(frames, ch, c, gain=gain)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -664,7 +712,7 @@ def test_genie_mode_dominates_decision_directed_dim4():
         fx, fy = add_unit_noise(kx, ky, ch.sigma2, unit)
         frames = frontend_full_block(fx, fy)
         dd = run_successive_receiver(frames, ch, c)
-        genie = run_successive_receiver(frames, ch, c, genie_indices=idx)
+        genie = run_successive_receiver(frames, ch, c, gain=beat_gain(c, ch, idx[:, :3]))
         # the per-slot stages are identical in both modes
         assert (dd.indices[:, :3] == genie.indices[:, :3]).all()
         genie_err += int((genie.indices[1:, 3] != idx[1:, 3]).sum())

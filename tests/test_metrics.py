@@ -219,7 +219,7 @@ def test_mi_dim4_consistent_with_fano():
         kx, ky = apply_jones(ch, ex, ey)
         fx, fy = add_unit_noise(kx, ky, ch.sigma2, rng.standard_normal((5000, 4)))
         frames = frontend_full_block(fx, fy)
-        res = run_successive_receiver(frames, ch, c, genie_indices=idx)
+        res = run_successive_receiver(frames, ch, c, gain=beat_gain(c, ch, idx[:, :3]))
         errors += int((res.indices[1:, 3] != idx[1:, 3]).sum())
         trials += 4999
     pe = errors / trials
