@@ -68,7 +68,7 @@ def add_unit_noise(kx, ky, sigma2: float, unit: np.ndarray):
 
 
 # No library caller since received_samples took the noisy path; kept while
-# perfbench's tracer lists it by name (see ROADMAP item 6).
+# perfbench's tracer lists it by name (see ROADMAP item 8).
 def propagate_block(channel: JonesChannel, ex, ey, rng: np.random.Generator):
     """Rotate and add noise to field arrays; returns (fx, fy, kx, ky)."""
     kx, ky = apply_jones(channel, ex, ey)

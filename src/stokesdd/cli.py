@@ -117,7 +117,7 @@ def main(argv=None) -> int:
         else:
             seed = args.seed if args.seed is not None else _env_seed(0)
             if args.command == "calibrate-cov":
-                cal = covariance_calibration(args.configs, args.draws, seed)
+                report = covariance_calibration(args.configs, args.draws, seed)
             else:
                 report = channel_estimation_demo(args.osnr_db, args.repeats, seed)
     except ValueError as err:
@@ -129,18 +129,7 @@ def main(argv=None) -> int:
         write_csv(rows, out)
         print(f"wrote {out} ({len(rows) - 1} rows)")
         if args.plot_script:
-            print("wrote", emit_plot_script(out, args.command))
-        return 0
-
-    if args.command == "calibrate-cov":
-        print(
-            f"configs={cal.n_configs} draws={cal.n_draws}\n"
-            f"max relative deviation, per-slot mean:  {cal.max_rel_dev_mean_123:.5f}\n"
-            f"max relative deviation, per-slot cov:   {cal.max_rel_dev_cov_123:.5f}\n"
-            f"max relative deviation, delayed mean:   {cal.max_rel_dev_mean_4:.5f}\n"
-            f"max relative deviation, delayed cov:    {cal.max_rel_dev_cov_4:.5f}\n"
-            f"worst: {cal.worst:.5f}"
-        )
+            print("wrote", emit_plot_script(out))
         return 0
 
     for key, value in report.items():

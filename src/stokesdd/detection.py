@@ -217,7 +217,7 @@ def detect_dims123_block(obs: np.ndarray, bank: _HypothesisBank):
 
 
 # No library caller since beat_gain took the product of the slots' fields;
-# kept while perfbench's tracer lists it by name (see ROADMAP item 6).
+# kept while perfbench's tracer lists it by name (see ROADMAP item 8).
 def context_vectors(constellation: RingPskConstellation, prev, now) -> np.ndarray:
     """Known-context beat vectors of (previous, current) slot pairs.
 
@@ -260,8 +260,11 @@ def beat_gain(constellation: RingPskConstellation, channel: JonesChannel, idx) -
     if idx.ndim != 2 or idx.shape[1] != 3 or not np.issubdtype(idx.dtype, np.integer):
         raise ValueError(f"idx must be an integer (n, 3) array of (rx, ry, t), got {idx.dtype} {idx.shape}")
     nr, nph = constellation.n_rings, constellation.n_phases
-    # raises a ValueError on any index outside the alphabet, negative ones included
-    h = np.ravel_multi_index(tuple(idx.T), (nr, nr, nph))
+    try:  # numpy raises on any index outside the alphabet, negative ones included
+        h = np.ravel_multi_index(tuple(idx.T), (nr, nr, nph))
+    except ValueError:
+        msg = f"idx has an entry outside the alphabet (n_rings, n_rings, n_phases) = {(nr, nr, nph)}"
+        raise ValueError(msg) from None
     _, kx, ky = _hypothesis_fields(channel, constellation)
     phasors = np.exp(1j * constellation.phase_step * np.arange(nph))
     # re-anchored per slot, not in the table: numpy computes a product with a

@@ -8,13 +8,15 @@ byte-identical for a fixed config regardless of the worker count.  Channel
 draws, data, and noise quadratures are shared across the OSNR grid (the noise
 is rescaled per point), which keeps the curves monotone up to true detection
 behavior rather than re-sampling jitter.
+
+``emit_plot_script`` fills one template from the ``_PLOTS`` row the CSV header
+names.  Both diagnostics return plain dicts, printed as ``key: value`` lines.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 
@@ -24,7 +26,7 @@ from .channel import (
     JonesChannel,
     add_unit_noise,
     # not called here since draw_frame took the forward model; the benchmark's
-    # tracer self-test reads it as experiments.apply_jones (ROADMAP item 6)
+    # tracer self-test reads it as experiments.apply_jones (ROADMAP item 8)
     apply_jones,
     haar_random_channel,
     osnr_to_sigma2,
@@ -126,98 +128,60 @@ def write_csv(rows: list[str], path) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-_PLOT_TEMPLATE_SER = '''"""Generated plot script: per-dimension symbol error rate vs OSNR."""
+# per CSV header: the y column, the columns naming a series, axis call, y label
+_PLOTS = {
+    SER_HEADER: ("ser", ("dim", "mode"), "semilogy", "symbol error rate"),
+    RATE_HEADER: ("mi_bits", (), "plot", "achievable rate (bits/channel use)"),
+}
+
+_PLOT_TEMPLATE = '''"""Generated plot script: {y_label} vs OSNR."""
 import csv
 
 import matplotlib.pyplot as plt
 
 CSV_PATH = {csv_path!r}
+SERIES = {series!r}  # the columns that name a series
 
 series = {{}}
 with open(CSV_PATH) as fh:
     for row in csv.DictReader(fh):
-        key = (int(row["dim"]), row["mode"])
-        series.setdefault(key, []).append((float(row["osnr_db"]), float(row["ser"])))
+        key = tuple(row[column] for column in SERIES)
+        series.setdefault(key, []).append((float(row["osnr_db"]), float(row[{y!r}])))
 
 fig, ax = plt.subplots()
-for (dim, mode), points in sorted(series.items()):
+for key, points in sorted(series.items()):
     points.sort()
-    xs = [p[0] for p in points]
-    ys = [max(p[1], 0.0) for p in points]
-    ax.semilogy(xs, ys, marker="o", label=f"dim {{dim}} ({{mode}})")
+    label = ", ".join(f"{{column}} {{value}}" for column, value in zip(SERIES, key))
+    ax.{axis}([p[0] for p in points], [p[1] for p in points], marker="o", label=label or None)
 ax.set_xlabel("OSNR (dB)")
-ax.set_ylabel("symbol error rate")
+ax.set_ylabel({y_label!r})
 ax.grid(True, which="both", alpha=0.3)
-ax.legend()
-fig.tight_layout()
-fig.savefig(CSV_PATH + ".png", dpi=150)
-print("wrote", CSV_PATH + ".png")
-'''
-
-_PLOT_TEMPLATE_RATE = '''"""Generated plot script: inter-slot phase achievable rate vs OSNR."""
-import csv
-
-import matplotlib.pyplot as plt
-
-CSV_PATH = {csv_path!r}
-
-points = []
-with open(CSV_PATH) as fh:
-    for row in csv.DictReader(fh):
-        points.append((float(row["osnr_db"]), float(row["mi_bits"])))
-points.sort()
-
-fig, ax = plt.subplots()
-ax.plot([p[0] for p in points], [p[1] for p in points], marker="o")
-ax.set_xlabel("OSNR (dB)")
-ax.set_ylabel("achievable rate (bits/channel use)")
-ax.grid(True, alpha=0.3)
+if SERIES:
+    ax.legend()
 fig.tight_layout()
 fig.savefig(CSV_PATH + ".png", dpi=150)
 print("wrote", CSV_PATH + ".png")
 '''
 
 
-def emit_plot_script(csv_path, kind: str) -> str:
-    """Write a standalone matplotlib script for an existing results CSV."""
-    if kind not in ("ser", "rate"):
-        raise ValueError("kind must be 'ser' or 'rate'")
-    if not os.path.exists(csv_path):
-        raise FileNotFoundError(f"no such CSV: {csv_path}")
+def emit_plot_script(csv_path) -> str:
+    """Write a standalone matplotlib script for an existing results CSV; its
+    header picks the plot."""
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-    expected = SER_HEADER if kind == "ser" else RATE_HEADER
-    if header != expected:
+    if header not in _PLOTS:
         raise ValueError(
-            f"CSV header {header!r} does not match the {kind} schema {expected!r}"
+            f"CSV header {header!r} matches neither the ser schema {SER_HEADER!r} "
+            f"nor the rate schema {RATE_HEADER!r}"
         )
+    y, series, axis, y_label = _PLOTS[header]
     out_path = str(csv_path) + "_plot.py"
-    template = _PLOT_TEMPLATE_SER if kind == "ser" else _PLOT_TEMPLATE_RATE
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(template.format(csv_path=str(csv_path)))
+        fh.write(_PLOT_TEMPLATE.format(csv_path=str(csv_path), y=y, series=series, axis=axis, y_label=y_label))
     return out_path
 
 
 # --- calibration and demo helpers -------------------------------------------
-
-
-@dataclass
-class CovarianceCalibration:
-    max_rel_dev_mean_123: float
-    max_rel_dev_cov_123: float
-    max_rel_dev_mean_4: float
-    max_rel_dev_cov_4: float
-    n_configs: int
-    n_draws: int
-
-    @property
-    def worst(self) -> float:
-        return max(
-            self.max_rel_dev_mean_123,
-            self.max_rel_dev_cov_123,
-            self.max_rel_dev_mean_4,
-            self.max_rel_dev_cov_4,
-        )
 
 
 REL_DEV_FLOOR = 0.05  # model entries below this share of the largest are not compared
@@ -247,13 +211,19 @@ def _whitened_normals(rng: np.random.Generator, shape) -> np.ndarray:
 
 def covariance_calibration(
     n_configs: int = 100, n_draws: int = 1_000_000, seed: int = 0
-) -> CovarianceCalibration:
+) -> dict:
     """Monte Carlo check of the closed-form observation statistics.
 
-    For random (K_x, K_y, sigma2) configurations, noise is propagated through
-    the front-end and the empirical mean/covariance of (w1..w4) and (w5, w6)
-    are compared against the model, relative, on entries above 5% of each
-    object's largest magnitude.
+    For random (K_x, K_y, sigma2) configurations, unit noise is added to the
+    fields and the empirical mean/covariance of w1..w4 are compared against
+    ``gaussian_stats_dims123``, relative, on entries above 5% of each object's
+    largest magnitude.  (w5, w6) is not drawn: with K_y as the previous slot's
+    y field it is the (w3, w4) pair of the same draws, so its deviations are
+    those of that block.  ``_whitened_normals`` pins the draws' first two
+    sample moments, so both mean deviations are rounding error (~1e-15).
+
+    Returns a dict: ``n_configs``, ``n_draws``, the four largest deviations
+    and ``worst``, their maximum.
     """
     if n_configs < 1:
         raise ValueError(f"n_configs (--configs) must be at least 1, got {n_configs}")
@@ -281,7 +251,8 @@ def covariance_calibration(
         # its moments are the (w3, w4) block of the ones above
         worst[2] = max(worst[2], _rel_dev(mean[2:], model_mean[2:]))
         worst[3] = max(worst[3], _rel_dev(cov[2:, 2:], model_cov[2:, 2:]))
-    return CovarianceCalibration(*worst, n_configs, n_draws)
+    names = ("max_rel_dev_mean_123", "max_rel_dev_cov_123", "max_rel_dev_mean_4", "max_rel_dev_cov_4")
+    return {"n_configs": n_configs, "n_draws": n_draws, **dict(zip(names, worst)), "worst": max(worst)}
 
 
 def channel_estimation_demo(osnr_db: float, repeats: int, seed: int = 0) -> dict:

@@ -77,12 +77,12 @@ def test_criterion_02_covariance_mean_oracle():
     start = time.time()
     cal = covariance_calibration(n_configs=100, n_draws=1_000_000, seed=1002)
     elapsed = time.time() - start
-    ok = cal.worst < 0.02 and elapsed < 300.0
+    ok = cal["worst"] < 0.02 and elapsed < 300.0
     record_acceptance(
         f"[{'PASS' if ok else 'FAIL'}] 02 covariance/mean oracle: max rel dev "
-        f"{cal.worst:.4f} (< 0.02) over {cal.n_configs} configs x 10^6 draws in {elapsed:.0f} s (< 300 s)"
+        f"{cal['worst']:.4f} (< 0.02) over {cal['n_configs']} configs x 10^6 draws in {elapsed:.0f} s (< 300 s)"
     )
-    assert cal.worst < 0.02
+    assert cal["worst"] < 0.02
     assert elapsed < 300.0
 
 

@@ -647,14 +647,18 @@ def test_beat_gain_rejects_indices_outside_the_alphabet():
     c = build_constellation(2, 4)
     ch = haar_random_channel(rng)
     idx = random_symbol_stream(rng, c, 20)[:, :3]
-    bad = [idx[:, :2], idx[:, None], idx.ravel(), idx.astype(float), idx > 0]
+    for stream in (idx[:, :2], idx[:, None], idx.ravel(), idx.astype(float), idx > 0):
+        with pytest.raises(ValueError):
+            beat_gain(c, ch, stream)
+    # negative and too-large indices: the error names idx and the alphabet
+    outside = []
     for row, col, value in ((5, 0, -1), (6, 1, c.n_rings), (7, 2, c.n_phases), (8, 2, -2)):
         wrong = idx.copy()
         wrong[row, col] = value
-        bad.append(wrong)
-    bad.append(np.full_like(idx, -1))
-    for stream in bad:
-        with pytest.raises(ValueError):
+        outside.append(wrong)
+    outside.append(np.full_like(idx, -1))
+    for stream in outside:
+        with pytest.raises(ValueError, match=r"idx .*\(2, 2, 4\)"):
             beat_gain(c, ch, stream)
     assert beat_gain(c, ch, idx).shape == (len(idx) - 1,)  # the true indices pass
 

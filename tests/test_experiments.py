@@ -1,9 +1,13 @@
 import argparse
+import csv
 import dataclasses
 import json
 import math
 import os
 import re
+import runpy
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from stokesdd.config import (
 )
 from stokesdd.detection import SCORE_SLICE_ROWS
 from stokesdd.experiments import (
+    RATE_HEADER,
+    SER_HEADER,
     _whitened_normals,
     covariance_calibration,
     emit_plot_script,
@@ -379,7 +385,7 @@ def test_emit_plot_script(tmp_path):
     cfg = ExperimentConfig(seed=1, **FAST_SER)
     csv_path = tmp_path / "ser.csv"
     write_csv(run_ser_experiment(cfg), csv_path)
-    script = emit_plot_script(csv_path, "ser")
+    script = emit_plot_script(csv_path)
     assert os.path.exists(script)
     text = open(script).read()
     assert "semilogy" in text and str(csv_path) in text
@@ -388,18 +394,89 @@ def test_emit_plot_script(tmp_path):
 
 def test_emit_plot_script_rejects_missing_or_mismatched_csv(tmp_path):
     with pytest.raises(FileNotFoundError):
-        emit_plot_script(tmp_path / "nope.csv", "ser")
+        emit_plot_script(tmp_path / "nope.csv")
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n")
-    with pytest.raises(ValueError, match="schema"):
-        emit_plot_script(bad, "rate")
-    with pytest.raises(ValueError):
-        emit_plot_script(bad, "other")
+    with pytest.raises(ValueError, match="schema") as err:
+        emit_plot_script(bad)
+    assert SER_HEADER in str(err.value) and RATE_HEADER in str(err.value)
+    assert not os.path.exists(str(bad) + "_plot.py")
+
+
+def _plot_calls(script, monkeypatch):
+    """Run a generated plot script against a stub ``matplotlib.pyplot`` and
+    return its (object, method, args, kwargs) calls on the figure and axes."""
+    calls = []
+
+    class Recorder:
+        def __init__(self, owner):
+            self.owner = owner
+
+        def __getattr__(self, method):
+            return lambda *args, **kwargs: calls.append((self.owner, method, args, kwargs))
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda *args, **kwargs: (Recorder("fig"), Recorder("ax"))
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    runpy.run_path(script, run_name="__main__")
+    return calls
+
+
+def _points(rows, y, series):
+    """The CSV's (x, y) points of each series, grouped by the series columns."""
+    points = {}
+    for row in rows:
+        key = tuple(row[column] for column in series)
+        points.setdefault(key, []).append((float(row["osnr_db"]), float(row[y])))
+    return {key: sorted(pts) for key, pts in points.items()}
+
+
+def test_generated_ser_script_plots_one_series_per_dim_and_mode(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    grid = ["--osnr-start-db", "20", "--osnr-stop-db", "24", "--osnr-step-db", "2"]
+    assert main(["ser", *grid, "--symbols-per-block", "100", "--blocks", "1", "--out", "ser.csv", "--plot-script"]) == 0
+    # the script reads the CSV when it runs: a second mode's rows, appended
+    # out of OSNR order, must come out as series of their own, in order
+    assert main(["ser", *grid, "--symbols-per-block", "100", "--blocks", "1",
+                 "--detection-mode", "genie", "--out", "genie.csv"]) == 0
+    with open("ser.csv", "a") as fh:
+        fh.writelines(line + "\n" for line in reversed(open("genie.csv").read().splitlines()[1:]))
+    rows = list(csv.DictReader(open("ser.csv")))
+    expected = _points(rows, "ser", ("dim", "mode"))
+    assert len(expected) == 8
+
+    calls = _plot_calls("ser.csv_plot.py", monkeypatch)
+    lines = [(method, args, kwargs) for _, method, args, kwargs in calls if method in ("plot", "semilogy")]
+    assert [method for method, _, _ in lines] == ["semilogy"] * 8
+    for (dim, mode), (_, args, kwargs) in zip(sorted(expected), lines):
+        assert f"dim {dim}" in kwargs["label"] and mode in kwargs["label"]
+        assert list(args[0]) == [x for x, _ in expected[dim, mode]] == [20.0, 22.0, 24.0]
+        assert list(args[1]) == [y for _, y in expected[dim, mode]]
+    assert [method for owner, method, _, _ in calls if owner == "ax"].count("legend") == 1
+    assert ("fig", "savefig", ("ser.csv.png",)) in [c[:3] for c in calls]
+
+
+def test_generated_rate_script_plots_one_series(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["rate", "--osnr-start-db", "18", "--osnr-stop-db", "22", "--osnr-step-db", "2",
+            "--n-samples", "2000", "--n-bins", "16", "--n-channels", "1", "--out", "rate.csv", "--plot-script"]
+    assert main(argv) == 0
+    (points,) = _points(csv.DictReader(open("rate.csv")), "mi_bits", ()).values()
+
+    calls = _plot_calls("rate.csv_plot.py", monkeypatch)
+    lines = [(method, args) for _, method, args, _ in calls if method in ("plot", "semilogy")]
+    assert [method for method, _ in lines] == ["plot"]
+    assert list(lines[0][1][0]) == [x for x, _ in points] == [18.0, 20.0, 22.0]
+    assert list(lines[0][1][1]) == [y for _, y in points]
+    assert ("fig", "savefig", ("rate.csv.png",)) in [c[:3] for c in calls]
 
 
 def test_covariance_calibration_tight():
     cal = covariance_calibration(n_configs=5, n_draws=200_000, seed=1)
-    assert cal.worst < 0.03
+    assert cal["worst"] < 0.03
 
 
 @pytest.mark.parametrize("n", [8, 9, 1001])
