@@ -28,17 +28,14 @@ slice of slots is scored by building its monomial rows and one GEMM.  The
 receiver builds the bank once per frame and scores the frame slice by slice,
 keeping only each slot's argmax, so the memory of a call is bounded by one
 slice's score block, never by a whole-frame (n, H) table.
-At sigma2 = 0 the covariances vanish and the bank takes P = I and log det
-C = 0, so the same table scores -0.5 |w - mu_h|^2: the rule becomes the
-nearest mean.
 
 The expanded form cancels: w^T P w and mu^T P mu are ~|P| while their
 difference is O(1), so its error grows with the condition number kappa of
-the covariances.  Past ``EXPANDED_FORM_MAX_KAPPA_EPS`` the bank hands over
-to the whitened form -0.5 (|W_h w - W_h mu_h|^2 + log det C_h), with
-W_h = L_h^-1 laid out side by side in one planar (4, 4H) matrix: a GEMM, a
-subtraction of the whitened means and a sum of four squared H-wide planes,
-within kappa eps of the quadratic.  No standing config reaches it.
+the covariances.  Where the surrogate would lose its digits, past
+``SURROGATE_MAX_KAPPA_EPS`` (84-87 dB), and where it has none, at sigma2 = 0
+or where a covariance rounds to singular (from ~150 dB), the bank fills the
+same table with P = I and log det C = 0, so it scores -0.5 |w - mu_h|^2:
+the rule becomes the nearest mean, and one GEMM scores every noise level.
 
 The inter-slot phase is then detected successively, conditioned on one
 gain per slot, the noiseless K_x[n] K_y*[n-1] of the current and previous
@@ -80,17 +77,17 @@ ERASURE_TOL = 1e-12
 # long at 2x4 and 4x16); one unsliced GEMM of a whole frame halved the
 # 2-worker pool's throughput, probably through OpenBLAS helper threads.  The
 # slice, not the frame, bounds a receiver call's memory: its largest array is
-# the (rows, H) block, or the whitened form's (rows, 4H) one
+# the (rows, H) score block
 SCORE_SLICE_ROWS = 1024
 
-# the hand-over from the expanded monomial table to the whitened form: the
-# expanded form is used while max_h kappa_h * eps stays below this bound,
+# the hand-over from the surrogate's table to the nearest mean's: the bank
+# holds (P_h, log det C_h) while max_h kappa_h * eps stays below this bound,
 # with kappa_h bounded from above by |L_h|^2 |L_h^-1|^2 (Frobenius).  It
-# hands over at 84-86 dB from 1x1 to 4x16, ~55 dB below the first wrong
-# decisions of an unguarded expanded form (from 140 dB at 4x16).  An exact
-# likelihood rule for the high-OSNR range would replace the whitened form at
+# hands over at 84-87 dB from 1x1 to 4x16, ~55 dB below the first wrong
+# decisions of an unguarded surrogate table (from 140 dB at 4x16).  An exact
+# likelihood rule for the high-OSNR range would replace the nearest mean at
 # this same threshold.
-EXPANDED_FORM_MAX_KAPPA_EPS = 1e-6
+SURROGATE_MAX_KAPPA_EPS = 1e-6
 
 # the (i, j), i <= j, of the quadratic monomials w_i w_j, in table row order
 _PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
@@ -98,12 +95,10 @@ _PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 def _require_finite(sigma2, array):
     # past sigma2 ~ 4.7e153 (OSNR below about -1542.8 dB) the noise term
-    # 8*sigma2^2 overflows; a bank built on it scores every hypothesis -inf
-    # and argmax silently decides hypothesis 0
+    # 8*sigma2^2 overflows; a table built on it scores every hypothesis -inf
+    # or NaN and argmax silently decides hypothesis 0
     if not np.isfinite(array).all():
-        raise ValueError(
-            f"sigma2 = {sigma2!r} overflows the surrogate covariance or its log-determinant"
-        )
+        raise ValueError(f"sigma2 = {sigma2!r} overflows the surrogate covariance or the score table")
 
 
 def gaussian_stats_dims123(kx, ky, sigma2: float):
@@ -134,18 +129,10 @@ def gaussian_stats_dims123(kx, ky, sigma2: float):
 
 @dataclass
 class _HypothesisBank:
-    """Per-(channel, constellation) tables for the per-slot detector: the
-    monomial table below the hand-over, the whitened form past it."""
+    """Per-(channel, constellation) table of the per-slot detector."""
 
     triples: np.ndarray  # (H, 3) in canonical rx-major order
-    logdets: np.ndarray  # (H,) log det C_h = 2 sum log diag L_h, 0 at sigma2 = 0
-    # (15, H) coefficients of the monomials (1, w_i, w_i w_j for i <= j)
-    table: Optional[np.ndarray] = None
-    # (4, 4H) planar whitening map: column j*H + h is row j of W_h = L_h^-1,
-    # so w @ whiten holds the whitened coordinate j of every hypothesis in
-    # the contiguous plane [j*H, (j+1)*H)
-    whiten: Optional[np.ndarray] = None
-    whitened_means: Optional[np.ndarray] = None  # (4H,) W_h mu_h in the same layout
+    table: np.ndarray  # (15, H) coefficients of the monomials (1, w_i, w_i w_j for i <= j)
 
 
 def _hypothesis_fields(channel: JonesChannel, constellation: RingPskConstellation):
@@ -167,51 +154,45 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     # (|K_x|, |K_y|, delta), so the x-phase-anchored fields serve
     triples, kx, ky = _hypothesis_fields(channel, constellation)
     means, covs = gaussian_stats_dims123(kx, ky, channel.sigma2)
-    # no Cholesky of the zero covariances at sigma2 = 0: I scores the nearest mean
-    chol = np.linalg.cholesky(covs) if channel.sigma2 > 0 else np.broadcast_to(np.eye(4), covs.shape)
-    diag = np.diagonal(chol, axis1=1, axis2=2)
-    logdets = 2.0 * np.log(diag).sum(axis=1)
-    _require_finite(channel.sigma2, logdets)
-    inv_chol = np.linalg.inv(chol)  # (H, 4, 4), row j of W_h at [h, j]
+    try:
+        chol = np.linalg.cholesky(covs)
+        inv_chol = np.linalg.inv(chol)  # (H, 4, 4), row j of W_h = L_h^-1 at [h, j]
+        # |L_h|^2 |W_h|^2 is at least the 2-norm kappa of C_h and at most 16 kappa
+        kappa = ((chol**2).sum(axis=(1, 2)) * (inv_chol**2).sum(axis=(1, 2))).max()
+        surrogate = kappa * np.finfo(float).eps <= SURROGATE_MAX_KAPPA_EPS
+    except np.linalg.LinAlgError:  # sigma2 = 0, or a covariance rounded to singular
+        surrogate = False
+    if surrogate:
+        logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    else:  # W = I and log det C = 0 score the nearest mean
+        inv_chol = np.broadcast_to(np.eye(4), covs.shape)
+        logdets = np.zeros(len(triples))
     whitened_means = np.einsum("hji,hi->jh", inv_chol, means)
-    # |L_h|^2 |W_h|^2 is at least the 2-norm kappa of C_h and at most 16 kappa
-    kappa = ((chol**2).sum(axis=(1, 2)) * (inv_chol**2).sum(axis=(1, 2))).max()
-    if kappa * np.finfo(float).eps > EXPANDED_FORM_MAX_KAPPA_EPS:
-        whiten = np.ascontiguousarray(inv_chol.transpose(2, 1, 0).reshape(4, -1))
-        return _HypothesisBank(triples, logdets, whiten=whiten, whitened_means=whitened_means.ravel())
     prec = np.swapaxes(inv_chol, 1, 2) @ inv_chol  # P_h = W_h^T W_h
     table = np.empty((15, len(triples)))
     table[0] = -0.5 * ((whitened_means**2).sum(axis=0) + logdets)
     table[1:5] = (prec @ means[:, :, None])[..., 0].T
     iu, ju = np.array(_PAIRS).T
     table[5:] = np.where(iu == ju, -0.5, -1.0)[:, None] * prec[:, iu, ju].T
-    return _HypothesisBank(triples, logdets, table=table)
+    _require_finite(channel.sigma2, table)
+    return _HypothesisBank(triples, table)
 
 
 def detect_dims123_block(obs: np.ndarray, bank: _HypothesisBank):
     """Vectorized per-slot detection of (ring_x, ring_y, intra-phase).
 
     ``obs`` is (rows, 4) rows of (w1, w2, w3, w4), scored against ``bank``
-    (``_build_bank``) with one monomial build and one GEMM, or the whitened
-    form past the hand-over.  Returns the decided (rows, 3) index array and
-    the (rows, H) log-likelihood block.  The receiver passes one slice of at
-    most ``SCORE_SLICE_ROWS`` rows per call.
+    (``_build_bank``) with one monomial build and one GEMM.  Returns the
+    decided (rows, 3) index array and the (rows, H) score block: surrogate
+    log-likelihoods, or -0.5 |w - mu_h|^2 past the hand-over.  The receiver
+    passes one slice of at most ``SCORE_SLICE_ROWS`` rows per call.
     """
-    obs = np.asarray(obs, dtype=float)
-    if bank.table is None:  # the whitened form, past the hand-over
-        z = obs @ bank.whiten
-        z -= bank.whitened_means
-        np.square(z, out=z)
-        scores = z.reshape(-1, 4, len(bank.triples)).sum(axis=1)
-        scores += bank.logdets
-        scores *= -0.5
-    else:
-        f = np.empty((15, len(obs)))
-        f[0] = 1.0
-        f[1:5] = obs.T
-        for k, (i, j) in enumerate(_PAIRS):
-            np.multiply(f[1 + i], f[1 + j], out=f[5 + k])
-        scores = f.T @ bank.table
+    f = np.empty((15, len(obs)))
+    f[0] = 1.0
+    f[1:5] = np.asarray(obs, dtype=float).T
+    for k, (i, j) in enumerate(_PAIRS):
+        np.multiply(f[1 + i], f[1 + j], out=f[5 + k])
+    scores = f.T @ bank.table
     best = scores.argmax(axis=1)  # ties resolve to the lowest hypothesis index
     return bank.triples[best], scores
 

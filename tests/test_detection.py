@@ -197,7 +197,7 @@ def test_overflowing_surrogate_covariance_is_rejected():
     c = build_constellation(2, 4)
     ch = haar_random_channel(np.random.default_rng(98))
     bank = detection._build_bank(JonesChannel(ch.a, ch.b, osnr_to_sigma2(-1540.0)), c)
-    assert np.isfinite(bank.logdets).all()
+    assert np.isfinite(bank.table).all()
     for osnr_db in (-1545.0, -1600.0, -3000.0):
         sigma2 = osnr_to_sigma2(osnr_db)
         with pytest.raises(ValueError, match="sigma2"):
@@ -250,8 +250,8 @@ def expanded_score_scale(means, covs, sigma2, obs):
     dot products F T of the monomials F = (1, w_i, w_i w_j) and the expanded
     table T = [mu^T P mu + log det C; -2 P mu; P_ii, or 2 P_ij for i < j]
     (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), built
-    from the explicit inverses P = C^-1 (P = I, log det C = 0 at sigma2 = 0).
-    It is at least 0.5 (quad + |log det C|), the scale of the whitened form."""
+    from the explicit inverses P = C^-1 (P = I, log det C = 0 at sigma2 = 0,
+    the nearest mean's table)."""
     if sigma2 == 0.0:
         prec, logdets = np.broadcast_to(np.eye(4), covs.shape), np.zeros(len(covs))
     else:
@@ -268,6 +268,20 @@ def expanded_score_scale(means, covs, sigma2, obs):
     return 0.5 * (np.abs(mono) @ abs_table).max(axis=1)
 
 
+def holds_nearest_mean(bank) -> bool:
+    # the quadratic rows of the nearest mean's table (P = I): -0.5 w_i^2, and
+    # no cross products w_i w_j
+    rows = np.array([-0.5 if i == j else 0.0 for i, j in detection._PAIRS])
+    return bool((bank.table[5:] == rows[:, None]).all())
+
+
+def half_negative_squared_distances(obs, means):
+    # -0.5 |w - mu_h|^2, summed coordinate by coordinate
+    d = obs[:, None, :] - means[None, :, :]
+    sq = d * d
+    return -0.5 * (((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     shape=st.sampled_from([(1, 1), (2, 4), (3, 8), (4, 16)]),
@@ -278,6 +292,8 @@ def expanded_score_scale(means, covs, sigma2, obs):
     seed=st.integers(0, 2**31),
 )
 def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
+    # (named for the whitened form the bank once handed over to; past the
+    # hand-over the table now holds the nearest mean)
     rng = np.random.default_rng(seed)
     c = build_constellation(*shape)
     ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
@@ -287,27 +303,33 @@ def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
     fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
     obs = frontend_full_block(fx, fy)[:, :4]
 
-    decided, scores = detect_dims123_block(obs, detection._build_bank(ch, c))
+    bank = detection._build_bank(ch, c)
+    decided, scores = detect_dims123_block(obs, bank)
     ref = einsum_bank_scores(means, covs, ch.sigma2, obs)
     assert scores.shape == ref.shape
     assert (decided == triples[ref.argmax(axis=1)]).all()
-    # Both forms are off the exact score by about the covariance condition
-    # number times eps, relative to the size of the terms summed into a
-    # score: the expanded table's dot products (see expanded_score_scale),
-    # which also bounds the whitened form's 0.5 (quad + |log det|).  That
-    # bound is below 1e-12 up to about 15 dB and grows 10x per 10 dB beyond.
-    scale = expanded_score_scale(means, covs, ch.sigma2, obs)
-    kappa = np.linalg.cond(covs).max()
-    tol = 16.0 * kappa * np.finfo(float).eps * scale
-    assert (np.abs(scores - ref) <= tol[:, None]).all()
+    eps = np.finfo(float).eps
+    if holds_nearest_mean(bank):
+        # past the hand-over: -0.5 |w - mu_h|^2, within the rounding of the
+        # sums of the P = I table's dot products
+        near = half_negative_squared_distances(obs, means)
+        tol = 16.0 * eps * expanded_score_scale(means, covs, 0.0, obs)
+        assert (np.abs(scores - near) <= tol[:, None]).all()
+    else:
+        # the surrogate table is off the exact score by about the covariance
+        # condition number times eps, relative to the size of the terms
+        # summed into a score (see expanded_score_scale).  That bound is
+        # below 1e-12 up to about 15 dB and grows 10x per 10 dB beyond.
+        scale = expanded_score_scale(means, covs, ch.sigma2, obs)
+        tol = 16.0 * np.linalg.cond(covs).max() * eps * scale
+        assert (np.abs(scores - ref) <= tol[:, None]).all()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 4)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_scores_past_the_hand_over_match_each_hypothesis_terms(shape):
-    # past the hand-over each score is within kappa eps of its own
-    # hypothesis' terms 0.5 (quad_h + |log det C_h|), not of the expanded
-    # table's |P| |w|^2 scale: an expanded form left in place here is 1e7 to
-    # 1e10 times off this bound
+    # past the hand-over the table holds the nearest mean, P = I and
+    # log det C = 0, so each score is -0.5 |w - mu_h|^2 of its own
+    # hypothesis' mean, and the decisions are the likelihood oracle's
     rng = np.random.default_rng(110)
     c = build_constellation(*shape)
     eps = np.finfo(float).eps
@@ -315,17 +337,20 @@ def test_scores_past_the_hand_over_match_each_hypothesis_terms(shape):
         for _ in range(5):
             ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
             bank = detection._build_bank(ch, c)
-            assert bank.table is None, osnr_db
+            assert holds_nearest_mean(bank), osnr_db
             triples, means, covs = hypothesis_stats(ch, c)
+            mean_sq = (means**2).sum(axis=1)
+            assert np.allclose(bank.table[1:5], means.T, rtol=4 * eps, atol=0.0)
+            assert np.allclose(bank.table[0], -0.5 * mean_sq, rtol=8 * eps, atol=0.0)
             idx = random_symbol_stream(rng, c, 256)
             fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
             obs = frontend_full_block(fx, fy)[:, :4]
-            _, scores = detect_dims123_block(obs, bank)
-            ref = einsum_bank_scores(means, covs, ch.sigma2, obs)
-            logdets = np.linalg.slogdet(covs)[1]
-            quad = -2.0 * ref - logdets
-            tol = 16.0 * np.linalg.cond(covs) * eps * 0.5 * (quad + np.abs(logdets))
-            assert (np.abs(scores - ref) <= tol).all(), osnr_db
+            decided, scores = detect_dims123_block(obs, bank)
+            near = half_negative_squared_distances(obs, means)
+            tol = 16.0 * eps * expanded_score_scale(means, covs, 0.0, obs)
+            assert (np.abs(scores - near) <= tol[:, None]).all(), osnr_db
+            oracle = einsum_bank_scores(means, covs, ch.sigma2, obs).argmax(axis=1)
+            assert (decided == triples[oracle]).all(), osnr_db
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 4), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
@@ -341,9 +366,7 @@ def test_zero_noise_scores_are_half_negative_squared_distances(shape, n):
     obs = rng.standard_normal((n, 4))
     decided, scores = detect_dims123_block(obs, detection._build_bank(ch, c))
     triples, means, covs = hypothesis_stats(ch, c)
-    d = obs[:, None, :] - means[None, :, :]
-    sq = d * d
-    ref = -0.5 * (((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3])
+    ref = half_negative_squared_distances(obs, means)
     tol = 16.0 * np.finfo(float).eps * expanded_score_scale(means, covs, 0.0, obs)
     assert (np.abs(scores - ref) <= tol[:, None]).all()
     oracle = einsum_bank_scores(means, covs, 0.0, obs).argmax(axis=1)
@@ -354,7 +377,7 @@ def test_zero_noise_scores_are_half_negative_squared_distances(shape, n):
 @pytest.mark.parametrize("shape", [(3, 8), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_high_osnr_decisions_are_exact_past_the_hand_over(shape):
     # w^T P w and mu^T P mu of the expanded table are ~|P| while their
-    # difference is O(1); without the hand-over to the whitened form, 3x8
+    # difference is O(1); without the hand-over to the nearest mean, 3x8
     # made 87 wrong decisions in 20,000 slots at 145 dB
     rng = np.random.default_rng(16)
     c = build_constellation(*shape)
@@ -370,16 +393,25 @@ def test_high_osnr_decisions_are_exact_past_the_hand_over(shape):
 
 @pytest.mark.parametrize("shape", [(2, 4), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_standing_osnr_range_scores_by_the_monomial_table(shape):
-    # every standing config (-10 to 60 dB, and sigma2 = 0) stays on the GEMM
+    # every standing config (-10 to 60 dB) scores by the surrogate's
+    # (P_h, log det C_h); sigma2 = 0 has no covariance and scores the
+    # nearest mean
     c = build_constellation(*shape)
+    iu, ju = np.array(detection._PAIRS).T
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        for sigma2 in [0.0] + [osnr_to_sigma2(db) for db in (-10.0, 0.0, 20.0, 40.0, 60.0)]:
-            bank = detection._build_bank(haar_random_channel(rng, sigma2), c)
-            assert bank.table is not None and bank.whiten is None
+        assert holds_nearest_mean(detection._build_bank(haar_random_channel(rng, 0.0), c))
+        for osnr_db in (-10.0, 0.0, 20.0, 40.0, 60.0):
+            ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
+            bank = detection._build_bank(ch, c)
+            _, _, covs = hypothesis_stats(ch, c)
+            prec = np.linalg.inv(covs)
+            expected = np.where(iu == ju, -0.5, -1.0)[:, None] * prec[:, iu, ju].T
+            tol = 1e-6 * np.abs(prec).max(axis=(1, 2))  # kappa eps stays below 1e-6 here
+            assert (np.abs(bank.table[5:] - expected) <= tol).all(), osnr_db
 
 
-@pytest.mark.parametrize("osnr_db", [20.0, 120.0], ids=["monomial-table", "whitened"])
+@pytest.mark.parametrize("osnr_db", [20.0, 120.0], ids=["monomial-table", "nearest-mean"])
 @pytest.mark.parametrize(
     "n",
     [
@@ -396,7 +428,7 @@ def test_receiver_slices_decide_as_the_whole_frame_oracle(n, osnr_db):
     rng = np.random.default_rng(n)
     c = build_constellation(4, 16)
     ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
-    assert (detection._build_bank(ch, c).table is None) == (osnr_db > 100.0)
+    assert holds_nearest_mean(detection._build_bank(ch, c)) == (osnr_db > 100.0)
     idx = random_symbol_stream(rng, c, n)
     fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
     frames = frontend_full_block(fx, fy)

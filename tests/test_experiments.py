@@ -11,17 +11,22 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokesdd.cli import _add_experiment_args, _build_config, main
 from stokesdd import experiments
+from stokesdd.channel import JonesChannel, osnr_to_sigma2
 from stokesdd.config import (
     MAX_HISTOGRAM_CELLS,
     MAX_HYPOTHESES,
     MAX_OSNR_POINTS,
+    MIN_OSNR_DB,
     SEED_ENV_VAR,
     ExperimentConfig,
 )
-from stokesdd.detection import SCORE_SLICE_ROWS
+from stokesdd.constellation import build_constellation
+from stokesdd.detection import SCORE_SLICE_ROWS, _build_bank, detect_dims123_block
 from stokesdd.experiments import (
     RATE_HEADER,
     SER_HEADER,
@@ -32,7 +37,8 @@ from stokesdd.experiments import (
     run_ser_experiment,
     write_csv,
 )
-from stokesdd.metrics import estimate_mi_dim4
+from stokesdd.frontend import received_samples
+from stokesdd.metrics import draw_frame, estimate_mi_dim4
 
 FAST_SER = dict(
     osnr_start_db=20.0,
@@ -80,6 +86,7 @@ def test_config_rejects_unknown_fields():
         ("osnr_start_db", "10"),
         ("osnr_start_db", -4000.0),  # 10^400 overflows: no finite noise variance
         ("osnr_start_db", -3000.0),  # finite variance, overflowing surrogate covariance
+        ("osnr_start_db", -1540.0),  # finite covariance, overflowing products of observables
         ("osnr_stop_db", math.nan),
     ],
 )
@@ -90,8 +97,24 @@ def test_config_validation_names_the_field(field, value):
 
 
 def test_config_accepts_osnr_whose_surrogate_covariance_is_finite():
-    # 8*sigma2^2 overflows below about -1542.8 dB; -1500 dB still detects
+    # the scorer's products of observables may overflow below about
+    # -1524.3 dB (config.MIN_OSNR_DB); -1500 dB still detects
     ExperimentConfig(osnr_start_db=-1500.0, osnr_stop_db=-1500.0).validate()
+    ExperimentConfig(osnr_start_db=MIN_OSNR_DB, osnr_stop_db=MIN_OSNR_DB).validate()
+
+
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+def test_scores_at_the_osnr_floor_are_finite(variant):
+    # the floor keeps the scorer's products w_i w_j finite, so a frame at it
+    # scores no NaN (at -1540 dB, 1,900 of its 10^4 rows do)
+    c = build_constellation(4, 16)
+    sigma2 = osnr_to_sigma2(MIN_OSNR_DB)
+    channel, _, kx, ky, unit = draw_frame(c, 0, 0, 10_000)
+    frames = received_samples(kx, ky, sigma2, unit, variant)
+    bank = _build_bank(JonesChannel(channel.a, channel.b, sigma2), c)
+    for start in range(0, len(frames), SCORE_SLICE_ROWS):
+        _, scores = detect_dims123_block(frames[start : start + SCORE_SLICE_ROWS, :4], bank)
+        assert np.isfinite(scores).all()
 
 
 def test_rate_config_needs_a_sample_per_channel():
@@ -156,9 +179,9 @@ def test_rate_histogram_cells_are_capped():
 
 def test_score_table_cells_are_capped():
     # the receiver scores SCORE_SLICE_ROWS slots at a time, so bounding the
-    # H = n_rings^2 * n_phases hypotheses bounds its largest per-slice block
-    # (the whitened form's 4H columns) at 2^25 cells, whatever the frame length
-    assert SCORE_SLICE_ROWS * 4 * MAX_HYPOTHESES == 2**25
+    # H = n_rings^2 * n_phases hypotheses bounds its largest per-slice array,
+    # the (rows, H) score block, at 2^23 cells, whatever the frame length
+    assert SCORE_SLICE_ROWS * MAX_HYPOTHESES == 2**23
     frame = dict(experiment="rate", n_rings=4, n_phases=16, n_channels=1)
     ExperimentConfig(n_rings=4, n_phases=16, symbols_per_block=2**20).validate()
     ExperimentConfig(rate_context="decision-directed", n_samples=2**20, **frame).validate()
@@ -250,6 +273,82 @@ def test_ser_very_high_osnr_is_error_free():
     )
     for row in run_ser_experiment(cfg)[1:]:
         assert float(row.split(",")[2]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(n_rings=1, n_phases=2, osnr_start_db=200.0, osnr_stop_db=200.0, symbols_per_block=100),
+        dict(n_rings=4, n_phases=16, osnr_start_db=150.0, osnr_stop_db=160.0, osnr_step_db=5.0,
+             symbols_per_block=500),
+    ],
+    ids=["1x2-200dB", "4x16-150-160dB"],
+)
+def test_ser_past_the_singular_covariances_is_error_free(fields):
+    # from ~150 dB a hypothesis' covariance rounds to singular and its
+    # Cholesky factorization fails; the bank scores the nearest mean there
+    for row in run_ser_experiment(ExperimentConfig(blocks=1, **fields))[1:]:
+        assert float(row.split(",")[2]) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    experiment=st.sampled_from(["ser", "rate"]),
+    alphabet=st.tuples(st.integers(1, 3), st.integers(1, 8)),
+    # from 20 dB below the floor, so draws below it are rejected
+    start=st.floats(MIN_OSNR_DB - 20.0, 1000.0),
+    points=st.integers(1, 3),
+    step=st.floats(0.5, 600.0),
+    slots=st.tuples(st.integers(2, 40), st.integers(1, 2)),
+    modes=st.tuples(
+        st.sampled_from(["true", "estimated"]),
+        st.sampled_from(["genie", "decision-directed"]),
+        st.sampled_from(["full", "reduced"]),
+        st.sampled_from(["genie", "decision-directed"]),
+    ),
+    rate=st.tuples(st.integers(1, 60), st.integers(1, 3), st.integers(2, 16)),
+    training_repeats=st.integers(1, 50),
+    seed=st.integers(0, 2**32),
+)
+def test_every_accepted_config_gives_rates_in_range(
+    experiment, alphabet, start, points, step, slots, modes, rate, training_repeats, seed
+):
+    # over the space validate() accepts, from the OSNR floor to 1000 dB, SERs
+    # are finite and in [0, 1] and rates in [0, log2 n_phases]; a config
+    # below the floor is rejected by name.  Every draw is small (H <= 72,
+    # <= 80 slots, <= 16 bins), so none allocates more than a few MiB
+    n_samples, n_channels, n_bins = rate
+    cfg = ExperimentConfig(
+        experiment=experiment,
+        n_rings=alphabet[0],
+        n_phases=alphabet[1],
+        osnr_start_db=start,
+        osnr_stop_db=min(start + (points - 1) * step, 1000.0),
+        osnr_step_db=step,
+        symbols_per_block=slots[0],
+        blocks=slots[1],
+        seed=seed,
+        channel_mode=modes[0],
+        detection_mode=modes[1],
+        receiver_variant=modes[2],
+        rate_context=modes[3],
+        training_repeats=training_repeats,
+        n_samples=max(n_samples, n_channels),
+        n_channels=n_channels,
+        n_bins=n_bins,
+    )
+    if start < MIN_OSNR_DB:
+        with pytest.raises(ValueError, match="osnr_start_db"):
+            cfg.validate()
+        return
+    if experiment == "ser":
+        sers = [float(row.split(",")[2]) for row in run_ser_experiment(cfg)[1:]]
+        assert all(0.0 <= s <= 1.0 for s in sers), sers
+    else:
+        bits = [float(row.split(",")[1]) for row in run_rate_experiment(cfg)[1:]]
+        # the plug-in MI is at most the labels' empirical entropy; 1e-12
+        # allows the rounding of its sum
+        assert all(0.0 <= b <= math.log2(cfg.n_phases) + 1e-12 for b in bits), bits
 
 
 def test_ser_reduced_variant_matches_full_variant_errors():
@@ -517,6 +616,7 @@ _SMALL_CAL = ["--configs", "1", "--draws", "8"]
             None,
             "osnr_start_db",
         ),
+        (["ser", "--osnr-start-db", repr(MIN_OSNR_DB - 0.01), "--osnr-stop-db", "0"], None, "osnr_start_db"),
         (["estimate-channel-demo", "--osnr-db", "-4000"], None, "OSNR -4000.0 dB"),
         (["estimate-channel-demo", "--osnr-db=-inf"], None, "OSNR -inf dB"),
         (["ser", "--config", "nope.json"], None, "--config"),
@@ -530,7 +630,7 @@ _SMALL_CAL = ["--configs", "1", "--draws", "8"]
         "cal-seed", "demo-seed", "cal-draws-1", "cal-draws-7", "cal-configs-0",
         "demo-repeats-0", "cal-env-negative", "demo-env-word", "ser-env-float",
         "ser-tiny-osnr-step", "ser-osnr-overflow", "rate-osnr-overflow", "ser-covariance-overflow",
-        "demo-osnr-overflow", "demo-osnr-minus-inf",
+        "ser-below-the-osnr-floor", "demo-osnr-overflow", "demo-osnr-minus-inf",
         "config-missing", "config-directory", "config-not-an-object", "config-syntax",
         "rate-histogram-too-large", "ser-score-table-too-large",
     ],
