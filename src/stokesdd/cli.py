@@ -1,5 +1,4 @@
-"""Command-line entry point: ser / rate sweeps, the covariance calibration
-oracle, and a channel-estimation demo."""
+"""Command-line entry point: ser / rate sweeps and a channel-estimation demo."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import sys
 from .config import SEED_ENV_VAR, ExperimentConfig
 from .experiments import (
     channel_estimation_demo,
-    covariance_calibration,
     emit_plot_script,
     run_rate_experiment,
     run_ser_experiment,
@@ -97,11 +95,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=desc)
         _add_experiment_args(p)
 
-    p = sub.add_parser("calibrate-cov", help="Monte Carlo check of the closed-form statistics")
-    p.add_argument("--configs", type=int, default=100)
-    p.add_argument("--draws", type=int, default=1_000_000)
-    p.add_argument("--seed", type=_seed, default=None)
-
     p = sub.add_parser("estimate-channel-demo", help="training-based channel estimation demo")
     p.add_argument("--osnr-db", type=float, default=20.0)
     p.add_argument("--repeats", type=int, default=10_000)
@@ -110,16 +103,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # a bad value exits through parser.error, naming its flag or variable; the
-    # floors of the calibration and demo inputs live in the library functions
+    # floors of the demo inputs live in the library function
     try:
         if args.command in ("ser", "rate"):
             cfg = _build_config(args, args.command)
         else:
             seed = args.seed if args.seed is not None else _env_seed(0)
-            if args.command == "calibrate-cov":
-                report = covariance_calibration(args.configs, args.draws, seed)
-            else:
-                report = channel_estimation_demo(args.osnr_db, args.repeats, seed)
+            report = channel_estimation_demo(args.osnr_db, args.repeats, seed)
     except ValueError as err:
         parser.error(str(err))
 

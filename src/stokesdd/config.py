@@ -83,7 +83,7 @@ class ExperimentConfig:
         # the grid's lowest point has its largest noise variance
         if self.osnr_start_db < MIN_OSNR_DB:
             raise ValueError(
-                f"osnr_start_db: {self.osnr_start_db!r} dB is below {MIN_OSNR_DB:.1f} dB, "
+                f"osnr_start_db: {self.osnr_start_db!r} dB is below {MIN_OSNR_DB!r} dB, "
                 "where the detector's products of observables may overflow"
             )
         if self.symbols_per_block < 2:

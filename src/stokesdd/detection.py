@@ -14,7 +14,13 @@ available in closed form given the noiseless received fields (K_x, K_y):
 Every term reads the noiseless Stokes vector ``stokes_vector(K_x, K_y)``,
 and one function, ``gaussian_stats_dims123``, returns the (mean, cov) arrays.
 The delayed beat pair (w5, w6) is their (w3, w4) block with K_y replaced by
-the previous slot's K_y; its covariance is a scalar times I_2.
+the previous slot's K_y; its covariance is a scalar times I_2.  It is not
+independent of the per-slot samples: with q = 2 sigma2 and primes for slot
+n-1, kappa_a = Cov(w_a, w5) + i Cov(w_a, w6) is
+(2q K_x K_y'*, 0, 2q K_y K_y'*, 2qi K_y K_y'*) over slot n's w1..w4 and
+(0, 2q K_x K_y'*, 2q K_x K_x'*, 2qi K_x K_x'*) over slot n-1's.  The
+detectors here ignore kappa.  ``tests/reference.py::gauss_hermite_moments``
+is the exact oracle of all these moments, through the front end itself.
 
 Per-slot detection enumerates all H magnitude/intra-phase hypotheses and
 scores each one by the Gaussian log-likelihood

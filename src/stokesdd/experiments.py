@@ -10,12 +10,12 @@ is rescaled per point), which keeps the curves monotone up to true detection
 behavior rather than re-sampling jitter.
 
 ``emit_plot_script`` fills one template from the ``_PLOTS`` row the CSV header
-names.  Both diagnostics return plain dicts, printed as ``key: value`` lines.
+names.  The channel-estimation demo returns a plain dict, printed as
+``key: value`` lines.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from functools import partial
 from multiprocessing import Pool
@@ -24,21 +24,18 @@ import numpy as np
 
 from .channel import (
     JonesChannel,
-    add_unit_noise,
     # not called here since draw_frame took the forward model; the benchmark's
     # tracer self-test reads it as experiments.apply_jones (ROADMAP item 8)
     apply_jones,
     haar_random_channel,
     osnr_to_sigma2,
-    stokes_vector,
 )
-from .config import ExperimentConfig
+from .config import MIN_OSNR_DB, ExperimentConfig
 from .constellation import build_constellation
 from .detection import (
     beat_gain,
     estimate_channel,
     gauge_aligned_error,
-    gaussian_stats_dims123,
     run_successive_receiver,
     run_training,
 )
@@ -181,85 +178,14 @@ def emit_plot_script(csv_path) -> str:
     return out_path
 
 
-# --- calibration and demo helpers -------------------------------------------
-
-
-REL_DEV_FLOOR = 0.05  # model entries below this share of the largest are not compared
-
-
-def _rel_dev(empirical: np.ndarray, model: np.ndarray) -> float:
-    scale = np.abs(model).max()
-    mask = np.abs(model) > REL_DEV_FLOOR * scale
-    if not mask.any():
-        return 0.0
-    return float((np.abs(empirical - model)[mask] / np.abs(model)[mask]).max())
-
-
-def _whitened_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    # moment-matched draws: antithetic pairing zeroes every odd sample moment
-    # exactly, and whitening pins the sample mean/covariance to 0/I, so the
-    # propagated-moment oracle is left with fourth-moment sampling error only.
-    # The mirrored draws have zero mean and twice the half's Gram matrix, so
-    # the half is whitened by that Gram matrix over the padded count n, then
-    # mirrored and padded
-    n, dim = shape
-    half = rng.standard_normal((n // 2, dim))
-    chol = np.linalg.cholesky(half.T @ half * (2.0 / n))
-    white = half @ np.linalg.inv(chol).T
-    return np.concatenate([white, -white, np.zeros((n % 2, dim))])
-
-
-def covariance_calibration(
-    n_configs: int = 100, n_draws: int = 1_000_000, seed: int = 0
-) -> dict:
-    """Monte Carlo check of the closed-form observation statistics.
-
-    For random (K_x, K_y, sigma2) configurations, unit noise is added to the
-    fields and the empirical mean/covariance of w1..w4 are compared against
-    ``gaussian_stats_dims123``, relative, on entries above 5% of each object's
-    largest magnitude.  (w5, w6) is not drawn: with K_y as the previous slot's
-    y field it is the (w3, w4) pair of the same draws, so its deviations are
-    those of that block.  ``_whitened_normals`` pins the draws' first two
-    sample moments, so both mean deviations are rounding error (~1e-15).
-
-    Returns a dict: ``n_configs``, ``n_draws``, the four largest deviations
-    and ``worst``, their maximum.
-    """
-    if n_configs < 1:
-        raise ValueError(f"n_configs (--configs) must be at least 1, got {n_configs}")
-    # the antithetic half must hold at least one row per quadrature for the
-    # sample covariance to be invertible
-    if n_draws < 8:
-        raise ValueError(f"n_draws (--draws) must be at least 8, got {n_draws}")
-    rng = _rng(seed, 900)
-    worst = [0.0, 0.0, 0.0, 0.0]
-    for _ in range(n_configs):
-        g = rng.standard_normal(4)
-        scale = rng.uniform(0.3, 1.5)
-        kx = scale * complex(g[0], g[1]) / math.sqrt(2)
-        ky = scale * complex(g[2], g[3]) / math.sqrt(2)
-        sigma2 = float(10.0 ** rng.uniform(-3, -0.5))
-
-        unit = _whitened_normals(rng, (n_draws, 4))
-        w = stokes_vector(*add_unit_noise(kx, ky, sigma2, unit))
-        mean, cov = w.mean(axis=0), np.cov(w.T)
-        model_mean, model_cov = gaussian_stats_dims123(kx, ky, sigma2)
-        worst[0] = max(worst[0], _rel_dev(mean, model_mean))
-        worst[1] = max(worst[1], _rel_dev(cov, model_cov))
-
-        # with ky as the previous slot's Y field, (w5, w6) is this beat pair:
-        # its moments are the (w3, w4) block of the ones above
-        worst[2] = max(worst[2], _rel_dev(mean[2:], model_mean[2:]))
-        worst[3] = max(worst[3], _rel_dev(cov[2:, 2:], model_cov[2:, 2:]))
-    names = ("max_rel_dev_mean_123", "max_rel_dev_cov_123", "max_rel_dev_mean_4", "max_rel_dev_cov_4")
-    return {"n_configs": n_configs, "n_draws": n_draws, **dict(zip(names, worst)), "worst": max(worst)}
-
-
 def channel_estimation_demo(osnr_db: float, repeats: int, seed: int = 0) -> dict:
     """Draw one channel, estimate it from averaged training pilots, and report
-    the sign-aligned error and the fit residual."""
+    the sign-aligned error and the fit residual.  It accepts the OSNRs a
+    sweep's grid may start at."""
     if repeats < 1:
         raise ValueError(f"repeats (--repeats) must be at least 1, got {repeats}")
+    if osnr_db < MIN_OSNR_DB:
+        raise ValueError(f"OSNR {osnr_db!r} dB (--osnr-db) is below the sweeps' floor, {MIN_OSNR_DB!r} dB")
     sigma2 = osnr_to_sigma2(osnr_db)
     channel = haar_random_channel(_rng(seed, 901), sigma2)
     estimate, residual = estimate_channel(run_training(channel, repeats, _rng(seed, 902)))

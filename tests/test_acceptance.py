@@ -22,18 +22,14 @@ from stokesdd.detection import (
     run_successive_receiver,
     run_training,
 )
-from stokesdd.experiments import (
-    covariance_calibration,
-    run_rate_experiment,
-    run_ser_experiment,
-)
+from stokesdd.experiments import run_rate_experiment, run_ser_experiment
 from stokesdd.frontend import (
     frontend_full_block,
     frontend_reduced_block,
     recover_full_block,
 )
 
-from reference import ell_vector, stokes_matrix, wrap_angle
+from reference import covariance_calibration, ell_vector, stokes_matrix, wrap_angle
 
 def _stream(rng, constellation, n):
     idx = np.stack(

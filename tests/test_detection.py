@@ -120,59 +120,51 @@ def test_stats_reject_negative_sigma2():
 
 @pytest.mark.parametrize("sigma2", [0.0, 1e-6, 1e-2, 1.0])
 def test_closed_form_moments_match_exact_quadrature(sigma2):
-    # the 81-node Gauss-Hermite rule is exact for moments of w, so the closed
-    # forms must agree to rounding, not to Monte Carlo error
+    # the Gauss-Hermite rule is exact for moments of w, so the closed forms
+    # must agree to rounding, not to Monte Carlo error
     rng = np.random.default_rng(94)
     for _ in range(50):
         g = rng.standard_normal(4) * rng.uniform(0.1, 2.0)
         kx, ky = complex(g[0], g[1]), complex(g[2], g[3])
-        mean, cov = gauss_hermite_moments(kx, ky, sigma2)
+        mean, cov = gauss_hermite_moments((0j, 0j), (kx, ky), sigma2)
+        mean, cov = mean[4:8], cov[4:8, 4:8]  # slot n's w1..w4
         got_mean, got_cov = gaussian_stats_dims123(kx, ky, sigma2)
         assert np.abs(got_mean - mean).max() <= 1e-12 * np.abs(mean).max()
         assert np.abs(got_cov - cov).max() <= 1e-12 * np.abs(cov).max()
-        # (w5, w6) of (K_x[n], K_y[n-1]) is the (w3, w4) block of a slot
-        # with those fields
-        assert np.abs(got_mean[2:] - mean[2:]).max() <= 1e-12 * np.abs(mean[2:]).max()
-        cov4 = cov[2:, 2:]
-        assert np.abs(got_cov[2:, 2:] - cov4).max() <= 1e-12 * np.abs(cov4).max()
 
 
-def test_monte_carlo_moment_oracle_small():
-    # scaled-down version of the full acceptance check
-    rng = np.random.default_rng(123)
-    for _ in range(4):
-        kx = complex(rng.standard_normal(), rng.standard_normal()) * 0.7
-        ky = complex(rng.standard_normal(), rng.standard_normal()) * 0.7
-        sigma2 = float(10 ** rng.uniform(-2.0, -0.7))
-        s = math.sqrt(sigma2)
-        n = 200_000
-        unit = rng.standard_normal((n, 4))
-        fx = kx + s * (unit[:, 0] + 1j * unit[:, 1])
-        fy = ky + s * (unit[:, 2] + 1j * unit[:, 3])
-        beat = fx * np.conj(fy)
-        w = np.stack(
-            [np.abs(fx) ** 2, np.abs(fy) ** 2, 2 * beat.real, 2 * beat.imag], axis=1
+@pytest.mark.parametrize("sigma2", [0.0, 1e-6, 1e-2, 1.0, 30.0])
+@pytest.mark.parametrize("variant", ["full", "reduced"])
+def test_six_samples_match_the_exact_two_slot_moments(variant, sigma2):
+    # the two slots' w1..w4 are uncorrelated, (w5, w6) is the (w3, w4) block
+    # of (K_x, K_y'), and kappa_a = Cov(w_a, w5) + i Cov(w_a, w6) ties it to
+    # both slots' w1..w4 (q = 2 sigma2, primes for slot n-1); the oracle draws
+    # all ten through the front end, delay line and restoration included
+    rng = np.random.default_rng(95)
+    q = 2.0 * sigma2
+    for _ in range(10):
+        g = rng.standard_normal(8) * rng.uniform(0.1, 2.0)
+        kxp, kyp, kx, ky = g[0::2] + 1j * g[1::2]
+        mean, cov = gauss_hermite_moments((kxp, kyp), (kx, ky), sigma2, variant)
+
+        m_prev, c_prev = gaussian_stats_dims123(kxp, kyp, sigma2)
+        m_now, c_now = gaussian_stats_dims123(kx, ky, sigma2)
+        m_del, c_del = gaussian_stats_dims123(kx, kyp, sigma2)
+        want_mean = np.concatenate([m_prev, m_now, m_del[2:]])
+        want_cov = np.zeros((10, 10))
+        want_cov[:4, :4], want_cov[4:8, 4:8], want_cov[8:, 8:] = c_prev, c_now, c_del[2:, 2:]
+        beat_prev, beat_now = kx * np.conj(kxp), ky * np.conj(kyp)
+        kappa = 2.0 * q * np.array(
+            [0, kx * np.conj(kyp), beat_prev, 1j * beat_prev,  # slot n-1
+             kx * np.conj(kyp), 0, beat_now, 1j * beat_now]  # slot n
         )
-        mean, cov = gaussian_stats_dims123(kx, ky, sigma2)
-        emp_mean = w.mean(axis=0)
-        emp_cov = np.cov(w.T)
-        floor = 0.05 * np.abs(mean).max()
-        mask = np.abs(mean) > floor
-        assert (
-            np.abs(emp_mean - mean)[mask] / np.abs(mean)[mask]
-        ).max() < 0.03
-        floor = 0.05 * np.abs(cov).max()
-        mask = np.abs(cov) > floor
-        assert (
-            np.abs(emp_cov - cov)[mask] / np.abs(cov)[mask]
-        ).max() < 0.03
+        want_cov[:8, 8], want_cov[:8, 9] = kappa.real, kappa.imag
+        want_cov[8:, :8] = want_cov[:8, 8:].T
 
-        cov4 = cov[2:, 2:]
-        w56 = w[:, 2:4]
-        emp = np.cov(w56.T)
-        assert abs(emp[0, 0] - cov4[0, 0]) / cov4[0, 0] < 0.03
-        assert abs(emp[1, 1] - cov4[1, 1]) / cov4[1, 1] < 0.03
-        assert abs(emp[0, 1]) < 0.03 * cov4[0, 0]
+        assert np.abs(mean - want_mean).max() <= 1e-11 * np.abs(want_mean).max()
+        # at sigma2 = 0 every covariance is 0: bound it by the squared means
+        scale = np.abs(want_cov).max() if sigma2 > 0 else np.abs(want_mean).max() ** 2
+        assert np.abs(cov - want_cov).max() <= 1e-11 * scale
 
 
 # --- per-slot detection -------------------------------------------------------
