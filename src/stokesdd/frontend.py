@@ -15,9 +15,10 @@ is empty before the first slot, so slot 0 behaves as if F_y[-1] = 0.
 
 Each function takes a whole field sequence (or its samples) and returns an
 (n, 6) array, one row per slot.  ``received_samples`` (noise, then either
-front-end) is the noisy path of the SER sweep.  The rate sweep's
-``metrics._statistic`` adds the noise itself, as it needs the noisy fields,
-and runs ``frontend_full_block`` only for the decision-directed receiver.
+front-end) is the noisy path of the SER sweep.  The rate sweep forms its
+delayed beat from the noiseless fields and the unit draws
+(``metrics._beat_coefficients``), and runs ``frontend_full_block`` only for
+the decision-directed receiver.
 """
 
 from __future__ import annotations

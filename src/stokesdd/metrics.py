@@ -9,8 +9,12 @@ per channel draw (``draw_frame``, the frame of the SER sweep): a pilot-led
 stream whose consecutive slots are the (previous, current) pairs.  The genie
 context takes the gain of the true contexts from the receiver's beat-gain
 kernel; the decision-directed context runs the receiver and reads the gain it
-used, so the two differ only by the receiver's decision errors.  The
-normalized values are histogrammed on a square grid.
+used, so the two differ only by the receiver's decision errors.  As every
+OSNR point scales the same unit noise draws, the noisy beat is a quadratic in
+the noise deviation s = sqrt(sigma2), b0 + s*b1 + s**2*b2, whose three
+coefficient arrays depend only on the channel draw: they are formed once per
+channel, and each point evaluates the quadratic in place.  The normalized
+values are histogrammed on a square grid.
 
 ``estimate_mi_dim4(config, key)`` is the rate sweep's per-channel kernel, as
 ``_ser_block`` is the SER sweep's per-block one: it returns one channel's
@@ -89,8 +93,8 @@ def histogram_mi_bits(
     complex observable binned on a square grid of half-width ``box_halfwidth``.
 
     Samples outside the box (including non-finite ones) clip into the edge
-    bins, so the joint histogram accounts for every sample.  Labels must lie
-    in [0, n_labels).
+    bins, so the joint histogram accounts for every sample: NaN joins +inf at
+    the upper edge.  Labels must lie in [0, n_labels).
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= n_labels):
@@ -98,13 +102,21 @@ def histogram_mi_bits(
             f"labels must lie in [0, {n_labels}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    values = np.asarray(values, dtype=complex)
     h = max(box_halfwidth, 1e-12)
-    re = np.nan_to_num(values.real, nan=h, posinf=h, neginf=-h)
-    im = np.nan_to_num(values.imag, nan=h, posinf=h, neginf=-h)
-    ix = np.clip(((re + h) / (2.0 * h) * n_bins).astype(np.int64), 0, n_bins - 1)
-    iy = np.clip(((im + h) / (2.0 * h) * n_bins).astype(np.int64), 0, n_bins - 1)
-    flat = (labels * n_bins + ix) * n_bins + iy
+    # grid coordinates of (re, im), one working (n, 2) array scaled in place
+    cells = np.ascontiguousarray(values, dtype=complex).view(np.float64).reshape(-1, 2) + h
+    with np.errstate(over="ignore", invalid="ignore"):  # a coordinate may pass the float range
+        cells /= 2.0 * h
+        cells *= n_bins
+        if not math.isfinite(cells.sum()):  # a NaN, an infinity or only a large sum
+            np.nan_to_num(cells, copy=False, nan=n_bins)
+    # clipped before the cast: a coordinate past the int64 range keeps its edge
+    np.clip(cells, 0, n_bins - 1, out=cells)
+    ij = cells.astype(np.int64)
+    flat = labels * n_bins
+    flat += ij[:, 0]
+    flat *= n_bins
+    flat += ij[:, 1]
     counts = np.bincount(flat, minlength=n_labels * n_bins * n_bins).reshape(
         n_labels, n_bins, n_bins
     )
@@ -129,22 +141,48 @@ def draw_frame(constellation: RingPskConstellation, seed: int, key: int, n: int)
     return channel, idx, kx, ky, unit
 
 
-# a function, not inlined in the OSNR loop: its return frees the noisy fx, fy
-# before the next point draws its own (inlined, rate-genie's peak RSS grew 1 MiB)
-def _statistic(constellation, channel, sigma2, kx, ky, unit, genie_gain=None):
-    """Normalized delayed-beat statistic of one frame at one noise level: the
-    beat (w5 + i w6) / 2 of the noisy fields over its gain.
+def _beat_coefficients(kx, ky, unit):
+    """The noisy delayed beat of a frame as a quadratic in s = sqrt(sigma2):
+    with ``fx, fy = add_unit_noise(kx, ky, sigma2, unit)``,
+    fx[1:] * conj(fy[:-1]) = b0 + s*b1 + s**2*b2.  Returns the (n-1,) complex
+    arrays (b0, b1, b2); b0 is the noiseless beat, bit for bit."""
+    ux = unit[1:, 0] + 1j * unit[1:, 1]
+    uy_prev = unit[:-1, 2] - 1j * unit[:-1, 3]  # conj of the previous slot's y noise
+    b2 = ux * uy_prev
+    b1 = kx[1:] * uy_prev
+    del uy_prev  # each temporary goes as soon as it is used: they set the sweep's peak RSS
+    ky_prev = np.conj(ky[:-1])
+    ux *= ky_prev
+    b1 += ux
+    del ux
+    return kx[1:] * ky_prev, b1, b2
 
-    Given ``genie_gain``, the beat gain of the true contexts, that gain is
-    used.  Without it the receiver runs on the frame's samples
-    (decision-directed) and its own conditioning gain is used."""
+
+# a function, not inlined in the OSNR loop: its return frees the noisy fields
+# and samples before the point's histogram
+def _decision_gain(constellation, channel, sigma2, kx, ky, unit):
+    """Conditioning gain of the receiver run on the frame's noisy samples."""
     fx, fy = add_unit_noise(kx, ky, sigma2, unit)
-    gain = genie_gain
-    if gain is None:
-        noisy = JonesChannel(channel.a, channel.b, sigma2)
-        gain = run_successive_receiver(frontend_full_block(fx, fy), noisy, constellation).gain
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return fx[1:] * np.conj(fy[:-1]) / gain
+    noisy = JonesChannel(channel.a, channel.b, sigma2)
+    return run_successive_receiver(frontend_full_block(fx, fy), noisy, constellation).gain
+
+
+def _noise_deviation(residual) -> float:
+    """Per-quadrature RMS of the finite entries of the complex ``residual``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.abs(residual)
+        np.square(power, out=power)
+        mean_square = power.mean()
+    if math.isfinite(mean_square):
+        return math.sqrt(mean_square / 2.0)
+    # a non-finite residual, or squares past the float range (at the OSNR
+    # floor): average the finite ones scaled by an exact power of two
+    finite = residual[np.isfinite(residual)]
+    if not finite.size:
+        return 0.0
+    exponent = max(math.frexp(float(np.abs(finite).max()))[1], 0)
+    finite *= math.ldexp(1.0, -exponent)
+    return math.ldexp(math.sqrt(float((np.abs(finite) ** 2).mean()) / 2.0), exponent)
 
 
 def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
@@ -156,36 +194,52 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
     (``draw_frame``; slot 0 is the pilot), the delayed beat of each later slot
     is normalized by its known gain, and the plug-in mutual information is
     computed on an ``n_bins`` square grid covering the unit circle widened by
-    four empirical noise deviations.  The terms that do not depend on the OSNR
-    (the frame, the genie gain, the reference phasors) are computed once; each
-    OSNR point adds its scaled noise to the same frame, so the curve is
-    monotone up to estimator noise and each point equals the same OSNR
-    computed alone.
+    four empirical noise deviations.  Every OSNR point adds its scaled noise
+    to the same unit draws, so the noisy beat is the quadratic
+    b0 + s*b1 + s**2*b2 in s = sqrt(sigma2) (``_beat_coefficients``), formed
+    once per channel and evaluated at each point by Horner's rule.  The curve
+    is therefore monotone up to estimator noise, and each point equals the
+    same OSNR computed alone.
 
-    ``config.rate_context`` selects the conditioning: "genie" normalizes by
-    the gain of the true per-slot values; "decision-directed" runs the
-    receiver on the frame and normalizes by the gain of its own decisions.
-    The config is taken as validated.
+    ``config.rate_context`` selects the conditioning: "genie" divides the
+    coefficients once by the gain of the true per-slot values; "decision-
+    directed" runs the receiver on the frame's noisy samples at each point
+    and divides the point's beat by the gain of its own decisions.  The config
+    is taken as validated.
     """
     constellation = build_constellation(config.n_rings, config.n_phases)
     m = -(-config.n_samples // config.n_channels)  # ceil: per-channel sample count
     channel, idx, kx, ky, unit = draw_frame(constellation, config.seed, key, m + 1)
     eta_idx = idx[1:, 3]
-    genie = config.rate_context == "genie"
-    genie_gain = beat_gain(constellation, channel, idx[:, :3]) if genie else None
     reference = np.exp(1j * constellation.phase_step * np.arange(constellation.n_phases))[eta_idx]
+    coefficients = _beat_coefficients(kx, ky, unit)
+    genie = config.rate_context == "genie"
+    if genie:
+        gain = beat_gain(constellation, channel, idx[:, :3])
+        # divided, not multiplied by 1/gain: where s*b1 falls below b0's last
+        # bit (past ~300 dB) the statistic is then the noiseless beat over its
+        # gain, correctly rounded, and samples on a bin edge keep their side
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for b in coefficients:
+                np.divide(b, gain, out=b)
+        del kx, ky, unit, gain  # only the decision-directed receiver reads the frame again
+    b0, b1, b2 = (b.view(np.float64) for b in coefficients)
 
     grid = config.osnr_grid()
     bits = np.empty(len(grid))
     for k, osnr_db in enumerate(grid):
-        stat = _statistic(constellation, channel, osnr_to_sigma2(osnr_db), kx, ky, unit, genie_gain)
-        residual = stat - reference
-        finite = np.isfinite(residual)
-        sigma_w = (
-            math.sqrt(float((np.abs(residual[finite]) ** 2).mean()) / 2.0)
-            if finite.any()
-            else 0.0
-        )
+        sigma2 = osnr_to_sigma2(osnr_db)
+        s = math.sqrt(sigma2)
+        horner = b2 * s  # real arithmetic on the (re, im) pairs: s is real
+        horner += b1
+        horner *= s
+        horner += b0
+        stat = horner.view(complex)
+        if not genie:
+            gain = _decision_gain(constellation, channel, sigma2, kx, ky, unit)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(stat, gain, out=stat)
+        sigma_w = _noise_deviation(stat - reference)
         bits[k] = histogram_mi_bits(
             eta_idx, stat, constellation.n_phases, config.n_bins, 1.0 + 4.0 * sigma_w
         )

@@ -4,8 +4,10 @@ per-slot (scalar) forms of the encoder, channel, front-end and detectors whose
 block (array) forms make up the library, the per-slot records they pass
 (``DualPolSymbol``, ``SymbolIndices``), the 4x4 matrix ``stokes_matrix``
 by which the rotation acts on the observables, the exact two-slot moments of
-the six samples (``gauss_hermite_moments``), and the Monte Carlo calibration
-of the closed-form statistics (``covariance_calibration``)."""
+the six samples (``gauss_hermite_moments``), the Monte Carlo calibration
+of the closed-form statistics (``covariance_calibration``), and the rate
+kernel as it rebuilt the noisy fields at every OSNR point
+(``field_rate_curve``)."""
 
 from __future__ import annotations
 
@@ -17,16 +19,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from stokesdd.channel import JonesChannel, add_unit_noise, apply_jones, stokes_vector
-from stokesdd.constellation import TWO_PI, RingPskConstellation, encode_indices
+from stokesdd.channel import JonesChannel, add_unit_noise, apply_jones, osnr_to_sigma2, stokes_vector
+from stokesdd.config import ExperimentConfig
+from stokesdd.constellation import TWO_PI, RingPskConstellation, build_constellation, encode_indices
 from stokesdd.detection import (
     ERASURE_TOL,
     TRAINING_PILOTS,
+    beat_gain,
     context_vectors,
     gaussian_stats_dims123,
+    run_successive_receiver,
 )
-from stokesdd.frontend import received_samples
-from stokesdd.metrics import _rng
+from stokesdd.frontend import frontend_full_block, received_samples
+from stokesdd.metrics import _mi_from_counts, _rng, draw_frame
 
 
 @dataclass(frozen=True)
@@ -528,3 +533,79 @@ def genie_pair_terms(constellation, channel, idx_prev, idx_now, eta_idx):
     _, ky_prev = apply_jones(channel, ex_prev, ey_prev)
     kx_now, _ = apply_jones(channel, ex_now, ey_now)
     return kx_now, ky_prev, ell_gain(constellation, channel, idx_prev, idx_now)
+
+
+def field_statistic(constellation, channel, sigma2, kx, ky, unit, genie_gain=None):
+    """Normalized delayed-beat statistic of one frame at one noise level: the
+    beat (w5 + i w6) / 2 of the noisy fields over its gain.
+
+    Given ``genie_gain``, the beat gain of the true contexts, that gain is
+    used.  Without it the receiver runs on the frame's samples
+    (decision-directed) and its own conditioning gain is used."""
+    fx, fy = add_unit_noise(kx, ky, sigma2, unit)
+    gain = genie_gain
+    if gain is None:
+        noisy = JonesChannel(channel.a, channel.b, sigma2)
+        gain = run_successive_receiver(frontend_full_block(fx, fy), noisy, constellation).gain
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return fx[1:] * np.conj(fy[:-1]) / gain
+
+
+def binned_mi_bits(
+    labels: np.ndarray,
+    values: np.ndarray,
+    n_labels: int,
+    n_bins: int,
+    box_halfwidth: float,
+) -> float:
+    """Plug-in mutual information, in bits, between integer labels and a
+    complex observable binned on a square grid of half-width ``box_halfwidth``,
+    each coordinate mapped to its bin in separate arrays.  Non-finite values
+    go to the edge bins; a coordinate past the int64 range is cast before it
+    is clipped, which numpy leaves undefined."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_labels):
+        raise ValueError(
+            f"labels must lie in [0, {n_labels}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+    values = np.asarray(values, dtype=complex)
+    h = max(box_halfwidth, 1e-12)
+    re = np.nan_to_num(values.real, nan=h, posinf=h, neginf=-h)
+    im = np.nan_to_num(values.imag, nan=h, posinf=h, neginf=-h)
+    ix = np.clip(((re + h) / (2.0 * h) * n_bins).astype(np.int64), 0, n_bins - 1)
+    iy = np.clip(((im + h) / (2.0 * h) * n_bins).astype(np.int64), 0, n_bins - 1)
+    flat = (labels * n_bins + ix) * n_bins + iy
+    counts = np.bincount(flat, minlength=n_labels * n_bins * n_bins).reshape(
+        n_labels, n_bins, n_bins
+    )
+    return _mi_from_counts(counts)
+
+
+def field_rate_curve(config: ExperimentConfig, key: int) -> np.ndarray:
+    """``metrics.estimate_mi_dim4`` as it rebuilt both noisy fields and their
+    delayed beat at every OSNR point (``field_statistic``), binned by
+    ``binned_mi_bits``."""
+    constellation = build_constellation(config.n_rings, config.n_phases)
+    m = -(-config.n_samples // config.n_channels)  # ceil: per-channel sample count
+    channel, idx, kx, ky, unit = draw_frame(constellation, config.seed, key, m + 1)
+    eta_idx = idx[1:, 3]
+    genie = config.rate_context == "genie"
+    genie_gain = beat_gain(constellation, channel, idx[:, :3]) if genie else None
+    reference = np.exp(1j * constellation.phase_step * np.arange(constellation.n_phases))[eta_idx]
+
+    grid = config.osnr_grid()
+    bits = np.empty(len(grid))
+    for k, osnr_db in enumerate(grid):
+        stat = field_statistic(constellation, channel, osnr_to_sigma2(osnr_db), kx, ky, unit, genie_gain)
+        residual = stat - reference
+        finite = np.isfinite(residual)
+        sigma_w = (
+            math.sqrt(float((np.abs(residual[finite]) ** 2).mean()) / 2.0)
+            if finite.any()
+            else 0.0
+        )
+        bits[k] = binned_mi_bits(
+            eta_idx, stat, constellation.n_phases, config.n_bins, 1.0 + 4.0 * sigma_w
+        )
+    return bits

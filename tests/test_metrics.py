@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from stokesdd.channel import haar_random_channel
+from stokesdd.channel import add_unit_noise, haar_random_channel, osnr_to_sigma2
+from stokesdd.config import MIN_OSNR_DB, ExperimentConfig
 from stokesdd.constellation import build_constellation
 from stokesdd.detection import beat_gain
-from stokesdd.metrics import accumulate_ser, draw_frame, histogram_mi_bits
+from stokesdd.metrics import (
+    _beat_coefficients,
+    accumulate_ser,
+    draw_frame,
+    estimate_mi_dim4,
+    histogram_mi_bits,
+)
 
 from conftest import rate_bits
-from reference import ell_gain, genie_pair_terms
+from reference import binned_mi_bits, ell_gain, field_rate_curve, genie_pair_terms
 
 
 def test_accumulate_ser_identical_streams():
@@ -84,6 +91,94 @@ def test_histogram_mi_rejects_out_of_range_labels(bad_label):
     labels[17] = bad_label
     with pytest.raises(ValueError, match=r"\[0, 4\)"):
         histogram_mi_bits(labels, np.ones(40, dtype=complex), 4, 8, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_histogram_mi_bins_huge_finite_values_at_their_edge():
+    # (x + h) / (2h) * n_bins overflows to +-inf here; each sample still
+    # belongs to the edge bin on its own side, so the labels are told apart
+    labels = np.array([0, 0, 1, 1])
+    values = np.array([1e308, 1e308, -1e308, -1e308], dtype=complex)
+    assert histogram_mi_bits(labels, values, 2, 8, 1.0) == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(6))
+def test_histogram_mi_matches_the_oracle_bit_for_bit(seed):
+    # random coordinates, exact bin edges, values outside the box and
+    # non-finite ones, mixed per component.  Coordinates whose grid position
+    # overflows are left out: the oracle casts them to int64 before clipping,
+    # which numpy leaves undefined (x86 gives bin 0, the wrong edge), and
+    # test_histogram_mi_bins_huge_finite_values_at_their_edge covers them.
+    rng = np.random.default_rng(seed)
+    n_labels, n_bins = 4, (8, 16, 32)[seed % 3]
+    h = (1.0, 2.0, rng.uniform(0.1, 5.0))[seed % 3]
+    n = 5_000
+    pool = np.concatenate(
+        [
+            rng.uniform(-h, h, n),  # inside the box
+            -h + 2.0 * h * np.arange(n_bins + 1) / n_bins,  # bin edges, exact for h = 1 and 2
+            rng.uniform(-1e6, 1e6, n) * h,  # mostly outside
+            [np.nan, np.inf, -np.inf, 0.0, -0.0, h, -h],
+        ]
+    )
+    values = np.empty(n, dtype=complex)
+    values.real, values.imag = rng.choice(pool, n), rng.choice(pool, n)
+    labels = rng.integers(0, n_labels, n)
+    kept = values.copy()
+    bits = histogram_mi_bits(labels, values, n_labels, n_bins, h)
+    assert bits == binned_mi_bits(labels, values, n_labels, n_bins, h)
+    assert np.array_equal(values, kept, equal_nan=True)  # the caller's values are left as they were
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 1e-12, 0.025, 250.0, osnr_to_sigma2(MIN_OSNR_DB)])
+def test_beat_coefficients_give_the_noisy_beat(sigma2):
+    # b0 + s b1 + s^2 b2 is the beat of add_unit_noise's fields up to the
+    # rounding of either form, a few ulps of the product of the field bounds
+    c = build_constellation(2, 4)
+    s = math.sqrt(sigma2)
+    for key in range(5):
+        _, _, kx, ky, unit = draw_frame(c, 4, key, 3_000)
+        b0, b1, b2 = _beat_coefficients(kx, ky, unit)
+        fx, fy = add_unit_noise(kx, ky, sigma2, unit)
+        beat = fx[1:] * np.conj(fy[:-1])
+        if sigma2 == 0.0:
+            assert np.array_equal(beat, b0)
+            continue
+        ux = np.abs(unit[1:, 0] + 1j * unit[1:, 1])
+        uy = np.abs(unit[:-1, 2] + 1j * unit[:-1, 3])
+        bound = (np.abs(kx[1:]) + s * ux) * (np.abs(ky[:-1]) + s * uy)
+        err = np.abs(b0 + s * b1 + s**2 * b2 - beat)
+        assert np.all(err <= 4.0 * np.finfo(float).eps * bound)
+
+
+@pytest.mark.parametrize("start, stop, step", [(-30.0, 60.0, 10.0), (250.0, 3000.0, 250.0)])
+@pytest.mark.parametrize("context", ["genie", "decision-directed"])
+@pytest.mark.parametrize("rings, phases", [(2, 4), (3, 8)])
+def test_rate_kernel_matches_the_field_oracle_bit_for_bit(context, rings, phases, start, stop, step):
+    # the quadratic form and the copy-free histogram bin every sample where
+    # the rebuilt noisy fields and the copying histogram did; far above
+    # 300 dB the noise is below the beat's last bit, and the statistics sit
+    # on the bin edges through 0, so only the same rounding keeps the bits
+    cfg = ExperimentConfig(
+        experiment="rate", n_rings=rings, n_phases=phases, n_samples=6_000, n_channels=3, n_bins=16,
+        seed=8, rate_context=context, osnr_start_db=start, osnr_stop_db=stop, osnr_step_db=step,
+    )
+    cfg.validate()
+    for key in range(cfg.n_channels):
+        assert np.array_equal(estimate_mi_dim4(cfg, key), field_rate_curve(cfg, key))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("context", ["genie", "decision-directed"])
+def test_rate_at_the_osnr_floor_is_an_estimate(context):
+    # at the floor the squared residuals pass the float range; the noise
+    # deviation stays finite, and far below 0 dB the statistic is noise
+    # scaled by s^2, which the box scales with: the floor reads as -600 dB does
+    fields = dict(n_samples=400, n_bins=32, n_channels=4, seed=0, rate_context=context)
+    floor = rate_bits([MIN_OSNR_DB], **fields)
+    assert np.all(floor > 0.0) and np.all(floor <= 2.0)
+    assert np.array_equal(floor, rate_bits([-600.0], **fields))
 
 
 def test_mi_noiseless_limit_reaches_log2_np():
