@@ -67,8 +67,9 @@ def add_unit_noise(kx, ky, sigma2: float, unit: np.ndarray):
     return fx, fy
 
 
-# No library caller since received_samples took the noisy path; kept while
-# perfbench's tracer lists it by name (see ROADMAP item 8).
+# No caller in the library or the tests: received_samples is the noisy path.
+# Kept while perfbench's WRAPPED lists it (ROADMAP item 8):
+# test_perfbench.py::test_a_wrapped_name_the_program_lacks_is_reported_absent fails without it.
 def propagate_block(channel: JonesChannel, ex, ey, rng: np.random.Generator):
     """Rotate and add noise to field arrays; returns (fx, fy, kx, ky)."""
     kx, ky = apply_jones(channel, ex, ey)

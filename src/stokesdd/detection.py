@@ -49,8 +49,9 @@ slot with each slot's phase anchored (``beat_gain``): that of the receiver's
 own decisions, or one the caller passes, such as genie mode's gain of the
 true values.  The bank and ``beat_gain`` read one table of the hypotheses'
 fields (``_hypothesis_fields``).  The candidate means 2*gain*exp(i*c*step)
-share one isotropic covariance and one modulus, so the nearest mean is the
-phase of w56*conj(gain) rounded to the grid: a few operations per slot.
+share one isotropic covariance and one modulus, so rounding the phase of
+w56*conj(gain) to the grid is ML given w56 = w5 + i w6 alone.  It ignores
+the kappa_a above; ROADMAP item 9 measures ~10x lower dimension-4 SER with them.
 
 Every stage works on a whole frame: the receiver takes the (n, 6) samples,
 whose slot 0 is ``PILOT``, and returns (n, 4) indices with the gain it
@@ -203,8 +204,9 @@ def detect_dims123_block(obs: np.ndarray, bank: _HypothesisBank):
     return bank.triples[best], scores
 
 
-# No library caller since beat_gain took the product of the slots' fields;
-# kept while perfbench's tracer lists it by name (see ROADMAP item 8).
+# No library caller: reached only through tests/reference.py::ell_gain and
+# criterion 06.  Kept while perfbench's WRAPPED lists it (ROADMAP item 8):
+# test_perfbench.py::test_a_wrapped_name_the_program_lacks_is_reported_absent fails without it.
 def context_vectors(constellation: RingPskConstellation, prev, now) -> np.ndarray:
     """Known-context beat vectors of (previous, current) slot pairs.
 
@@ -265,9 +267,10 @@ def detect_dim4_block(w56: np.ndarray, gain: np.ndarray, constellation: RingPskC
 
     ``w56`` holds w5 + i*w6 per slot (slot 0 excluded), ``gain`` the matching
     beat gains.  The candidate means 2*gain*exp(i*c*step) share one
-    covariance and one modulus, so the ML rule is the nearest mean, which is
-    the phase of w56*conj(gain) rounded to the grid.  Returns the decided
-    phase indices, with -1 marking an erased slot (vanishing gain).
+    covariance and one modulus, so rounding the phase of w56*conj(gain) to
+    the grid is ML given w56 alone; it ignores kappa, the covariance of
+    (w5, w6) with both slots' w1..w4.  Returns the decided phase indices,
+    with -1 marking an erased slot (vanishing gain).
     """
     ratio = np.angle(w56 * np.conj(gain)) / constellation.phase_step
     decided = np.rint(ratio).astype(np.int64) % constellation.n_phases
@@ -398,16 +401,20 @@ def run_successive_receiver(
     inter-slot phase conditioned on the beat gain K_x[n] K_y*[n-1] of the
     current and previous slot.
 
-    ``frames`` is the (n, 6) array of samples w1..w6; slot 0 must be
-    ``PILOT``.  Without ``gain`` the receiver conditions on its own decisions,
-    from the pilot on (``beat_gain`` of the decided stream).  A given ``gain``,
-    a finite (n-1,) array for slots 1..n-1, replaces that conditioning; the
-    genie mode passes the gain of the true values (``beat_gain(constellation,
-    channel, idx[:, :3])``) to isolate the last stage from error propagation.
+    ``frames`` is the (n, 6) array of finite real samples w1..w6; slot 0
+    must be ``PILOT``.  Without ``gain`` the receiver conditions on its own
+    decisions, from the pilot on (``beat_gain`` of the decided stream).  A
+    given ``gain``, a finite (n-1,) array for slots 1..n-1, replaces that
+    conditioning; the genie mode passes the gain of the true values
+    (``beat_gain(constellation, channel, idx[:, :3])``) to isolate the last
+    stage from error propagation.
     """
     arr = np.asarray(frames)
     if arr.ndim != 2 or arr.shape[1] != 6 or arr.shape[0] < 2:
         raise ValueError("expected at least two slots of six samples")
+    # else a NaN row decides hypothesis 0, and complex samples lose their imaginary part
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"frames must hold finite real samples, got a {arr.dtype} array")
     if gain is not None:
         gain = np.asarray(gain)
         if gain.shape != (len(arr) - 1,) or not np.isfinite(gain).all():

@@ -15,10 +15,9 @@ is empty before the first slot, so slot 0 behaves as if F_y[-1] = 0.
 
 Each function takes a whole field sequence (or its samples) and returns an
 (n, 6) array, one row per slot.  ``received_samples`` (noise, then either
-front-end) is the noisy path of the SER sweep.  The rate sweep forms its
-delayed beat from the noiseless fields and the unit draws
-(``metrics._beat_coefficients``), and runs ``frontend_full_block`` only for
-the decision-directed receiver.
+front-end) is the noisy path of every receiver: the SER sweep's and the
+decision-directed rate's.  The rate sweep forms its delayed beat from the
+noiseless fields and the unit draws (``metrics._beat_coefficients``).
 """
 
 from __future__ import annotations

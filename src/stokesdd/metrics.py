@@ -27,17 +27,11 @@ import math
 
 import numpy as np
 
-from .channel import (
-    JonesChannel,
-    add_unit_noise,
-    apply_jones,
-    haar_random_channel,
-    osnr_to_sigma2,
-)
+from .channel import JonesChannel, apply_jones, haar_random_channel, osnr_to_sigma2
 from .config import ExperimentConfig
 from .constellation import RingPskConstellation, build_constellation, draw_indices, encode_indices
 from .detection import PILOT, beat_gain, run_successive_receiver
-from .frontend import frontend_full_block
+from .frontend import received_samples
 
 __all__ = [
     "accumulate_ser",
@@ -158,15 +152,6 @@ def _beat_coefficients(kx, ky, unit):
     return kx[1:] * ky_prev, b1, b2
 
 
-# a function, not inlined in the OSNR loop: its return frees the noisy fields
-# and samples before the point's histogram
-def _decision_gain(constellation, channel, sigma2, kx, ky, unit):
-    """Conditioning gain of the receiver run on the frame's noisy samples."""
-    fx, fy = add_unit_noise(kx, ky, sigma2, unit)
-    noisy = JonesChannel(channel.a, channel.b, sigma2)
-    return run_successive_receiver(frontend_full_block(fx, fy), noisy, constellation).gain
-
-
 def _noise_deviation(residual) -> float:
     """Per-quadrature RMS of the finite entries of the complex ``residual``."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,9 +188,9 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
 
     ``config.rate_context`` selects the conditioning: "genie" divides the
     coefficients once by the gain of the true per-slot values; "decision-
-    directed" runs the receiver on the frame's noisy samples at each point
-    and divides the point's beat by the gain of its own decisions.  The config
-    is taken as validated.
+    directed" runs the receiver on the frame's ``received_samples`` at each
+    point and divides the point's beat by the gain of its own decisions.  The
+    config is taken as validated.
     """
     constellation = build_constellation(config.n_rings, config.n_phases)
     m = -(-config.n_samples // config.n_channels)  # ceil: per-channel sample count
@@ -236,7 +221,12 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
         horner += b0
         stat = horner.view(complex)
         if not genie:
-            gain = _decision_gain(constellation, channel, sigma2, kx, ky, unit)
+            # the frame's samples are a temporary, freed as the receiver returns
+            gain = run_successive_receiver(
+                received_samples(kx, ky, sigma2, unit, "full"),
+                JonesChannel(channel.a, channel.b, sigma2),
+                constellation,
+            ).gain
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(stat, gain, out=stat)
         sigma_w = _noise_deviation(stat - reference)

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from stokesdd.channel import (
     JonesChannel,
-    add_unit_noise,
     apply_jones,
     haar_random_channel,
     osnr_to_sigma2,
-    propagate_block,
     stokes_vector,
 )
 from stokesdd.constellation import build_constellation, encode_indices
@@ -23,7 +21,6 @@ from stokesdd.detection import (
     SCORE_SLICE_ROWS,
     TRAINING_PILOTS,
     beat_gain,
-    context_vectors,
     detect_dim4_block,
     detect_dims123_block,
     estimate_channel,
@@ -33,7 +30,7 @@ from stokesdd.detection import (
     run_training,
 )
 import stokesdd.detection as detection
-from stokesdd.frontend import frontend_full_block
+from stokesdd.frontend import frontend_full_block, received_samples
 
 from reference import (
     Decision,
@@ -43,7 +40,6 @@ from reference import (
     detect_dims123,
     einsum_bank_scores,
     ell_gain,
-    ell_vector,
     frames_to_array,
     frontend_full,
     gauss_hermite_moments,
@@ -216,8 +212,7 @@ def test_argmax_invariant_to_affine_score_changes():
     ch = haar_random_channel(rng, 0.01)
     idx = random_symbol_stream(rng, c, 20)
     ex, ey = encode_indices(c, idx)
-    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
-    frames = frontend_full_block(fx, fy)
+    frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((len(idx), 4)), "full")
     _, scores = detect_dims123_block(frames[:, :4], detection._build_bank(ch, c))
     base = scores.argmax(axis=1)
     assert (np.argmax(3.7 * scores + 11.0, axis=1) == base).all()
@@ -229,8 +224,7 @@ def test_scalar_detect_matches_block():
     ch = haar_random_channel(rng, 0.02)
     idx = random_symbol_stream(rng, c, 30)
     ex, ey = encode_indices(c, idx)
-    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
-    frames = frontend_full_block(fx, fy)
+    frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((len(idx), 4)), "full")
     block, _ = detect_dims123_block(frames[:, :4], detection._build_bank(ch, c))
     for n in range(len(idx)):
         d = detect_dims123(frames[n, :4], ch, c)
@@ -292,8 +286,7 @@ def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
     triples, means, covs = hypothesis_stats(ch, c)
     idx = random_symbol_stream(rng, c, n)
     ex, ey = encode_indices(c, idx)
-    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
-    obs = frontend_full_block(fx, fy)[:, :4]
+    obs = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((n, 4)), "full")[:, :4]
 
     bank = detection._build_bank(ch, c)
     decided, scores = detect_dims123_block(obs, bank)
@@ -335,8 +328,9 @@ def test_scores_past_the_hand_over_match_each_hypothesis_terms(shape):
             assert np.allclose(bank.table[1:5], means.T, rtol=4 * eps, atol=0.0)
             assert np.allclose(bank.table[0], -0.5 * mean_sq, rtol=8 * eps, atol=0.0)
             idx = random_symbol_stream(rng, c, 256)
-            fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
-            obs = frontend_full_block(fx, fy)[:, :4]
+            obs = received_samples(
+                *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
+            )[:, :4]
             decided, scores = detect_dims123_block(obs, bank)
             near = half_negative_squared_distances(obs, means)
             tol = 16.0 * eps * expanded_score_scale(means, covs, 0.0, obs)
@@ -377,8 +371,9 @@ def test_high_osnr_decisions_are_exact_past_the_hand_over(shape):
         for _ in range(10):
             ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
             idx = random_symbol_stream(rng, c, 2_000)
-            fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
-            obs = frontend_full_block(fx, fy)[:, :4]
+            obs = received_samples(
+                *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
+            )[:, :4]
             decided, _ = detect_dims123_block(obs, detection._build_bank(ch, c))
             assert np.array_equal(decided, idx[:, :3]), (osnr_db, int((decided != idx[:, :3]).any(axis=1).sum()))
 
@@ -422,8 +417,9 @@ def test_receiver_slices_decide_as_the_whole_frame_oracle(n, osnr_db):
     ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
     assert holds_nearest_mean(detection._build_bank(ch, c)) == (osnr_db > 100.0)
     idx = random_symbol_stream(rng, c, n)
-    fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
-    frames = frontend_full_block(fx, fy)
+    frames = received_samples(
+        *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
+    )
     triples, means, covs = hypothesis_stats(ch, c)
     oracle = triples[einsum_bank_scores(means, covs, ch.sigma2, frames[:, :4]).argmax(axis=1)]
     assert np.array_equal(run_successive_receiver(frames, ch, c).indices[:, :3], oracle)
@@ -561,12 +557,12 @@ def test_decision_directed_gain_conditions_on_pilot_and_decisions():
     ch = haar_random_channel(rng, osnr_to_sigma2(8.0))
     idx = random_symbol_stream(rng, c, 400)
     ex, ey = encode_indices(c, idx)
-    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
-    result = run_successive_receiver(frontend_full_block(fx, fy), ch, c)
+    frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((len(idx), 4)), "full")
+    result = run_successive_receiver(frames, ch, c)
     cond = result.indices[:, :3].copy()
     assert (cond[1:] != idx[1:, :3]).any()  # the decisions, not the truth
     cond[0] = PILOT[:3]
-    expected = context_vectors(c, cond[:-1], cond[1:]) @ ell_vector(ch)
+    expected = ell_gain(c, ch, cond[:-1], cond[1:])
     assert np.allclose(result.gain, expected, rtol=1e-12, atol=0.0)
 
 
@@ -635,8 +631,7 @@ def test_slotwise_scalar_receiver_matches_block_receiver():
     ch = haar_random_channel(rng, osnr_to_sigma2(14.0))
     idx = random_symbol_stream(rng, c, 60)
     ex, ey = encode_indices(c, idx)
-    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
-    frames = frontend_full_block(fx, fy)
+    frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((len(idx), 4)), "full")
     block = run_successive_receiver(frames, ch, c)
 
     # reference walk over the scalar API, maintaining the phase chain
@@ -693,8 +688,7 @@ def test_receiver_rejects_a_malformed_gain():
     ch = haar_random_channel(rng, 0.01)
     idx = random_symbol_stream(rng, c, 20)
     ex, ey = encode_indices(c, idx)
-    fx, fy, _, _ = propagate_block(ch, ex, ey, rng)
-    frames = frontend_full_block(fx, fy)
+    frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((len(idx), 4)), "full")
     gain = beat_gain(c, ch, idx[:, :3])
     with_nan = gain.copy()
     with_nan[4] = np.nan
@@ -706,6 +700,26 @@ def test_receiver_rejects_a_malformed_gain():
     run_successive_receiver(frames, ch, c, gain=gain)  # the true values' gain passes
 
 
+def test_receiver_rejects_frames_that_are_not_finite_and_real():
+    # a NaN row decided hypothesis (0, 0, 0) and phase 0, an infinite w5
+    # decided phase 0, and complex frames ran on, each with at most a warning
+    rng = np.random.default_rng(3)
+    c = build_constellation(2, 4)
+    ch = haar_random_channel(rng, 0.01)
+    idx = random_symbol_stream(rng, c, 20)
+    ex, ey = encode_indices(c, idx)
+    frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((len(idx), 4)), "full")
+    with_nan = frames.copy()
+    with_nan[5] = np.nan
+    with_inf = frames.copy()
+    with_inf[7, 4] = np.inf
+    for wrong in (with_nan, with_inf, frames + 0j):
+        for gain in (None, beat_gain(c, ch, idx[:, :3])):
+            with pytest.raises(ValueError, match="frames"):
+                run_successive_receiver(wrong, ch, c, gain=gain)
+    run_successive_receiver(frames, ch, c)  # finite real samples pass
+
+
 def test_receiver_peak_memory_is_bounded_by_the_score_slice():
     # the receiver keeps only each slice's argmax; a whole-frame (n, H) score
     # table (19.5 MiB here) alone would break the bound of two score slices
@@ -713,8 +727,9 @@ def test_receiver_peak_memory_is_bounded_by_the_score_slice():
     c = build_constellation(4, 16)
     ch = haar_random_channel(rng, osnr_to_sigma2(20.0))
     idx = random_symbol_stream(rng, c, 10_000)
-    fx, fy, _, _ = propagate_block(ch, *encode_indices(c, idx), rng)
-    frames = frontend_full_block(fx, fy)
+    frames = received_samples(
+        *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
+    )
     bound = 2 * SCORE_SLICE_ROWS * c.n_rings**2 * c.n_phases * 8
     for gain in (None, beat_gain(c, ch, idx[:, :3])):
         tracemalloc.start()
@@ -735,10 +750,7 @@ def test_genie_mode_dominates_decision_directed_dim4():
         ch = haar_random_channel(rng, osnr_to_sigma2(12.0))
         idx = random_symbol_stream(rng, c, 4000)
         ex, ey = encode_indices(c, idx)
-        kx, ky = apply_jones(ch, ex, ey)
-        unit = rng.standard_normal((len(idx), 4))
-        fx, fy = add_unit_noise(kx, ky, ch.sigma2, unit)
-        frames = frontend_full_block(fx, fy)
+        frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((len(idx), 4)), "full")
         dd = run_successive_receiver(frames, ch, c)
         genie = run_successive_receiver(frames, ch, c, gain=beat_gain(c, ch, idx[:, :3]))
         # the per-slot stages are identical in both modes

@@ -232,6 +232,24 @@ def test_ser_rows_independent_of_worker_count():
     assert run_ser_experiment(base) == run_ser_experiment(parallel)
 
 
+def test_decision_directed_rate_rows_independent_of_worker_count():
+    # criterion 10 covers the genie rate; this one runs the receiver on the
+    # noisy samples of each channel draw at every OSNR point
+    base = ExperimentConfig(
+        experiment="rate",
+        rate_context="decision-directed",
+        seed=7,
+        osnr_start_db=8.0,
+        osnr_stop_db=14.0,
+        osnr_step_db=2.0,
+        n_samples=4_000,
+        n_channels=4,
+    )
+    rows = run_rate_experiment(base)
+    assert len(rows) == 5
+    assert rows == run_rate_experiment(base.replaced(workers=2))
+
+
 @pytest.mark.parametrize(
     "cpus, workers, blocks, processes",
     [

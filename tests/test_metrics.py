@@ -287,10 +287,10 @@ def test_genie_terms_match_noiseless_beat(rings, phases):
 
 def test_mi_dim4_consistent_with_fano():
     # any detector's error rate is constrained by the estimated rate
-    from stokesdd.channel import add_unit_noise, apply_jones, haar_random_channel, osnr_to_sigma2
+    from stokesdd.channel import apply_jones, haar_random_channel, osnr_to_sigma2
     from stokesdd.constellation import encode_indices
     from stokesdd.detection import run_successive_receiver
-    from stokesdd.frontend import frontend_full_block
+    from stokesdd.frontend import received_samples
 
     c = build_constellation(2, 4)
     osnr_db = 14.0
@@ -311,9 +311,7 @@ def test_mi_dim4_consistent_with_fano():
         )
         idx[0] = (0, 0, 0, 0)
         ex, ey = encode_indices(c, idx)
-        kx, ky = apply_jones(ch, ex, ey)
-        fx, fy = add_unit_noise(kx, ky, ch.sigma2, rng.standard_normal((5000, 4)))
-        frames = frontend_full_block(fx, fy)
+        frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((5000, 4)), "full")
         res = run_successive_receiver(frames, ch, c, gain=beat_gain(c, ch, idx[:, :3]))
         errors += int((res.indices[1:, 3] != idx[1:, 3]).sum())
         trials += 4999
