@@ -25,6 +25,13 @@ MAX_HISTOGRAM_CELLS = 2**24
 # phases)
 MAX_HYPOTHESES = 2**13
 
+# longest frame a sweep may draw: an SER block of symbols_per_block slots, or
+# a rate channel's ceil(n_samples / n_channels) + 1 slots.  Peak RSS grows by
+# ~280 bytes per slot (SER) and ~360 (decision-directed rate), so a frame at
+# the cap peaks near 1.1 and 1.4 GiB per process; a much longer one ends in
+# numpy's allocation error, or gets the process killed
+MAX_FRAME_SLOTS = 2**22
+
 # lowest OSNR a grid may start at, about -1524.3 dB.  The per-slot scorer
 # multiplies the observables pairwise; in a slot of noise alone each is at
 # most |F_x|^2 + |F_y|^2 = 2 sigma2 G with G ~ Gamma(2, 1), which exceeds 100
@@ -88,6 +95,8 @@ class ExperimentConfig:
             )
         if self.symbols_per_block < 2:
             raise ValueError("symbols_per_block must be at least 2")
+        if self.symbols_per_block > MAX_FRAME_SLOTS:
+            raise ValueError(f"symbols_per_block exceeds {MAX_FRAME_SLOTS} slots per frame")
         if self.blocks < 1:
             raise ValueError("blocks must be positive")
         if self.seed < 0:
@@ -110,6 +119,10 @@ class ExperimentConfig:
             raise ValueError("n_channels must be positive")
         if self.experiment == "rate" and self.n_samples < self.n_channels:
             raise ValueError("n_samples must be at least n_channels for a rate sweep")
+        if self.experiment == "rate" and -(-self.n_samples // self.n_channels) + 1 > MAX_FRAME_SLOTS:
+            raise ValueError(
+                f"n_samples/n_channels: ceil(n_samples / n_channels) + 1 exceeds {MAX_FRAME_SLOTS} slots per frame"
+            )
         if self.rate_context not in ("genie", "decision-directed"):
             raise ValueError("rate_context must be 'genie' or 'decision-directed'")
         if self.n_rings**2 * self.n_phases > MAX_HYPOTHESES:

@@ -300,8 +300,10 @@ def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) 
     exact law of the brute-force one at a cost independent of r; at r = 1
     the scatter vanishes and only the four normals are drawn.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
+    # bool is an int subclass but never a count; a fractional count is the
+    # law of no number of transmissions
+    if isinstance(repeats, bool) or not isinstance(repeats, (int, np.integer)) or repeats < 1:
+        raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
     kx, ky = apply_jones(channel, *TRAINING_PILOTS.T)
     g = rng.standard_normal((len(TRAINING_PILOTS), 4 if repeats == 1 else 6))
     averaged = stokes_vector(*add_unit_noise(kx, ky, channel.sigma2 / repeats, g[:, :4]))

@@ -4,10 +4,9 @@ per-slot (scalar) forms of the encoder, channel, front-end and detectors whose
 block (array) forms make up the library, the per-slot records they pass
 (``DualPolSymbol``, ``SymbolIndices``), the 4x4 matrix ``stokes_matrix``
 by which the rotation acts on the observables, the exact two-slot moments of
-the six samples (``gauss_hermite_moments``), the Monte Carlo calibration
-of the closed-form statistics (``covariance_calibration``), and the rate
-kernel as it rebuilt the noisy fields at every OSNR point
-(``field_rate_curve``)."""
+the six samples (``gauss_hermite_moments``) and the surrogate's closed forms
+for them (``two_slot_moments``), and the rate kernel as it rebuilt the noisy
+fields at every OSNR point (``field_rate_curve``)."""
 
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from stokesdd.channel import JonesChannel, add_unit_noise, apply_jones, osnr_to_sigma2, stokes_vector
+from stokesdd.channel import JonesChannel, add_unit_noise, apply_jones, osnr_to_sigma2
 from stokesdd.config import ExperimentConfig
 from stokesdd.constellation import TWO_PI, RingPskConstellation, build_constellation, encode_indices
 from stokesdd.detection import (
@@ -31,7 +30,7 @@ from stokesdd.detection import (
     run_successive_receiver,
 )
 from stokesdd.frontend import frontend_full_block, received_samples
-from stokesdd.metrics import _mi_from_counts, _rng, draw_frame
+from stokesdd.metrics import _mi_from_counts, draw_frame
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,17 @@ def einsum_bank_scores(means: np.ndarray, covs: np.ndarray, sigma2: float, obs: 
     return -0.5 * (quad + logdets[None, :])
 
 
+def _two_slot_rule():
+    nodes, weights = np.polynomial.hermite_e.hermegauss(3)
+    weights = weights / weights.sum()  # standard-normal probabilities
+    idx = np.array(list(itertools.product(range(3), repeat=8)))  # node per quadrature
+    return weights[idx].prod(axis=1), nodes[idx].reshape(-1, 4)  # rows 2k, 2k+1: slot n-1, slot n
+
+
+# the probabilities (6561,) and unit quadratures (13122, 4) of the rule
+_TWO_SLOT_RULE = _two_slot_rule()
+
+
 def gauss_hermite_moments(prev, now, sigma2: float, variant: str = "full"):
     """Exact mean (10,) and covariance (10, 10) of (w1..w4[n-1], w1..w6[n])
     given the noiseless fields ``prev`` = (K_x, K_y) of slot n-1 and ``now``
@@ -96,92 +106,45 @@ def gauss_hermite_moments(prev, now, sigma2: float, variant: str = "full"):
     integrands are of degree at most 4 in each, and 3 nodes integrate up to
     degree 5 exactly.  Deviations are taken from the noiseless samples, so the
     covariance is exactly zero at sigma2 = 0."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(3)
-    weights = weights / weights.sum()  # standard-normal probabilities
-    idx = np.array(list(itertools.product(range(3), repeat=8)))  # node per quadrature
-    p = weights[idx].prod(axis=1)
-    unit = nodes[idx].reshape(-1, 4)  # rows 2k, 2k+1: slot n-1, slot n
+    p, unit = _TWO_SLOT_RULE
     kx = np.tile([prev[0], now[0]], len(p)).astype(complex)
     ky = np.tile([prev[1], now[1]], len(p)).astype(complex)
 
-    def samples(s2):
+    def samples(s2, rows):
         # slot n-1's (w5, w6) read the node before, so they are dropped
-        w = received_samples(kx, ky, s2, unit, variant).reshape(len(p), 12)
+        w = received_samples(kx[:rows], ky[:rows], s2, unit[:rows], variant).reshape(-1, 12)
         return np.concatenate([w[:, :4], w[:, 6:]], axis=1)
 
-    w0 = samples(0.0)
-    dev = samples(sigma2) - w0
+    w0 = samples(0.0, 2)  # the noiseless samples are the same at every node
+    dev = samples(sigma2, len(unit)) - w0
     shift = p @ dev
     return w0[0] + shift, (p[:, None] * dev).T @ dev - np.outer(shift, shift)
 
 
-# --- Monte Carlo calibration -------------------------------------------------
+def two_slot_moments(prev, now, sigma2: float):
+    """Closed-form mean (10,) and covariance (10, 10) of (w1..w4[n-1],
+    w1..w6[n]) in the layout of ``gauss_hermite_moments``, built from
+    ``gaussian_stats_dims123``.
 
-
-REL_DEV_FLOOR = 0.05  # model entries below this share of the largest are not compared
-
-
-def _rel_dev(empirical: np.ndarray, model: np.ndarray) -> float:
-    scale = np.abs(model).max()
-    mask = np.abs(model) > REL_DEV_FLOOR * scale
-    if not mask.any():
-        return 0.0
-    return float((np.abs(empirical - model)[mask] / np.abs(model)[mask]).max())
-
-
-def _whitened_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    # moment-matched draws: antithetic pairing zeroes every odd sample moment
-    # exactly, and whitening pins the sample mean/covariance to 0/I, so the
-    # propagated-moment oracle is left with fourth-moment sampling error only.
-    # The mirrored draws have zero mean and twice the half's Gram matrix, so
-    # the half is whitened by that Gram matrix over the padded count n, then
-    # mirrored and padded
-    n, dim = shape
-    half = rng.standard_normal((n // 2, dim))
-    chol = np.linalg.cholesky(half.T @ half * (2.0 / n))
-    white = half @ np.linalg.inv(chol).T
-    return np.concatenate([white, -white, np.zeros((n % 2, dim))])
-
-
-def covariance_calibration(
-    n_configs: int = 100, n_draws: int = 1_000_000, seed: int = 0
-) -> dict:
-    """Monte Carlo check of the closed-form observation statistics.
-
-    For random (K_x, K_y, sigma2) configurations, unit noise is added to the
-    fields and the empirical mean/covariance of w1..w4 are compared against
-    ``gaussian_stats_dims123``, relative, on entries above 5% of each object's
-    largest magnitude.  (w5, w6) is not drawn: with K_y as the previous slot's
-    y field it is the (w3, w4) pair of the same draws, so its deviations are
-    those of that block; ``gauss_hermite_moments`` checks the pair as the
-    front end delays it.  ``_whitened_normals`` pins the draws' first two
-    sample moments, so both mean deviations are rounding error (~1e-15).
-
-    Returns a dict: ``n_configs``, ``n_draws``, the four largest deviations
-    and ``worst``, their maximum.
-    """
-    rng = _rng(seed, 900)
-    worst = [0.0, 0.0, 0.0, 0.0]
-    for _ in range(n_configs):
-        g = rng.standard_normal(4)
-        scale = rng.uniform(0.3, 1.5)
-        kx = scale * complex(g[0], g[1]) / math.sqrt(2)
-        ky = scale * complex(g[2], g[3]) / math.sqrt(2)
-        sigma2 = float(10.0 ** rng.uniform(-3, -0.5))
-
-        unit = _whitened_normals(rng, (n_draws, 4))
-        w = stokes_vector(*add_unit_noise(kx, ky, sigma2, unit))
-        mean, cov = w.mean(axis=0), np.cov(w.T)
-        model_mean, model_cov = gaussian_stats_dims123(kx, ky, sigma2)
-        worst[0] = max(worst[0], _rel_dev(mean, model_mean))
-        worst[1] = max(worst[1], _rel_dev(cov, model_cov))
-
-        # with ky as the previous slot's Y field, (w5, w6) is this beat pair:
-        # its moments are the (w3, w4) block of the ones above
-        worst[2] = max(worst[2], _rel_dev(mean[2:], model_mean[2:]))
-        worst[3] = max(worst[3], _rel_dev(cov[2:, 2:], model_cov[2:, 2:]))
-    names = ("max_rel_dev_mean_123", "max_rel_dev_cov_123", "max_rel_dev_mean_4", "max_rel_dev_cov_4")
-    return {"n_configs": n_configs, "n_draws": n_draws, **dict(zip(names, worst)), "worst": max(worst)}
+    The two slots' w1..w4 are uncorrelated, (w5, w6) is the (w3, w4) block of
+    (K_x, K_y'), and kappa_a = Cov(w_a, w5) + i Cov(w_a, w6) ties it to both
+    slots' w1..w4 (q = 2 sigma2, primes for slot n-1)."""
+    (kxp, kyp), (kx, ky) = prev, now
+    q = 2.0 * sigma2
+    m_prev, c_prev = gaussian_stats_dims123(kxp, kyp, sigma2)
+    m_now, c_now = gaussian_stats_dims123(kx, ky, sigma2)
+    m_del, c_del = gaussian_stats_dims123(kx, kyp, sigma2)
+    mean = np.concatenate([m_prev, m_now, m_del[2:]])
+    cov = np.zeros((10, 10))
+    cov[:4, :4], cov[4:8, 4:8], cov[8:, 8:] = c_prev, c_now, c_del[2:, 2:]
+    beat_prev, beat_now = kx * np.conj(kxp), ky * np.conj(kyp)
+    kappa = 2.0 * q * np.array(
+        [0, kx * np.conj(kyp), beat_prev, 1j * beat_prev,  # slot n-1
+         kx * np.conj(kyp), 0, beat_now, 1j * beat_now]  # slot n
+    )
+    cov[:8, 8], cov[:8, 9] = kappa.real, kappa.imag
+    cov[8:, :8] = cov[:8, 8:].T
+    return mean, cov
 
 
 # --- constellation ------------------------------------------------------------

@@ -30,6 +30,7 @@ from stokesdd.detection import (
     run_training,
 )
 import stokesdd.detection as detection
+from stokesdd.experiments import channel_estimation_demo
 from stokesdd.frontend import frontend_full_block, received_samples
 
 from reference import (
@@ -46,6 +47,7 @@ from reference import (
     hypothesis_stats,
     nearest_phase_argmin,
     training_samples,
+    two_slot_moments,
     wrap_angle,
 )
 
@@ -132,30 +134,14 @@ def test_closed_form_moments_match_exact_quadrature(sigma2):
 @pytest.mark.parametrize("sigma2", [0.0, 1e-6, 1e-2, 1.0, 30.0])
 @pytest.mark.parametrize("variant", ["full", "reduced"])
 def test_six_samples_match_the_exact_two_slot_moments(variant, sigma2):
-    # the two slots' w1..w4 are uncorrelated, (w5, w6) is the (w3, w4) block
-    # of (K_x, K_y'), and kappa_a = Cov(w_a, w5) + i Cov(w_a, w6) ties it to
-    # both slots' w1..w4 (q = 2 sigma2, primes for slot n-1); the oracle draws
-    # all ten through the front end, delay line and restoration included
+    # the oracle draws all ten samples through the front end, delay line and
+    # restoration included
     rng = np.random.default_rng(95)
-    q = 2.0 * sigma2
     for _ in range(10):
         g = rng.standard_normal(8) * rng.uniform(0.1, 2.0)
         kxp, kyp, kx, ky = g[0::2] + 1j * g[1::2]
         mean, cov = gauss_hermite_moments((kxp, kyp), (kx, ky), sigma2, variant)
-
-        m_prev, c_prev = gaussian_stats_dims123(kxp, kyp, sigma2)
-        m_now, c_now = gaussian_stats_dims123(kx, ky, sigma2)
-        m_del, c_del = gaussian_stats_dims123(kx, kyp, sigma2)
-        want_mean = np.concatenate([m_prev, m_now, m_del[2:]])
-        want_cov = np.zeros((10, 10))
-        want_cov[:4, :4], want_cov[4:8, 4:8], want_cov[8:, 8:] = c_prev, c_now, c_del[2:, 2:]
-        beat_prev, beat_now = kx * np.conj(kxp), ky * np.conj(kyp)
-        kappa = 2.0 * q * np.array(
-            [0, kx * np.conj(kyp), beat_prev, 1j * beat_prev,  # slot n-1
-             kx * np.conj(kyp), 0, beat_now, 1j * beat_now]  # slot n
-        )
-        want_cov[:8, 8], want_cov[:8, 9] = kappa.real, kappa.imag
-        want_cov[8:, :8] = want_cov[:8, 8:].T
+        want_mean, want_cov = two_slot_moments((kxp, kyp), (kx, ky), sigma2)
 
         assert np.abs(mean - want_mean).max() <= 1e-11 * np.abs(want_mean).max()
         # at sigma2 = 0 every covariance is 0: bound it by the squared means
@@ -895,6 +881,21 @@ def test_training_moments_match_the_closed_form(repeats):
             mu, c = gaussian_stats_dims123(*apply_jones(ch, ex, ey), ch.sigma2)
             assert (np.abs(mean[i] - mu) <= TRAINING_Z * mean_se[i]).all()
             assert (np.abs(cov[i] - c / repeats) <= TRAINING_Z * cov_se[i]).all()
+
+
+def test_training_rejects_repeats_that_are_not_positive_integers():
+    # a fractional count is the law of no number of transmissions; bool is
+    # an int subclass but never a count
+    ch = haar_random_channel(np.random.default_rng(99), osnr_to_sigma2(20.0))
+    for repeats in (2.5, 1.5, 2.0, np.float64(3.0), True, 0, -3, np.int64(0)):
+        with pytest.raises(ValueError, match="repeats"):
+            run_training(ch, repeats, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="repeats"):
+        channel_estimation_demo(20.0, 2.5)
+    for repeats in (1, 17):
+        want = run_training(ch, repeats, np.random.default_rng(0))
+        got = run_training(ch, np.int64(repeats), np.random.default_rng(0))
+        assert np.array_equal(got, want)
 
 
 def test_training_cost_is_independent_of_repeats():

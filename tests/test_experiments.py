@@ -18,6 +18,7 @@ from stokesdd.cli import _add_experiment_args, _build_config, main
 from stokesdd import experiments
 from stokesdd.channel import JonesChannel, osnr_to_sigma2
 from stokesdd.config import (
+    MAX_FRAME_SLOTS,
     MAX_HISTOGRAM_CELLS,
     MAX_HYPOTHESES,
     MAX_OSNR_POINTS,
@@ -37,8 +38,6 @@ from stokesdd.experiments import (
 )
 from stokesdd.frontend import received_samples
 from stokesdd.metrics import draw_frame, estimate_mi_dim4
-
-from reference import _whitened_normals, covariance_calibration
 
 FAST_SER = dict(
     osnr_start_db=20.0,
@@ -216,6 +215,25 @@ def test_score_table_cells_are_capped():
         assert str(MAX_HYPOTHESES) in str(err.value)
 
 
+def test_frame_length_is_capped():
+    # a frame past the cap is refused by name before anything is allocated:
+    # an SER block, or a rate channel's ceil(n_samples / n_channels) + 1 slots
+    rate = dict(experiment="rate", n_channels=3)
+    ExperimentConfig(symbols_per_block=MAX_FRAME_SLOTS).validate()
+    ExperimentConfig(n_samples=3 * (MAX_FRAME_SLOTS - 1), **rate).validate()
+    ExperimentConfig(n_samples=10**13).validate()  # an SER sweep draws no rate frame
+    too_long = [
+        (ExperimentConfig(symbols_per_block=MAX_FRAME_SLOTS + 1), "symbols_per_block"),
+        (ExperimentConfig(symbols_per_block=10**13, blocks=1), "symbols_per_block"),
+        (ExperimentConfig(n_samples=3 * (MAX_FRAME_SLOTS - 1) + 1, **rate), "n_samples/n_channels"),
+        (ExperimentConfig(experiment="rate", n_samples=10**13, n_channels=1), "n_samples/n_channels"),
+    ]
+    for cfg, named in too_long:
+        with pytest.raises(ValueError, match=named) as err:
+            cfg.validate()
+        assert str(MAX_FRAME_SLOTS) in str(err.value)
+
+
 def test_osnr_grid_no_float_drift():
     cfg = ExperimentConfig(osnr_start_db=10.0, osnr_stop_db=26.0, osnr_step_db=2.0)
     assert cfg.osnr_grid() == [10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0, 24.0, 26.0]
@@ -226,8 +244,20 @@ def test_ser_rows_deterministic_for_fixed_seed():
     assert run_ser_experiment(cfg) == run_ser_experiment(cfg)
 
 
-def test_ser_rows_independent_of_worker_count():
-    base = ExperimentConfig(seed=7, **FAST_SER)
+@pytest.mark.parametrize(
+    "channel_mode, receiver_variant, detection_mode",
+    [("true", "full", "decision-directed"), ("estimated", "reduced", "genie")],
+)
+def test_ser_rows_independent_of_worker_count(channel_mode, receiver_variant, detection_mode):
+    # the estimated channel's training stream is keyed per point, so a pool
+    # worker draws what the parent would
+    base = ExperimentConfig(
+        seed=7,
+        channel_mode=channel_mode,
+        receiver_variant=receiver_variant,
+        detection_mode=detection_mode,
+        **FAST_SER,
+    )
     parallel = base.replaced(workers=2)
     assert run_ser_experiment(base) == run_ser_experiment(parallel)
 
@@ -610,19 +640,6 @@ def test_generated_rate_script_plots_one_series(tmp_path, monkeypatch):
     assert ("fig", "savefig", ("rate.csv.png",)) in [c[:3] for c in calls]
 
 
-def test_covariance_calibration_tight():
-    cal = covariance_calibration(n_configs=5, n_draws=200_000, seed=1)
-    assert cal["worst"] < 0.03
-
-
-@pytest.mark.parametrize("n", [8, 9, 1001])
-def test_whitened_normals_pin_the_sample_moments(n):
-    unit = _whitened_normals(np.random.default_rng(n), (n, 4))
-    assert unit.shape == (n, 4)
-    np.testing.assert_allclose(unit.mean(axis=0), 0.0, atol=1e-15)
-    np.testing.assert_allclose(unit.T @ unit / n, np.eye(4), atol=1e-13)
-
-
 @pytest.mark.parametrize(
     "argv, env_seed, named",
     [
@@ -650,6 +667,8 @@ def test_whitened_normals_pin_the_sample_moments(n):
         (["rate", "--config", "syntax.json"], None, "--config"),
         (["rate", "--n-bins", "100000"], None, "n_bins"),
         (["ser", "--n-rings", "64", "--n-phases", "64"], None, "n_rings/n_phases"),
+        (["ser", "--symbols-per-block", "10000000000000", "--blocks", "1"], None, "symbols_per_block"),
+        (["rate", "--n-samples", "10000000000000", "--n-channels", "1"], None, "n_samples/n_channels"),
     ],
     ids=[
         "demo-seed", "demo-repeats-0", "demo-env-negative", "demo-env-word", "ser-env-float",
@@ -657,7 +676,7 @@ def test_whitened_normals_pin_the_sample_moments(n):
         "ser-below-the-osnr-floor", "demo-osnr-overflow", "demo-osnr-minus-inf",
         "demo-below-the-osnr-floor",
         "config-missing", "config-directory", "config-not-an-object", "config-syntax",
-        "rate-histogram-too-large", "ser-score-table-too-large",
+        "rate-histogram-too-large", "ser-score-table-too-large", "ser-frame-too-long", "rate-frame-too-long",
     ],
 )
 def test_cli_rejects_bad_inputs_by_name(argv, env_seed, named, tmp_path, monkeypatch, capsys):
