@@ -49,6 +49,17 @@ def _env_seed(default: int) -> int:
         raise ValueError(f"{SEED_ENV_VAR} {err}") from None
 
 
+def _out_path(args: argparse.Namespace) -> str:
+    """The sweep's CSV path, checked before the sweep runs: ``--out``, or
+    ``<command>.csv``, must name a file in an existing directory."""
+    out = args.out or f"{args.command}.csv"
+    if os.path.isdir(out):
+        raise ValueError(f"--out: {out!r} is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"--out: no directory {os.path.dirname(out)!r}")
+    return out
+
+
 def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
     parser.add_argument("--out", help="output CSV path (default <experiment>.csv)")
@@ -107,6 +118,7 @@ def main(argv=None) -> int:
     try:
         if args.command in ("ser", "rate"):
             cfg = _build_config(args, args.command)
+            out = _out_path(args)
         else:
             seed = args.seed if args.seed is not None else _env_seed(0)
             report = channel_estimation_demo(args.osnr_db, args.repeats, seed)
@@ -115,7 +127,6 @@ def main(argv=None) -> int:
 
     if args.command in ("ser", "rate"):
         rows = run_ser_experiment(cfg) if args.command == "ser" else run_rate_experiment(cfg)
-        out = args.out or f"{args.command}.csv"
         write_csv(rows, out)
         print(f"wrote {out} ({len(rows) - 1} rows)")
         if args.plot_script:

@@ -5,8 +5,10 @@ block (array) forms make up the library, the per-slot records they pass
 (``DualPolSymbol``, ``SymbolIndices``), the 4x4 matrix ``stokes_matrix``
 by which the rotation acts on the observables, the exact two-slot moments of
 the six samples (``gauss_hermite_moments``) and the surrogate's closed forms
-for them (``two_slot_moments``), and the rate kernel as it rebuilt the noisy
-fields at every OSNR point (``field_rate_curve``)."""
+for them (``two_slot_moments``), the exact moments of the averaged training
+pilots (``training_moments``), both by quadrature through the library's own
+functions, and the rate kernel as it rebuilt the noisy fields at every OSNR
+point (``field_rate_curve``)."""
 
 from __future__ import annotations
 
@@ -23,11 +25,11 @@ from stokesdd.config import ExperimentConfig
 from stokesdd.constellation import TWO_PI, RingPskConstellation, build_constellation, encode_indices
 from stokesdd.detection import (
     ERASURE_TOL,
-    TRAINING_PILOTS,
     beat_gain,
     context_vectors,
     gaussian_stats_dims123,
     run_successive_receiver,
+    run_training,
 )
 from stokesdd.frontend import frontend_full_block, received_samples
 from stokesdd.metrics import _mi_from_counts, draw_frame
@@ -83,11 +85,22 @@ def einsum_bank_scores(means: np.ndarray, covs: np.ndarray, sigma2: float, obs: 
     return -0.5 * (quad + logdets[None, :])
 
 
-def _two_slot_rule():
+def _product_rule(normals: int, twopoints: int = 0):
+    """Product of the 3-node Gauss-Hermite rule on each of ``normals``
+    standard normals and the equal-weight two-point rule on each of
+    ``twopoints`` more variables: the probabilities (N,), the normals' nodes
+    (N, normals) and each two-point variable's side, -1 or +1 (N, twopoints),
+    N = 3^normals 2^twopoints."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(3)
     weights = weights / weights.sum()  # standard-normal probabilities
-    idx = np.array(list(itertools.product(range(3), repeat=8)))  # node per quadrature
-    return weights[idx].prod(axis=1), nodes[idx].reshape(-1, 4)  # rows 2k, 2k+1: slot n-1, slot n
+    idx = np.array(list(itertools.product(*[range(3)] * normals, *[range(2)] * twopoints)))
+    probs = weights[idx[:, :normals]].prod(axis=1) / 2.0**twopoints
+    return probs, nodes[idx[:, :normals]], 2.0 * idx[:, normals:] - 1.0
+
+
+def _two_slot_rule():
+    p, unit, _ = _product_rule(8)
+    return p, unit.reshape(-1, 4)  # rows 2k, 2k+1: slot n-1, slot n
 
 
 # the probabilities (6561,) and unit quadratures (13122, 4) of the rule
@@ -333,35 +346,52 @@ def recover_full(reduced: ReducedFrontendOutputs, w2_prev: float) -> FrontendOut
     return FrontendOutputs(reduced.w1, reduced.w2, w3, w4, w5, w6, reduced.n)
 
 
-# slots per chunk of the brute-force training draw: enough to spread numpy's
-# per-call cost over many short averages, few enough to stay in cache; an
-# average longer than this (r = 10^4) is a chunk of its own
-TRAINING_CHUNK_SLOTS = 4096
+# --- training -----------------------------------------------------------------
 
 
-def training_samples(
-    channel: JonesChannel, repeats: int, rng: np.random.Generator, draws: int = 1
-) -> np.ndarray:
-    """Training through the full frame path, ``draws`` times: each pilot's
-    fields repeated ``repeats`` times, the noisy samples of
-    ``received_samples``, and the mean of their w1..w4; returns
-    (draws, 3, 4), one row per pilot.  The brute-force average whose law
-    ``run_training`` draws from its sufficient statistics.  The noise is
-    drawn from ``rng`` in (draw, pilot, repeat, quadrature) order, so at
-    repeats = 1 each draw takes the same noise as one ``run_training``
-    call."""
-    pilots = len(TRAINING_PILOTS)
-    kx, ky = apply_jones(channel, *TRAINING_PILOTS.T)
-    rows = draws * pilots  # one average per (draw, pilot), in stream order
-    per_chunk = max(1, TRAINING_CHUNK_SLOTS // repeats)
-    averaged = np.empty((rows, 4))
-    for start in range(0, rows, per_chunk):
-        stop = min(start + per_chunk, rows)
-        pilot = np.repeat(np.arange(start, stop) % pilots, repeats)
-        unit = rng.standard_normal((len(pilot), 4))
-        w = received_samples(kx[pilot], ky[pilot], channel.sigma2, unit, "full")
-        averaged[start:stop] = w[:, :4].reshape(stop - start, repeats, 4).mean(axis=1)
-    return averaged.reshape(draws, pilots, 4)
+class _NodeDraws:
+    """Stand-in for the ``np.random.Generator`` of ``run_training`` that
+    serves one node of a product rule: the normals' nodes in turn, and for
+    each gamma of shape k the node k - sqrt(k) or k + sqrt(k) by its side.
+    Every row (pilot) of a draw takes the same nodes.  A draw it cannot fill,
+    or any other method, raises, so a change to the draws fails the oracle."""
+
+    def __init__(self, normals, sides):
+        self._normals, self._sides = list(normals), list(sides)
+
+    @staticmethod
+    def _take(queue, size):
+        if len(size) != 2 or size[1] > len(queue):
+            raise ValueError(f"no node for a draw of size {size} from {len(queue)} left")
+        taken = np.array(queue[: size[1]])
+        del queue[: size[1]]
+        return np.tile(taken, (size[0], 1))
+
+    def standard_normal(self, size):
+        return self._take(self._normals, size)
+
+    def standard_gamma(self, shape, size):
+        k = np.broadcast_to(np.asarray(shape, dtype=float), size)
+        return k + self._take(self._sides, size) * np.sqrt(k)
+
+
+def training_moments(channel: JonesChannel, repeats: int):
+    """Exact mean (3, 4) and per-pilot covariance (3, 4, 4) of
+    ``run_training(channel, repeats, rng)``, by running it on a product rule.
+
+    Each of its six normals takes the 3-node Gauss-Hermite rule: a sample is
+    at most degree 2 in a normal, so the covariance integrands are at most
+    degree 4, and 3 nodes are exact to degree 5.  Each of its two gammas of
+    shape k takes k -/+ sqrt(k) with probability 1/2, which matches E[g] = k
+    and E[g^2] = k^2 + k: a sample is linear in g, or sqrt(g) times a normal,
+    whose odd terms the symmetric rules cancel.  The 3^6 2^2 = 2916 calls
+    draw the same node for all three pilots, so only each pilot's own moments
+    are exact; the cross-pilot ones are not returned."""
+    p, normals, sides = _product_rule(6, 2)
+    w = np.array([run_training(channel, repeats, _NodeDraws(*node)) for node in zip(normals, sides)])
+    mean = np.einsum("n,nia->ia", p, w)
+    dev = w - mean
+    return mean, np.einsum("n,nia,nib->iab", p, dev, dev)
 
 
 # --- detection ----------------------------------------------------------------

@@ -46,7 +46,7 @@ from reference import (
     gauss_hermite_moments,
     hypothesis_stats,
     nearest_phase_argmin,
-    training_samples,
+    training_moments,
     two_slot_moments,
     wrap_angle,
 )
@@ -114,21 +114,6 @@ def test_stats4_zero_noise():
 def test_stats_reject_negative_sigma2():
     with pytest.raises(ValueError):
         gaussian_stats_dims123(1.0, 0.0, -0.1)
-
-
-@pytest.mark.parametrize("sigma2", [0.0, 1e-6, 1e-2, 1.0])
-def test_closed_form_moments_match_exact_quadrature(sigma2):
-    # the Gauss-Hermite rule is exact for moments of w, so the closed forms
-    # must agree to rounding, not to Monte Carlo error
-    rng = np.random.default_rng(94)
-    for _ in range(50):
-        g = rng.standard_normal(4) * rng.uniform(0.1, 2.0)
-        kx, ky = complex(g[0], g[1]), complex(g[2], g[3])
-        mean, cov = gauss_hermite_moments((0j, 0j), (kx, ky), sigma2)
-        mean, cov = mean[4:8], cov[4:8, 4:8]  # slot n's w1..w4
-        got_mean, got_cov = gaussian_stats_dims123(kx, ky, sigma2)
-        assert np.abs(got_mean - mean).max() <= 1e-12 * np.abs(mean).max()
-        assert np.abs(got_cov - cov).max() <= 1e-12 * np.abs(cov).max()
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 1e-6, 1e-2, 1.0, 30.0])
@@ -817,70 +802,32 @@ def test_estimate_channel_requires_three_pilot_blocks():
             estimate_channel(bad)
 
 
-# Monte Carlo bound of the statistical training checks: a sample moment lies
-# within this many of its standard errors of the value it estimates
-TRAINING_Z = 5.0
-
-
-def _moments_with_errors(draws):
-    """Per-entry means of (N, 3, 4) training draws and each pilot's (4, 4)
-    sample covariance, each with its Monte Carlo standard error."""
-    n = len(draws)
-    centred = draws - draws.mean(axis=0)
-    prods = centred[..., :, None] * centred[..., None, :]  # their mean is the covariance
-    return (
-        (draws.mean(axis=0), draws.std(axis=0) / math.sqrt(n)),
-        (prods.mean(axis=0), prods.std(axis=0) / math.sqrt(n)),
-    )
-
-
 @pytest.mark.parametrize("repeats", [1, 2, 17, 10_000])
-def test_training_matches_the_frame_path_oracle(repeats):
-    # r = 1 draws the frame path's own noise, bit for bit; at r >= 2 the
-    # sufficient-statistic draw has the law of the frame path's average, so
-    # means and covariances agree within the Monte Carlo bound (r = 2 has
-    # L22 = 0); noiseless, both give the noiseless Stokes vector
+def test_training_matches_the_exact_moments(repeats):
+    # each pilot's average of r independent slots has the slot's mean mu and
+    # covariance C / r, those of gaussian_stats_dims123 for the pilot's
+    # fields; the quadrature oracle integrates run_training's own draws
+    # exactly, so they agree to rounding.  One transmission is the frame
+    # path's own noisy sample, bit for bit, and noiseless training gives the
+    # noiseless Stokes vectors
     rng = np.random.default_rng(95)
-    for sigma2 in (0.0, osnr_to_sigma2(10.0), osnr_to_sigma2(20.0), osnr_to_sigma2(40.0)):
+    for sigma2 in (0.0, osnr_to_sigma2(0.0), osnr_to_sigma2(20.0), osnr_to_sigma2(40.0)):
         ch = haar_random_channel(rng, sigma2)
+        kx, ky = apply_jones(ch, *TRAINING_PILOTS.T)
         seed = int(rng.integers(2**32))
+        got = run_training(ch, repeats, np.random.default_rng(seed))
         if repeats == 1:
-            got = run_training(ch, 1, np.random.default_rng(seed))
-            assert np.array_equal(got, training_samples(ch, 1, np.random.default_rng(seed))[0])
-            continue
+            unit = np.random.default_rng(seed).standard_normal((3, 4))
+            assert np.array_equal(got, received_samples(kx, ky, sigma2, unit, "full")[:, :4])
+        elif sigma2 == 0.0:
+            assert np.array_equal(got, stokes_vector(kx, ky))
         if sigma2 == 0.0:
-            got = run_training(ch, repeats, np.random.default_rng(seed))
-            noiseless = [stokes_vector(*apply_jones(ch, ex, ey)) for ex, ey in TRAINING_PILOTS]
-            assert np.array_equal(got, noiseless)
-            # the frame path sums r equal rows one by one: up to ~2000 ulp at r = 10^4
-            want = training_samples(ch, repeats, np.random.default_rng(seed))[0]
-            assert np.abs(got - want).max() <= repeats * np.finfo(float).eps * np.abs(got).max()
             continue
-        # 10^4 draws of each, but 400 of the frame path at r = 10^4, whose
-        # every draw costs 3 x 10^4 slots; the bound counts both sample sizes
-        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
-        n_old = 400 if repeats == 10_000 else 10_000
-        new = np.array([run_training(ch, repeats, new_rng) for _ in range(10_000)])
-        old = training_samples(ch, repeats, old_rng, n_old)
-        pairs = zip(_moments_with_errors(new), _moments_with_errors(old))
-        for (m_new, se_new), (m_old, se_old) in pairs:
-            assert (np.abs(m_new - m_old) <= TRAINING_Z * np.hypot(se_new, se_old)).all()
-
-
-@pytest.mark.parametrize("repeats", [2, 50, 10_000])
-def test_training_moments_match_the_closed_form(repeats):
-    # the averaged w1..w4 of a pilot are the mean of r independent slots, so
-    # their mean is the slot's mu and their covariance C / r, with mu and C
-    # those of gaussian_stats_dims123 for the pilot's fields
-    rng = np.random.default_rng(96)
-    for osnr_db in (0.0, 20.0):
-        ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
-        draws = np.array([run_training(ch, repeats, rng) for _ in range(10_000)])
-        (mean, mean_se), (cov, cov_se) = _moments_with_errors(draws)
-        for i, (ex, ey) in enumerate(TRAINING_PILOTS):
-            mu, c = gaussian_stats_dims123(*apply_jones(ch, ex, ey), ch.sigma2)
-            assert (np.abs(mean[i] - mu) <= TRAINING_Z * mean_se[i]).all()
-            assert (np.abs(cov[i] - c / repeats) <= TRAINING_Z * cov_se[i]).all()
+        mean, cov = training_moments(ch, repeats)
+        want_mean, want_cov = gaussian_stats_dims123(kx, ky, sigma2)
+        want_cov = want_cov / repeats
+        assert np.abs(mean - want_mean).max() <= 1e-11 * np.abs(want_mean).max()
+        assert np.abs(cov - want_cov).max() <= 1e-11 * np.abs(want_cov).max()
 
 
 def test_training_rejects_repeats_that_are_not_positive_integers():

@@ -669,6 +669,8 @@ def test_generated_rate_script_plots_one_series(tmp_path, monkeypatch):
         (["ser", "--n-rings", "64", "--n-phases", "64"], None, "n_rings/n_phases"),
         (["ser", "--symbols-per-block", "10000000000000", "--blocks", "1"], None, "symbols_per_block"),
         (["rate", "--n-samples", "10000000000000", "--n-channels", "1"], None, "n_samples/n_channels"),
+        (["ser", "--blocks", "1", "--symbols-per-block", "10", "--out", "missing/x.csv"], None, "--out"),
+        (["rate", "--n-samples", "100", "--n-channels", "2", "--out", "."], None, "--out"),
     ],
     ids=[
         "demo-seed", "demo-repeats-0", "demo-env-negative", "demo-env-word", "ser-env-float",
@@ -677,6 +679,7 @@ def test_generated_rate_script_plots_one_series(tmp_path, monkeypatch):
         "demo-below-the-osnr-floor",
         "config-missing", "config-directory", "config-not-an-object", "config-syntax",
         "rate-histogram-too-large", "ser-score-table-too-large", "ser-frame-too-long", "rate-frame-too-long",
+        "out-missing-directory", "out-is-a-directory",
     ],
 )
 def test_cli_rejects_bad_inputs_by_name(argv, env_seed, named, tmp_path, monkeypatch, capsys):
