@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MIN_OSNR_DB
+
 UNITARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class JonesChannel:
-    """Rotation parameters (a, b) with |a|^2 + |b|^2 = 1, plus the noise level."""
+    """Rotation parameters (a, b) with |a|^2 + |b|^2 = 1, plus the noise level
+    sigma2, at most ``MAX_SIGMA2``: the OSNR floor's."""
 
     a: complex
     b: complex
@@ -30,8 +33,8 @@ class JonesChannel:
     def __post_init__(self):
         if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > UNITARITY_TOL:
             raise ValueError("(a, b) must satisfy |a|^2 + |b|^2 = 1")
-        if not self.sigma2 >= 0.0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not 0.0 <= self.sigma2 <= MAX_SIGMA2:  # NaN does not pass
+            raise ValueError(f"sigma2 must lie in [0, {MAX_SIGMA2!r}], got {self.sigma2!r}")
 
 
 def channel_from_pair(z1: complex, z2: complex, sigma2: float = 0.0) -> JonesChannel:
@@ -98,3 +101,8 @@ def osnr_to_sigma2(osnr_db: float) -> float:
     if not sigma2 < math.inf:  # +inf gives 0.0; NaN, -inf and overflow do not pass
         raise ValueError(f"OSNR {osnr_db!r} dB gives no finite noise variance")
     return sigma2
+
+
+# the noise variance at config.MIN_OSNR_DB, the most that JonesChannel and
+# detection.gaussian_stats_dims123 accept
+MAX_SIGMA2 = osnr_to_sigma2(MIN_OSNR_DB)

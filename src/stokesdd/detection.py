@@ -71,7 +71,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import JonesChannel, add_unit_noise, apply_jones, channel_from_pair, stokes_vector
+from .channel import MAX_SIGMA2, JonesChannel, add_unit_noise, apply_jones, channel_from_pair, stokes_vector
 from .constellation import RingPskConstellation
 
 # below this beat-mean amplitude the inter-slot phase hypotheses coincide and
@@ -100,21 +100,13 @@ SURROGATE_MAX_KAPPA_EPS = 1e-6
 _PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 
-def _require_finite(sigma2, array):
-    # past sigma2 ~ 4.7e153 (OSNR below about -1542.8 dB) the noise term
-    # 8*sigma2^2 overflows; a table built on it scores every hypothesis -inf
-    # or NaN and argmax silently decides hypothesis 0
-    if not np.isfinite(array).all():
-        raise ValueError(f"sigma2 = {sigma2!r} overflows the surrogate covariance or the score table")
-
-
 def gaussian_stats_dims123(kx, ky, sigma2: float):
     """Exact mean (..., 4) and covariance (..., 4, 4) of (w1, w2, w3, w4)
     given a slot's noiseless received fields (arrays broadcast).  Given the
     current X and the previous Y field instead, ``mean[..., 2:]`` and
     ``cov[..., 2:, 2:]`` are those of the delayed beat pair (w5, w6)."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
+    if not 0.0 <= sigma2 <= MAX_SIGMA2:  # NaN does not pass
+        raise ValueError(f"sigma2 must lie in [0, {MAX_SIGMA2!r}], got {sigma2!r}")
     # the noiseless Stokes vector gives the mean and every covariance entry:
     # noise adds 2s to each intensity, and Cov(w_i, w_j) = 2s w_j for an
     # intensity i and a beat j
@@ -130,7 +122,6 @@ def gaussian_stats_dims123(kx, ky, sigma2: float):
     cov[..., :2, 2:] = 2.0 * sigma2 * mean[..., None, 2:]
     cov[..., 2:, :2] = np.swapaxes(cov[..., :2, 2:], -1, -2)
     mean[..., :2] += 2.0 * sigma2
-    _require_finite(sigma2, cov)
     return mean, cov
 
 
@@ -181,7 +172,6 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     table[1:5] = (prec @ means[:, :, None])[..., 0].T
     iu, ju = np.array(_PAIRS).T
     table[5:] = np.where(iu == ju, -0.5, -1.0)[:, None] * prec[:, iu, ju].T
-    _require_finite(channel.sigma2, table)
     return _HypothesisBank(triples, table)
 
 
@@ -285,6 +275,12 @@ TRAINING_PILOTS = np.array([[1.0, 0.0], [1.0, 1.0], [1.0j, 1.0]], dtype=complex)
 TRAINING_PILOTS.flags.writeable = False
 
 
+def _is_count(value) -> bool:
+    # bool is an int subclass but never a count; a fractional count is the
+    # law of no number of transmissions
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
+
+
 def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) -> np.ndarray:
     """Average each training pilot's noisy Stokes vector over ``repeats``
     transmissions; returns the (3, 4) averaged w1..w4, one row per pilot.
@@ -300,9 +296,7 @@ def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) 
     exact law of the brute-force one at a cost independent of r; at r = 1
     the scatter vanishes and only the four normals are drawn.
     """
-    # bool is an int subclass but never a count; a fractional count is the
-    # law of no number of transmissions
-    if isinstance(repeats, bool) or not isinstance(repeats, (int, np.integer)) or repeats < 1:
+    if not _is_count(repeats):
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
     kx, ky = apply_jones(channel, *TRAINING_PILOTS.T)
     g = rng.standard_normal((len(TRAINING_PILOTS), 4 if repeats == 1 else 6))

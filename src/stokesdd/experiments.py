@@ -33,6 +33,7 @@ from .channel import (
 from .config import MIN_OSNR_DB, ExperimentConfig
 from .constellation import build_constellation
 from .detection import (
+    _is_count,
     beat_gain,
     estimate_channel,
     gauge_aligned_error,
@@ -182,8 +183,8 @@ def channel_estimation_demo(osnr_db: float, repeats: int, seed: int = 0) -> dict
     """Draw one channel, estimate it from averaged training pilots, and report
     the sign-aligned error and the fit residual.  It accepts the OSNRs a
     sweep's grid may start at."""
-    if repeats < 1:
-        raise ValueError(f"repeats (--repeats) must be at least 1, got {repeats}")
+    if not _is_count(repeats):  # checked before anything is drawn
+        raise ValueError(f"repeats (--repeats) must be a positive integer, got {repeats!r}")
     if osnr_db < MIN_OSNR_DB:
         raise ValueError(f"OSNR {osnr_db!r} dB (--osnr-db) is below the sweeps' floor, {MIN_OSNR_DB!r} dB")
     sigma2 = osnr_to_sigma2(osnr_db)

@@ -153,21 +153,10 @@ def _beat_coefficients(kx, ky, unit):
 
 
 def _noise_deviation(residual) -> float:
-    """Per-quadrature RMS of the finite entries of the complex ``residual``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = np.abs(residual)
-        np.square(power, out=power)
-        mean_square = power.mean()
-    if math.isfinite(mean_square):
-        return math.sqrt(mean_square / 2.0)
-    # a non-finite residual, or squares past the float range (at the OSNR
-    # floor): average the finite ones scaled by an exact power of two
-    finite = residual[np.isfinite(residual)]
-    if not finite.size:
-        return 0.0
-    exponent = max(math.frexp(float(np.abs(finite).max()))[1], 0)
-    finite *= math.ldexp(1.0, -exponent)
-    return math.ldexp(math.sqrt(float((np.abs(finite) ** 2).mean()) / 2.0), exponent)
+    """Per-quadrature RMS of the complex ``residual``."""
+    power = np.abs(residual)
+    np.square(power, out=power)
+    return math.sqrt(power.mean() / 2.0)
 
 
 def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from stokesdd.channel import (
     osnr_to_sigma2,
     stokes_vector,
 )
+from stokesdd.config import MIN_OSNR_DB
 from stokesdd.constellation import build_constellation, encode_indices
 from stokesdd.detection import (
     PILOT,
@@ -150,17 +151,19 @@ def test_detect_noiseless_recovers_symbols_exactly():
         assert (decided == idx[:, :3]).all()
 
 
-def test_overflowing_surrogate_covariance_is_rejected():
-    # past sigma2 ~ 4.7e153 the covariance overflows; a bank built on it would
-    # score every hypothesis -inf and decide hypothesis 0 without a word
+def test_noise_variance_past_the_osnr_floor_is_rejected():
+    # sigma2 enters the library through JonesChannel, or raw through the
+    # surrogate moments: both accept the floor's variance and nothing above
+    # it, so no bank is built on a sigma2 whose scores could overflow (at
+    # 1e160 a bank scores every hypothesis -inf and decides hypothesis 0)
     c = build_constellation(2, 4)
     ch = haar_random_channel(np.random.default_rng(98))
-    bank = detection._build_bank(JonesChannel(ch.a, ch.b, osnr_to_sigma2(-1540.0)), c)
-    assert np.isfinite(bank.table).all()
-    for osnr_db in (-1545.0, -1600.0, -3000.0):
-        sigma2 = osnr_to_sigma2(osnr_db)
+    top = osnr_to_sigma2(MIN_OSNR_DB)
+    assert np.isfinite(detection._build_bank(JonesChannel(ch.a, ch.b, top), c).table).all()
+    assert np.isfinite(gaussian_stats_dims123(1.0, 0.0, top)[1]).all()
+    for sigma2 in (np.nextafter(top, math.inf), 1e160, math.inf, math.nan, -1e-3):
         with pytest.raises(ValueError, match="sigma2"):
-            detection._build_bank(JonesChannel(ch.a, ch.b, sigma2), c)
+            JonesChannel(ch.a, ch.b, sigma2)
         with pytest.raises(ValueError, match="sigma2"):
             gaussian_stats_dims123(1.0, 0.0, sigma2)
 
@@ -837,8 +840,9 @@ def test_training_rejects_repeats_that_are_not_positive_integers():
     for repeats in (2.5, 1.5, 2.0, np.float64(3.0), True, 0, -3, np.int64(0)):
         with pytest.raises(ValueError, match="repeats"):
             run_training(ch, repeats, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="repeats"):
-        channel_estimation_demo(20.0, 2.5)
+    for repeats in (2.5, True):  # the demo names its CLI flag, before it draws a channel
+        with pytest.raises(ValueError, match="--repeats"):
+            channel_estimation_demo(20.0, repeats)
     for repeats in (1, 17):
         want = run_training(ch, repeats, np.random.default_rng(0))
         got = run_training(ch, np.int64(repeats), np.random.default_rng(0))

@@ -84,8 +84,8 @@ def test_config_rejects_unknown_fields():
         ("blocks", True),
         ("osnr_start_db", "10"),
         ("osnr_start_db", -4000.0),  # 10^400 overflows: no finite noise variance
-        ("osnr_start_db", -3000.0),  # finite variance, overflowing surrogate covariance
-        ("osnr_start_db", -1540.0),  # finite covariance, overflowing products of observables
+        ("osnr_start_db", -3000.0),  # finite noise variance, far below the OSNR floor
+        ("osnr_start_db", -100.5),  # just below the OSNR floor
         ("osnr_stop_db", math.nan),
     ],
 )
@@ -95,25 +95,24 @@ def test_config_validation_names_the_field(field, value):
         cfg.validate()
 
 
-def test_config_accepts_osnr_whose_surrogate_covariance_is_finite():
-    # the scorer's products of observables may overflow below about
-    # -1524.3 dB (config.MIN_OSNR_DB); -1500 dB still detects
-    ExperimentConfig(osnr_start_db=-1500.0, osnr_stop_db=-1500.0).validate()
+def test_config_accepts_the_osnr_floor_and_nothing_below():
     ExperimentConfig(osnr_start_db=MIN_OSNR_DB, osnr_stop_db=MIN_OSNR_DB).validate()
+    below = math.nextafter(MIN_OSNR_DB, -math.inf)
+    with pytest.raises(ValueError, match="osnr_start_db"):
+        ExperimentConfig(osnr_start_db=below, osnr_stop_db=0.0).validate()
 
 
 def test_the_rejection_prints_the_osnr_floor_in_full():
-    # to 0.1 dB the floor would print as -1524.3, the value it rejects
     with pytest.raises(ValueError, match="osnr_start_db") as err:
-        ExperimentConfig(osnr_start_db=-1524.3, osnr_stop_db=0.0).validate()
+        ExperimentConfig(osnr_start_db=-100.5, osnr_stop_db=0.0).validate()
     floor = float(re.search(r"is below (\S+) dB", str(err.value)).group(1))
-    assert floor == MIN_OSNR_DB > -1524.3
+    assert floor == MIN_OSNR_DB
 
 
 @pytest.mark.parametrize("repeats", [1, 10_000])
 def test_demo_at_the_osnr_floor_overflows_nowhere(repeats, monkeypatch, capsys):
-    # the demo accepts the sweeps' floor, where its training residual still
-    # squares within range; numpy's floating-point warnings raise here
+    # the demo accepts the sweeps' floor; numpy's floating-point warnings
+    # raise here
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         assert main(["estimate-channel-demo", "--osnr-db", repr(MIN_OSNR_DB), "--repeats", str(repeats)]) == 0
@@ -123,8 +122,8 @@ def test_demo_at_the_osnr_floor_overflows_nowhere(repeats, monkeypatch, capsys):
 
 @pytest.mark.parametrize("variant", ["full", "reduced"])
 def test_scores_at_the_osnr_floor_are_finite(variant):
-    # the floor keeps the scorer's products w_i w_j finite, so a frame at it
-    # scores no NaN (at -1540 dB, 1,900 of its 10^4 rows do)
+    # at the floor's sigma2 = 2.5e9 the scorer's products w_i w_j stay
+    # hundreds of decades inside the float range, so a frame scores no NaN
     c = build_constellation(4, 16)
     sigma2 = osnr_to_sigma2(MIN_OSNR_DB)
     channel, _, kx, ky, unit = draw_frame(c, 0, 0, 10_000)
@@ -658,9 +657,11 @@ def test_generated_rate_script_plots_one_series(tmp_path, monkeypatch):
             "osnr_start_db",
         ),
         (["ser", "--osnr-start-db", repr(MIN_OSNR_DB - 0.01), "--osnr-stop-db", "0"], None, "osnr_start_db"),
+        (["rate", "--osnr-start-db", "-100.5", "--osnr-stop-db", "0"], None, "osnr_start_db"),
         (["estimate-channel-demo", "--osnr-db", "-4000"], None, "OSNR -4000.0 dB"),
         (["estimate-channel-demo", "--osnr-db=-inf"], None, "OSNR -inf dB"),
         (["estimate-channel-demo", "--osnr-db", "-1600"], None, "OSNR -1600.0 dB"),
+        (["estimate-channel-demo", "--osnr-db", "-100.5"], None, "OSNR -100.5 dB"),
         (["ser", "--config", "nope.json"], None, "--config"),
         (["ser", "--config", "."], None, "--config"),
         (["ser", "--config", "five.json"], None, "--config"),
@@ -674,9 +675,9 @@ def test_generated_rate_script_plots_one_series(tmp_path, monkeypatch):
     ],
     ids=[
         "demo-seed", "demo-repeats-0", "demo-env-negative", "demo-env-word", "ser-env-float",
-        "ser-tiny-osnr-step", "ser-osnr-overflow", "rate-osnr-overflow", "ser-covariance-overflow",
-        "ser-below-the-osnr-floor", "demo-osnr-overflow", "demo-osnr-minus-inf",
-        "demo-below-the-osnr-floor",
+        "ser-tiny-osnr-step", "ser-osnr-overflow", "rate-osnr-overflow", "ser-far-below-the-osnr-floor",
+        "ser-below-the-osnr-floor", "rate-below-the-osnr-floor", "demo-osnr-overflow", "demo-osnr-minus-inf",
+        "demo-below-the-osnr-floor", "demo-just-below-the-osnr-floor",
         "config-missing", "config-directory", "config-not-an-object", "config-syntax",
         "rate-histogram-too-large", "ser-score-table-too-large", "ser-frame-too-long", "rate-frame-too-long",
         "out-missing-directory", "out-is-a-directory",
