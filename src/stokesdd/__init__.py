@@ -1,9 +1,10 @@
 """Dual-polarization direct-detection link simulator.
 
-Modules: constellation (ring-PSK alphabet, phase encoder, the index draw
-``draw_indices``), channel (random unitary rotation, amplifier noise, and
-``stokes_vector``, the one formula of w1..w4 that the front-end, the surrogate
-moments and training build on), frontend (photocurrent observables of both
+Modules: constellation (ring-PSK alphabet, the grid phasors
+``phasor_table``, the phase encoder, the index draw ``draw_indices``), channel
+(random unitary rotation, amplifier noise, and ``stokes_vector``, the one
+formula of w1..w4 that the front-end, the surrogate moments and training build
+on), frontend (photocurrent observables of both
 receiver variants, and ``received_samples``, every receiver's noisy path),
 detection (``gaussian_stats_dims123``, the one function of the surrogate
 moments, Gaussian-surrogate ML and successive detection from the known

@@ -33,8 +33,15 @@ class JonesChannel:
     def __post_init__(self):
         if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > UNITARITY_TOL:
             raise ValueError("(a, b) must satisfy |a|^2 + |b|^2 = 1")
-        if not 0.0 <= self.sigma2 <= MAX_SIGMA2:  # NaN does not pass
-            raise ValueError(f"sigma2 must lie in [0, {MAX_SIGMA2!r}], got {self.sigma2!r}")
+        check_sigma2(self.sigma2)
+
+
+def check_sigma2(sigma2: float) -> None:
+    """Raise a ValueError naming sigma2 unless it lies in [0, ``MAX_SIGMA2``]:
+    the noise bound of ``JonesChannel``, the surrogate moments and the noise
+    path, so no kernel decides on non-finite samples or scores."""
+    if not 0.0 <= sigma2 <= MAX_SIGMA2:  # NaN does not pass
+        raise ValueError(f"sigma2 must lie in [0, {MAX_SIGMA2!r}], got {sigma2!r}")
 
 
 def channel_from_pair(z1: complex, z2: complex, sigma2: float = 0.0) -> JonesChannel:
@@ -62,8 +69,9 @@ def add_unit_noise(kx, ky, sigma2: float, unit: np.ndarray):
     """Add scaled pre-drawn standard-normal quadratures (n, 4) to the fields.
 
     Keeping the unit draws fixed while sweeping sigma2 gives common-random-number
-    curves across an OSNR grid.
+    curves across an OSNR grid.  sigma2 must pass ``check_sigma2``.
     """
+    check_sigma2(sigma2)
     s = math.sqrt(sigma2)
     fx = kx + s * (unit[..., 0] + 1j * unit[..., 1])
     fy = ky + s * (unit[..., 2] + 1j * unit[..., 3])
@@ -103,6 +111,5 @@ def osnr_to_sigma2(osnr_db: float) -> float:
     return sigma2
 
 
-# the noise variance at config.MIN_OSNR_DB, the most that JonesChannel and
-# detection.gaussian_stats_dims123 accept
+# the noise variance at config.MIN_OSNR_DB, the most that check_sigma2 accepts
 MAX_SIGMA2 = osnr_to_sigma2(MIN_OSNR_DB)

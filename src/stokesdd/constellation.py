@@ -56,7 +56,17 @@ def draw_indices(rng: np.random.Generator, constellation: RingPskConstellation, 
     """Uniform (n, 4) index draw, one column at a time in (rx, ry, t, e)
     order: rings, rings, phases, phases."""
     highs = (constellation.n_rings,) * 2 + (constellation.n_phases,) * 2
-    return np.stack([rng.integers(0, high, n) for high in highs], axis=1)
+    idx = np.empty((n, 4), dtype=np.int64)
+    for col, high in enumerate(highs):
+        idx[:, col] = rng.integers(0, high, n)
+    return idx
+
+
+def phasor_table(constellation: RingPskConstellation) -> np.ndarray:
+    """The (n_phases,) grid phasors exp(i*k*step), k = 0..n_phases-1: every
+    transmit phase of the encoder, and the phase reference of the inter-slot
+    decision and the rate."""
+    return np.exp(1j * constellation.phase_step * np.arange(constellation.n_phases))
 
 
 def encode_indices(constellation: RingPskConstellation, idx):
@@ -64,21 +74,24 @@ def encode_indices(constellation: RingPskConstellation, idx):
 
     Recursion: arg(E_x[n]) = e[n]*step + arg(E_y[n-1]) and
     arg(E_y[n]) = arg(E_x[n]) - t[n]*step.  Slot 0 anchors arg(E_y[0]) at
-    zero and ignores its inter-slot index.
+    zero and ignores its inter-slot index.  Every phase is a whole number of
+    steps, carried as an integer modulo n_phases, so each field is its ring
+    radius times a ``phasor_table`` entry, exactly, however long the stream.
     """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != 4 or idx.shape[0] == 0:
         raise ValueError("expected a nonempty (n, 4) index array")
-    if (idx < 0).any() or (idx[:, :2] >= constellation.n_rings).any() or (
-        idx[:, 2:] >= constellation.n_phases
-    ).any():
+    nph = constellation.n_phases
+    if (idx < 0).any() or (idx[:, :2] >= constellation.n_rings).any() or (idx[:, 2:] >= nph).any():
         raise ValueError("symbol index out of range")
-    step = constellation.phase_step
     radii = np.asarray(constellation.radii)
-    # arg(E_y) starts at zero and advances by (e - t)*step per slot
-    phase_y = np.zeros(len(idx))
-    phase_y[1:] = np.cumsum((idx[1:, 3] - idx[1:, 2]) * step)
-    phase_x = phase_y + idx[:, 2] * step
-    ex = radii[idx[:, 0]] * np.exp(1j * phase_x)
-    ey = radii[idx[:, 1]] * np.exp(1j * phase_y)
-    return ex, ey
+    phasors = phasor_table(constellation)
+    # arg(E_y) = k_y*step starts at zero and advances by (e - t) steps per
+    # slot; the int64 sum cannot overflow: |e - t| < n_phases <=
+    # MAX_HYPOTHESES = 2**13 and n <= MAX_FRAME_SLOTS = 2**22 keep it below 2**35
+    k_y = np.zeros(len(idx), dtype=np.int64)
+    np.cumsum(idx[1:, 3] - idx[1:, 2], out=k_y[1:])
+    k_y %= nph
+    k_x = k_y + idx[:, 2]
+    k_x %= nph
+    return radii[idx[:, 0]] * phasors[k_x], radii[idx[:, 1]] * phasors[k_y]

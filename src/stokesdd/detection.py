@@ -71,8 +71,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import MAX_SIGMA2, JonesChannel, add_unit_noise, apply_jones, channel_from_pair, stokes_vector
-from .constellation import RingPskConstellation
+from .channel import JonesChannel, add_unit_noise, apply_jones, channel_from_pair, check_sigma2, stokes_vector
+from .constellation import RingPskConstellation, phasor_table
 
 # below this beat-mean amplitude the inter-slot phase hypotheses coincide and
 # the slot is flagged as an erasure
@@ -105,8 +105,7 @@ def gaussian_stats_dims123(kx, ky, sigma2: float):
     given a slot's noiseless received fields (arrays broadcast).  Given the
     current X and the previous Y field instead, ``mean[..., 2:]`` and
     ``cov[..., 2:, 2:]`` are those of the delayed beat pair (w5, w6)."""
-    if not 0.0 <= sigma2 <= MAX_SIGMA2:  # NaN does not pass
-        raise ValueError(f"sigma2 must lie in [0, {MAX_SIGMA2!r}], got {sigma2!r}")
+    check_sigma2(sigma2)
     # the noiseless Stokes vector gives the mean and every covariance entry:
     # noise adds 2s to each intensity, and Cov(w_i, w_j) = 2s w_j for an
     # intensity i and a beat j
@@ -142,8 +141,7 @@ def _hypothesis_fields(channel: JonesChannel, constellation: RingPskConstellatio
     triples = np.indices((nr, nr, nph)).reshape(3, -1).T
     radii = np.asarray(constellation.radii)
     ex = radii[triples[:, 0]].astype(complex)
-    phasors = np.exp(-1j * constellation.phase_step * np.arange(nph))
-    ey = radii[triples[:, 1]] * phasors[triples[:, 2]]
+    ey = radii[triples[:, 1]] * np.conj(phasor_table(constellation))[triples[:, 2]]
     return triples, *apply_jones(channel, ex, ey)
 
 
@@ -245,7 +243,7 @@ def beat_gain(constellation: RingPskConstellation, channel: JonesChannel, idx) -
         msg = f"idx has an entry outside the alphabet (n_rings, n_rings, n_phases) = {(nr, nr, nph)}"
         raise ValueError(msg) from None
     _, kx, ky = _hypothesis_fields(channel, constellation)
-    phasors = np.exp(1j * constellation.phase_step * np.arange(nph))
+    phasors = phasor_table(constellation)
     # re-anchored per slot, not in the table: numpy computes a product with a
     # temporary operand of >= 256 KiB in place, operands swapped, which rounds
     # a complex product's imaginary part differently; this keeps every n's bits

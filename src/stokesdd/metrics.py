@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import JonesChannel, apply_jones, haar_random_channel, osnr_to_sigma2
 from .config import ExperimentConfig
-from .constellation import RingPskConstellation, build_constellation, draw_indices, encode_indices
+from .constellation import RingPskConstellation, build_constellation, draw_indices, encode_indices, phasor_table
 from .detection import PILOT, beat_gain, run_successive_receiver
 from .frontend import received_samples
 
@@ -185,7 +185,7 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
     m = -(-config.n_samples // config.n_channels)  # ceil: per-channel sample count
     channel, idx, kx, ky, unit = draw_frame(constellation, config.seed, key, m + 1)
     eta_idx = idx[1:, 3]
-    reference = np.exp(1j * constellation.phase_step * np.arange(constellation.n_phases))[eta_idx]
+    reference = phasor_table(constellation)[eta_idx]
     coefficients = _beat_coefficients(kx, ky, unit)
     genie = config.rate_context == "genie"
     if genie:

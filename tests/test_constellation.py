@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesdd.constellation import build_constellation, draw_indices, encode_indices
+from stokesdd.constellation import build_constellation, draw_indices, encode_indices, phasor_table
 
 from reference import (
     SymbolIndices,
     dimension_values,
+    encode_exp,
     encode_sequence,
     nearest_indices,
     nearest_indices_block,
@@ -148,6 +150,32 @@ def test_phase_recursion_matches_grid_to_machine_precision(seed, n):
     eta_err = wrap_angle(np.angle(ex[1:] * np.conj(ey[:-1])) - idx[1:, 3] * step)
     assert np.abs(theta_err).max() < 1e-10
     assert np.abs(eta_err).max() < 1e-10
+
+
+def _long_stream(n_rings, n_phases, n):
+    c = build_constellation(n_rings, n_phases)
+    return c, random_indices(np.random.default_rng(n_rings * 100 + n_phases), c, n)
+
+
+@pytest.mark.parametrize("n_rings,n_phases", [(2, 4), (4, 16)])
+def test_fields_are_exact_table_phasors_at_2_20_slots(n_rings, n_phases):
+    # the phase indices from a recurrence in Python ints, one slot at a time
+    c, idx = _long_stream(n_rings, n_phases, 2**20)
+    steps = (idx[1:, 3] - idx[1:, 2]).tolist()
+    k_y = np.array(list(itertools.accumulate(steps, lambda k, d: (k + d) % n_phases, initial=0)))
+    k_x = (k_y + idx[:, 2]) % n_phases
+    radii, phasors = np.asarray(c.radii), phasor_table(c)
+    ex, ey = encode_indices(c, idx)
+    assert np.array_equal(ex, radii[idx[:, 0]] * phasors[k_x])
+    assert np.array_equal(ey, radii[idx[:, 1]] * phasors[k_y])
+
+
+@pytest.mark.parametrize("n_rings,n_phases", [(2, 4), (4, 16)])
+def test_fields_agree_with_the_exp_of_the_running_phase(n_rings, n_phases):
+    # the gap is the exp oracle's own error at phases up to ~1e6 rad: 5.4e-11 here
+    c, idx = _long_stream(n_rings, n_phases, 2**20)
+    for got, oracle in zip(encode_indices(c, idx), encode_exp(c, idx)):
+        assert np.abs(got - oracle).max() < 1e-9
 
 
 def test_nearest_indices_exact_point_is_fixed_point():

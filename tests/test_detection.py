@@ -153,9 +153,10 @@ def test_detect_noiseless_recovers_symbols_exactly():
 
 def test_noise_variance_past_the_osnr_floor_is_rejected():
     # sigma2 enters the library through JonesChannel, or raw through the
-    # surrogate moments: both accept the floor's variance and nothing above
-    # it, so no bank is built on a sigma2 whose scores could overflow (at
-    # 1e160 a bank scores every hypothesis -inf and decides hypothesis 0)
+    # surrogate moments or the noise path (test_frontend.py): all accept the
+    # floor's variance and nothing above it, so no bank is built on a sigma2
+    # whose scores could overflow (at 1e160 a bank scores every hypothesis
+    # -inf and decides hypothesis 0)
     c = build_constellation(2, 4)
     ch = haar_random_channel(np.random.default_rng(98))
     top = osnr_to_sigma2(MIN_OSNR_DB)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesdd.channel import (
+    MAX_SIGMA2,
     add_unit_noise,
     apply_jones,
     haar_random_channel,
@@ -115,3 +118,16 @@ def test_received_samples_is_noise_then_front_end():
     assert np.array_equal(reduced, recover_full_block(frontend_reduced_block(fx, fy)))
     with pytest.raises(ValueError, match="variant"):
         received_samples(kx, ky, 0.05, unit, "balanced")
+
+
+def test_received_samples_rejects_a_noise_variance_outside_the_bound():
+    # the noise path holds the bound JonesChannel holds, and names sigma2
+    rng = np.random.default_rng(9)
+    kx = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    ky = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    unit = rng.standard_normal((50, 4))
+    for variant in ("full", "reduced"):
+        assert np.isfinite(received_samples(kx, ky, MAX_SIGMA2, unit, variant)).all()
+        for sigma2 in (math.nan, math.inf, -math.inf, -1.0, np.nextafter(MAX_SIGMA2, math.inf)):
+            with pytest.raises(ValueError, match="sigma2"):
+                received_samples(kx, ky, sigma2, unit, variant)
