@@ -4,8 +4,9 @@ Modules: constellation (ring-PSK alphabet, the grid phasors
 ``phasor_table``, the phase encoder, the index draw ``draw_indices``), channel
 (random unitary rotation, amplifier noise, and ``stokes_vector``, the one
 formula of w1..w4 that the front-end, the surrogate moments and training build
-on), frontend (photocurrent observables of both
-receiver variants, and ``received_samples``, every receiver's noisy path),
+on), frontend (photocurrent observables of both receiver variants, and the
+one formula of noisy samples: a quadratic in sqrt(sigma2) per frame, which
+the SER sweep, both rate contexts and training evaluate),
 detection (``gaussian_stats_dims123``, the one function of the surrogate
 moments, Gaussian-surrogate ML and successive detection from the known
 ``PILOT``: the inter-slot decision rounds the phase of the delayed beat

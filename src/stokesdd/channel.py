@@ -65,6 +65,9 @@ def apply_jones(channel: JonesChannel, ex, ey):
     return a * ex + b * ey, -np.conj(b) * ex + np.conj(a) * ey
 
 
+# No library caller but propagate_block: frontend.sample_coefficients is the
+# noise path.  Kept while perfbench's WRAPPED lists it (ROADMAP item 8):
+# test_perfbench.py::test_a_wrapped_name_the_program_lacks_is_reported_absent fails without it.
 def add_unit_noise(kx, ky, sigma2: float, unit: np.ndarray):
     """Add scaled pre-drawn standard-normal quadratures (n, 4) to the fields.
 
@@ -78,7 +81,7 @@ def add_unit_noise(kx, ky, sigma2: float, unit: np.ndarray):
     return fx, fy
 
 
-# No caller in the library or the tests: received_samples is the noisy path.
+# No caller in the library or the tests: frontend.sample_coefficients is the noise path.
 # Kept while perfbench's WRAPPED lists it (ROADMAP item 8):
 # test_perfbench.py::test_a_wrapped_name_the_program_lacks_is_reported_absent fails without it.
 def propagate_block(channel: JonesChannel, ex, ey, rng: np.random.Generator):

@@ -81,8 +81,8 @@ def encode_indices(constellation: RingPskConstellation, idx):
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != 4 or idx.shape[0] == 0:
         raise ValueError("expected a nonempty (n, 4) index array")
-    nph = constellation.n_phases
-    if (idx < 0).any() or (idx[:, :2] >= constellation.n_rings).any() or (idx[:, 2:] >= nph).any():
+    nr, nph = constellation.n_rings, constellation.n_phases
+    if idx.min() < 0 or (idx >= np.array([nr, nr, nph, nph])).any():  # each column's high
         raise ValueError("symbol index out of range")
     radii = np.asarray(constellation.radii)
     phasors = phasor_table(constellation)

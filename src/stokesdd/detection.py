@@ -71,8 +71,9 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import JonesChannel, add_unit_noise, apply_jones, channel_from_pair, check_sigma2, stokes_vector
+from .channel import JonesChannel, apply_jones, channel_from_pair, check_sigma2, stokes_vector
 from .constellation import RingPskConstellation, phasor_table
+from .frontend import received_samples
 
 # below this beat-mean amplitude the inter-slot phase hypotheses coincide and
 # the slot is flagged as an erasure
@@ -287,18 +288,18 @@ def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) 
     (K + n_k)(K + n_k)^H is (K + m)(K + m)^H + S/r, where the noise's sample
     mean m ~ CN(0, (2 sigma2/r) I) and scatter S ~ complex Wishart_2(r-1,
     2 sigma2 I) are independent (Goodman 1963).  So each pilot draws m from
-    four normals, as ``add_unit_noise(kx, ky, sigma2/r, ...)``, and S = L L^H
+    four normals, as ``received_samples(kx, ky, sigma2/r, ...)``, and S = L L^H
     from its complex Bartlett factor (Bartlett 1933): L11^2 = 2 sigma2
     Gamma(r-1), L22^2 = 2 sigma2 Gamma(r-2) (zero at r = 2) and
     L21 = sqrt(sigma2) (g + i g') from two more normals.  The average is the
     exact law of the brute-force one at a cost independent of r; at r = 1
-    the scatter vanishes and only the four normals are drawn.
+    the scatter vanishes and the average is the frame path's sample.
     """
     if not _is_count(repeats):
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
     kx, ky = apply_jones(channel, *TRAINING_PILOTS.T)
     g = rng.standard_normal((len(TRAINING_PILOTS), 4 if repeats == 1 else 6))
-    averaged = stokes_vector(*add_unit_noise(kx, ky, channel.sigma2 / repeats, g[:, :4]))
+    averaged = received_samples(kx, ky, channel.sigma2 / repeats, g[:, :4], "full")[:, :4]
     if repeats > 1:
         # the columns (L11, L21) and (0, L22) of L / sqrt(r), whose rank-one
         # coherencies sum to S / r

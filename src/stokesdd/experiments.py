@@ -40,7 +40,7 @@ from .detection import (
     run_successive_receiver,
     run_training,
 )
-from .frontend import received_samples
+from .frontend import evaluate_samples, sample_coefficients
 from .metrics import _rng, accumulate_ser, draw_frame, estimate_mi_dim4
 
 SER_HEADER = "osnr_db,dim,ser,trials,mode"
@@ -58,11 +58,13 @@ def _ser_block(cfg: ExperimentConfig, block: int) -> np.ndarray:
     n = cfg.symbols_per_block
 
     channel0, idx, kx, ky, unit = draw_frame(constellation, cfg.seed, block, n)
+    coefficients = sample_coefficients(kx, ky, unit)
+    del kx, ky, unit  # the table is all the points read of the frame's fields and noise
 
     errors = np.zeros((len(grid), 4), dtype=np.int64)
     for i, osnr_db in enumerate(grid):
         sigma2 = osnr_to_sigma2(osnr_db)
-        frames = received_samples(kx, ky, sigma2, unit, cfg.receiver_variant)
+        frames = evaluate_samples(coefficients, sigma2, cfg.receiver_variant)
 
         channel = JonesChannel(channel0.a, channel0.b, sigma2)
         if cfg.channel_mode == "estimated":

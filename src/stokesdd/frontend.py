@@ -13,18 +13,19 @@ and half of one beat sample, so the reduced samples are affine in the full
 ones, and ``recover_full_block`` inverts that map digitally.  The delay line
 is empty before the first slot, so slot 0 behaves as if F_y[-1] = 0.
 
-Each function takes a whole field sequence (or its samples) and returns an
-(n, 6) array, one row per slot.  ``received_samples`` (noise, then either
-front-end) is the noisy path of every receiver: the SER sweep's and the
-decision-directed rate's.  The rate sweep forms its delayed beat from the
-noiseless fields and the unit draws (``metrics._beat_coefficients``).
+Noisy samples have one formula, here.  With unit noise quadratures U fixed
+across an OSNR grid, the fields are K + s U, s = sqrt(sigma2), and the
+front-end is a quadratic form Q, so the samples are Q(K) + s B(K, U) +
+s^2 Q(U), B the polarization of Q: ``sample_coefficients`` builds that table
+per frame, and ``evaluate_samples`` evaluates it at each point by Horner's
+rule.  Each function takes a whole sequence and returns one row per slot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import add_unit_noise, stokes_vector
+from .channel import check_sigma2, stokes_vector
 
 
 def _delayed(fy: np.ndarray) -> np.ndarray:
@@ -41,11 +42,10 @@ def frontend_full_block(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     return np.column_stack([stokes_vector(fx, fy), delayed.real, delayed.imag])
 
 
-def frontend_reduced_block(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """Reduced-variant samples for a field sequence; returns (n, 6) columns
-    (w1, w2, w1+w2+w3/2, w1+w2+w4/2, w1+w2'+w5/2, w1+w2'+w6/2) of the full
-    samples, w2' = w2[n-1]."""
-    reduced = frontend_full_block(fx, fy)
+def frontend_reduced_block(full: np.ndarray) -> np.ndarray:
+    """Reduced-variant samples (w1, w2, w1+w2+w3/2, w1+w2+w4/2, w1+w2'+w5/2,
+    w1+w2'+w6/2), w2' = w2[n-1], of full-variant samples (n, 6)."""
+    reduced = np.array(full, dtype=float)
     w1, w2 = reduced[:, :1], reduced[:, 1:2]
     reduced[:, 2:4] = w1 + w2 + reduced[:, 2:4] / 2.0
     reduced[:, 4:] = w1 + _delayed(w2) + reduced[:, 4:] / 2.0
@@ -62,14 +62,57 @@ def recover_full_block(reduced: np.ndarray) -> np.ndarray:
     return full
 
 
-def received_samples(kx, ky, sigma2: float, unit: np.ndarray, variant: str) -> np.ndarray:
-    """Noisy (n, 6) samples w1..w6 of the noiseless received fields (kx, ky):
-    ``unit`` standard-normal quadratures scaled to ``sigma2``, then the
-    ``variant`` ("full" or "reduced") front-end; reduced-variant samples are
-    restored digitally."""
-    fx, fy = add_unit_noise(kx, ky, sigma2, unit)
+def beat_coefficients(kx, ky, unit):
+    """The (n-1,) complex (b0, b1, b2) of the noisy delayed beat F_x[n] F_y*[n-1]
+    = b0 + s b1 + s^2 b2 of slots 1..n-1, from the noiseless fields and the
+    (n, 4) unit quadratures; b0 is the noiseless beat, bit for bit."""
+    ux = unit[1:, 0] + 1j * unit[1:, 1]
+    uy_prev = unit[:-1, 2] - 1j * unit[:-1, 3]  # conj of the previous slot's y noise
+    b2 = ux * uy_prev
+    b1 = kx[1:] * uy_prev
+    del uy_prev  # each temporary goes as soon as it is used: they set the rate sweep's peak RSS
+    ky_prev = np.conj(ky[:-1])
+    ux *= ky_prev
+    b1 += ux
+    del ux
+    return kx[1:] * ky_prev, b1, b2
+
+
+def sample_coefficients(kx, ky, unit) -> np.ndarray:
+    """The (3, n, 6) table (Q(K), B(K, U), Q(U)) of a frame's noiseless
+    fields and (n, 4) unit quadratures; c[0] is ``frontend_full_block(kx, ky)``."""
+    ux, uy = unit[:, 0] + 1j * unit[:, 1], unit[:, 2] + 1j * unit[:, 3]
+    table = np.zeros((3, len(unit), 6))  # zeros: slot 0 has no delayed beat
+    table[0] = frontend_full_block(kx, ky)
+    table[2] = frontend_full_block(ux, uy)
+    beat = kx * uy.conj() + ux * ky.conj()
+    table[1, :, :4] = 2.0 * np.column_stack([(kx * ux.conj()).real, (ky * uy.conj()).real, beat.real, beat.imag])
+    table[1, 1:, 4:] = 2.0 * beat_coefficients(kx, ky, unit)[1].view(float).reshape(-1, 2)
+    return table
+
+
+def horner(coefficients, s: float) -> np.ndarray:
+    """c0 + s c1 + s^2 c2 of the arrays (c0, c1, c2) by Horner's rule, in a new array."""
+    value = coefficients[2] * s
+    value += coefficients[1]
+    value *= s
+    value += coefficients[0]
+    return value
+
+
+def evaluate_samples(coefficients: np.ndarray, sigma2: float, variant: str) -> np.ndarray:
+    """The (n, 6) samples w1..w6 of a ``sample_coefficients`` table at noise
+    variance ``sigma2`` (``check_sigma2``), through the ``variant`` ("full" or
+    "reduced") front-end; reduced-variant samples are restored digitally."""
+    check_sigma2(sigma2)
+    samples = horner(coefficients, np.sqrt(sigma2))
     if variant == "full":
-        return frontend_full_block(fx, fy)
+        return samples
     if variant == "reduced":
-        return recover_full_block(frontend_reduced_block(fx, fy))
+        return recover_full_block(frontend_reduced_block(samples))
     raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
+
+
+def received_samples(kx, ky, sigma2: float, unit: np.ndarray, variant: str) -> np.ndarray:
+    """``evaluate_samples`` of the frame's table at one noise variance."""
+    return evaluate_samples(sample_coefficients(kx, ky, unit), sigma2, variant)

@@ -9,12 +9,11 @@ per channel draw (``draw_frame``, the frame of the SER sweep): a pilot-led
 stream whose consecutive slots are the (previous, current) pairs.  The genie
 context takes the gain of the true contexts from the receiver's beat-gain
 kernel; the decision-directed context runs the receiver and reads the gain it
-used, so the two differ only by the receiver's decision errors.  As every
-OSNR point scales the same unit noise draws, the noisy beat is a quadratic in
-the noise deviation s = sqrt(sigma2), b0 + s*b1 + s**2*b2, whose three
-coefficient arrays depend only on the channel draw: they are formed once per
-channel, and each point evaluates the quadratic in place.  The normalized
-values are histogrammed on a square grid.
+used, so the two differ only by the receiver's decision errors.  Each point
+reads its noisy samples from ``frontend``'s coefficients of the frame, formed
+once per channel: the genie context only the delayed beat's, the decision-
+directed context the whole table its receiver needs.  The normalized values
+are histogrammed on a square grid.
 
 ``estimate_mi_dim4(config, key)`` is the rate sweep's per-channel kernel, as
 ``_ser_block`` is the SER sweep's per-block one: it returns one channel's
@@ -31,7 +30,7 @@ from .channel import JonesChannel, apply_jones, haar_random_channel, osnr_to_sig
 from .config import ExperimentConfig
 from .constellation import RingPskConstellation, build_constellation, draw_indices, encode_indices, phasor_table
 from .detection import PILOT, beat_gain, run_successive_receiver
-from .frontend import received_samples
+from .frontend import beat_coefficients, evaluate_samples, horner, sample_coefficients
 
 __all__ = [
     "accumulate_ser",
@@ -135,23 +134,6 @@ def draw_frame(constellation: RingPskConstellation, seed: int, key: int, n: int)
     return channel, idx, kx, ky, unit
 
 
-def _beat_coefficients(kx, ky, unit):
-    """The noisy delayed beat of a frame as a quadratic in s = sqrt(sigma2):
-    with ``fx, fy = add_unit_noise(kx, ky, sigma2, unit)``,
-    fx[1:] * conj(fy[:-1]) = b0 + s*b1 + s**2*b2.  Returns the (n-1,) complex
-    arrays (b0, b1, b2); b0 is the noiseless beat, bit for bit."""
-    ux = unit[1:, 0] + 1j * unit[1:, 1]
-    uy_prev = unit[:-1, 2] - 1j * unit[:-1, 3]  # conj of the previous slot's y noise
-    b2 = ux * uy_prev
-    b1 = kx[1:] * uy_prev
-    del uy_prev  # each temporary goes as soon as it is used: they set the sweep's peak RSS
-    ky_prev = np.conj(ky[:-1])
-    ux *= ky_prev
-    b1 += ux
-    del ux
-    return kx[1:] * ky_prev, b1, b2
-
-
 def _noise_deviation(residual) -> float:
     """Per-quadrature RMS of the complex ``residual``."""
     power = np.abs(residual)
@@ -168,27 +150,24 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
     (``draw_frame``; slot 0 is the pilot), the delayed beat of each later slot
     is normalized by its known gain, and the plug-in mutual information is
     computed on an ``n_bins`` square grid covering the unit circle widened by
-    four empirical noise deviations.  Every OSNR point adds its scaled noise
-    to the same unit draws, so the noisy beat is the quadratic
-    b0 + s*b1 + s**2*b2 in s = sqrt(sigma2) (``_beat_coefficients``), formed
-    once per channel and evaluated at each point by Horner's rule.  The curve
-    is therefore monotone up to estimator noise, and each point equals the
-    same OSNR computed alone.
+    four empirical noise deviations.  Every point evaluates coefficients
+    formed once per channel (``frontend``), so the curve is monotone up to
+    estimator noise, and each point equals the same OSNR computed alone.
 
     ``config.rate_context`` selects the conditioning: "genie" divides the
-    coefficients once by the gain of the true per-slot values; "decision-
-    directed" runs the receiver on the frame's ``received_samples`` at each
-    point and divides the point's beat by the gain of its own decisions.  The
-    config is taken as validated.
+    beat's ``beat_coefficients`` once by the gain of the true per-slot values;
+    "decision-directed" runs the receiver on the frame's samples at each point
+    and divides their beat by the gain of its own decisions.  The config is
+    taken as validated.
     """
     constellation = build_constellation(config.n_rings, config.n_phases)
     m = -(-config.n_samples // config.n_channels)  # ceil: per-channel sample count
     channel, idx, kx, ky, unit = draw_frame(constellation, config.seed, key, m + 1)
     eta_idx = idx[1:, 3]
     reference = phasor_table(constellation)[eta_idx]
-    coefficients = _beat_coefficients(kx, ky, unit)
     genie = config.rate_context == "genie"
     if genie:
+        coefficients = beat_coefficients(kx, ky, unit)
         gain = beat_gain(constellation, channel, idx[:, :3])
         # divided, not multiplied by 1/gain: where s*b1 falls below b0's last
         # bit (past ~300 dB) the statistic is then the noiseless beat over its
@@ -196,28 +175,24 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             for b in coefficients:
                 np.divide(b, gain, out=b)
-        del kx, ky, unit, gain  # only the decision-directed receiver reads the frame again
-    b0, b1, b2 = (b.view(np.float64) for b in coefficients)
+        del gain
+        coefficients = [b.view(np.float64) for b in coefficients]  # s is real: (re, im) pairs
+    else:
+        table = sample_coefficients(kx, ky, unit)
+    del kx, ky, unit  # the coefficients hold all the sweep reads of the frame
 
     grid = config.osnr_grid()
     bits = np.empty(len(grid))
     for k, osnr_db in enumerate(grid):
         sigma2 = osnr_to_sigma2(osnr_db)
-        s = math.sqrt(sigma2)
-        horner = b2 * s  # real arithmetic on the (re, im) pairs: s is real
-        horner += b1
-        horner *= s
-        horner += b0
-        stat = horner.view(complex)
-        if not genie:
-            # the frame's samples are a temporary, freed as the receiver returns
-            gain = run_successive_receiver(
-                received_samples(kx, ky, sigma2, unit, "full"),
-                JonesChannel(channel.a, channel.b, sigma2),
-                constellation,
-            ).gain
+        if genie:
+            stat = horner(coefficients, math.sqrt(sigma2)).view(complex)
+        else:
+            samples = evaluate_samples(table, sigma2, "full")
+            gain = run_successive_receiver(samples, JonesChannel(channel.a, channel.b, sigma2), constellation).gain
+            # (w5 + i w6) / 2 is the beat; the power of two scales exactly
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(stat, gain, out=stat)
+                stat = samples[1:, 4:].view(complex)[:, 0] / (2.0 * gain)
         sigma_w = _noise_deviation(stat - reference)
         bits[k] = histogram_mi_bits(
             eta_idx, stat, constellation.n_phases, config.n_bins, 1.0 + 4.0 * sigma_w

@@ -8,8 +8,9 @@ the six samples (``gauss_hermite_moments``) and the surrogate's closed forms
 for them (``two_slot_moments``), the exact moments of the averaged training
 pilots (``training_moments``), both by quadrature through the library's own
 functions, the encoder as exponentials of its running phase
-(``encode_exp``), and the rate kernel as it rebuilt the noisy fields at every
-OSNR point (``field_rate_curve``)."""
+(``encode_exp``), the noisy samples of the rebuilt noisy fields
+(``field_samples``), and the rate kernel as it rebuilt the noisy fields at
+every OSNR point (``field_rate_curve``)."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from stokesdd.detection import (
     run_successive_receiver,
     run_training,
 )
-from stokesdd.frontend import frontend_full_block, received_samples
+from stokesdd.frontend import frontend_full_block, frontend_reduced_block, received_samples, recover_full_block
 from stokesdd.metrics import _mi_from_counts, draw_frame
 
 
@@ -389,6 +390,14 @@ class _NodeDraws:
     def standard_gamma(self, shape, size):
         k = np.broadcast_to(np.asarray(shape, dtype=float), size)
         return k + self._take(self._sides, size) * np.sqrt(k)
+
+
+def field_samples(kx, ky, sigma2: float, unit: np.ndarray, variant: str) -> np.ndarray:
+    """``frontend.received_samples`` as it rebuilt the noisy fields: ``unit``
+    scaled to ``sigma2`` and added to (kx, ky), then the ``variant`` ("full"
+    or "reduced") front-end, reduced-variant samples restored digitally."""
+    full = frontend_full_block(*add_unit_noise(kx, ky, sigma2, unit))
+    return full if variant == "full" else recover_full_block(frontend_reduced_block(full))
 
 
 def training_moments(channel: JonesChannel, repeats: int):

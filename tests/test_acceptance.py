@@ -122,7 +122,7 @@ def test_criterion_04_reduced_frontend_equivalence():
     fx = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
     fy = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
     full = frontend_full_block(fx, fy)
-    rebuilt = recover_full_block(frontend_reduced_block(fx, fy))
+    rebuilt = recover_full_block(frontend_reduced_block(full))
     worst = float(np.abs(full - rebuilt).max())
     ok = worst < 1e-12
     record_acceptance(

@@ -106,11 +106,15 @@ def test_two_symbol_recursion_by_hand():
 
 
 def test_encode_rejects_out_of_range_indices():
+    # each of the four columns is rejected at -1 and at its high
     c = build_constellation(2, 4)
-    with pytest.raises(ValueError):
-        encode_indices(c, [[0, 0, 0, 4]])
-    with pytest.raises(ValueError):
-        encode_indices(c, [[2, 0, 0, 0]])
+    for column, high in enumerate([2, 2, 4, 4]):
+        for bad in (-1, high):
+            row = [0, 0, 0, 0]
+            row[column] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                encode_indices(c, [[0, 0, 0, 0], row])
+    encode_indices(c, [[0, 0, 0, 0], [1, 1, 3, 3]])  # every column at its top value
     with pytest.raises(ValueError):
         encode_indices(c, np.empty((0, 4), dtype=int))
 

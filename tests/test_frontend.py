@@ -7,19 +7,23 @@ from hypothesis import strategies as st
 
 from stokesdd.channel import (
     MAX_SIGMA2,
-    add_unit_noise,
     apply_jones,
     haar_random_channel,
     stokes_vector,
 )
+from stokesdd.constellation import build_constellation
 from stokesdd.frontend import (
+    beat_coefficients,
+    evaluate_samples,
     frontend_full_block,
     frontend_reduced_block,
     received_samples,
     recover_full_block,
+    sample_coefficients,
 )
+from stokesdd.metrics import draw_frame
 
-from reference import DualPolSymbol, frontend_full, frontend_reduced, recover_full, stokes_matrix
+from reference import DualPolSymbol, field_samples, frontend_full, frontend_reduced, recover_full, stokes_matrix
 
 finite_complex = st.builds(
     complex,
@@ -76,7 +80,7 @@ def test_reduced_recover_matches_full_block():
     fx = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
     fy = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
     full = frontend_full_block(fx, fy)
-    rebuilt = recover_full_block(frontend_reduced_block(fx, fy))
+    rebuilt = recover_full_block(frontend_reduced_block(full))
     assert np.abs(rebuilt - full).max() < 1e-12
 
 
@@ -106,16 +110,55 @@ def test_noiseless_outputs_match_stokes_system():
     assert worst < 1e-9
 
 
+def _rounding_bound(kx, ky, sigma2, unit, variant):
+    # 4 eps times what each sample is formed from: twice the product of its
+    # two field bounds |K| + s |U| and, restored from the reduced front-end,
+    # twice the intensities its hybrid port sums; either form of the noisy
+    # samples rounds within this
+    s = math.sqrt(sigma2)
+    a = np.abs(kx) + s * np.hypot(unit[:, 0], unit[:, 1])
+    b = np.abs(ky) + s * np.hypot(unit[:, 2], unit[:, 3])
+    b_prev = np.concatenate([[0.0], b[:-1]])
+    terms = 2.0 * np.column_stack([a * a, b * b, a * b, a * b, a * b_prev, a * b_prev])
+    if variant == "reduced":
+        ports = 2.0 * np.column_stack([a * a + b * b, a * a + b_prev * b_prev])
+        terms[:, 2:] += np.repeat(ports, 2, axis=1)
+    return 4.0 * np.finfo(float).eps * terms
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 1e-12, 0.025, 250.0, MAX_SIGMA2])
+def test_sample_coefficients_give_the_noisy_samples(sigma2):
+    # c0 + s c1 + s^2 c2 are the six samples of the rebuilt noisy fields, in
+    # either front-end, up to the rounding of either form; exactly so without
+    # noise.  c0 is the noiseless front-end bit for bit, and the delayed
+    # columns are twice the genie rate's beat coefficients
+    c = build_constellation(2, 4)
+    for key in range(5):
+        _, _, kx, ky, unit = draw_frame(c, 4, key, 3_000)
+        table = sample_coefficients(kx, ky, unit)
+        assert table.shape == (3, 3_000, 6)
+        assert np.array_equal(table[0], frontend_full_block(kx, ky))
+        delayed = table[:, 1:, 4] + 1j * table[:, 1:, 5]
+        assert np.array_equal(delayed, 2.0 * np.stack(beat_coefficients(kx, ky, unit)))
+        for variant in ("full", "reduced"):
+            got = evaluate_samples(table, sigma2, variant)
+            want = field_samples(kx, ky, sigma2, unit, variant)
+            if sigma2 == 0.0:
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= _rounding_bound(kx, ky, sigma2, unit, variant))
+
+
 def test_received_samples_is_noise_then_front_end():
+    # one noise level of the table: the noisy fields' samples up to rounding
     rng = np.random.default_rng(8)
     kx = rng.standard_normal(300) + 1j * rng.standard_normal(300)
     ky = rng.standard_normal(300) + 1j * rng.standard_normal(300)
     unit = rng.standard_normal((300, 4))
-    fx, fy = add_unit_noise(kx, ky, 0.05, unit)
-    full = received_samples(kx, ky, 0.05, unit, "full")
-    reduced = received_samples(kx, ky, 0.05, unit, "reduced")
-    assert np.array_equal(full, frontend_full_block(fx, fy))
-    assert np.array_equal(reduced, recover_full_block(frontend_reduced_block(fx, fy)))
+    for variant in ("full", "reduced"):
+        got = received_samples(kx, ky, 0.05, unit, variant)
+        want = field_samples(kx, ky, 0.05, unit, variant)
+        assert np.all(np.abs(got - want) <= _rounding_bound(kx, ky, 0.05, unit, variant))
     with pytest.raises(ValueError, match="variant"):
         received_samples(kx, ky, 0.05, unit, "balanced")
 

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from stokesdd.channel import add_unit_noise, haar_random_channel, osnr_to_sigma2
+from stokesdd.channel import haar_random_channel
 from stokesdd.config import MIN_OSNR_DB, ExperimentConfig
 from stokesdd.constellation import build_constellation
 from stokesdd.detection import beat_gain
 from stokesdd.metrics import (
-    _beat_coefficients,
     accumulate_ser,
     draw_frame,
     estimate_mi_dim4,
@@ -129,27 +128,6 @@ def test_histogram_mi_matches_the_oracle_bit_for_bit(seed):
     bits = histogram_mi_bits(labels, values, n_labels, n_bins, h)
     assert bits == binned_mi_bits(labels, values, n_labels, n_bins, h)
     assert np.array_equal(values, kept, equal_nan=True)  # the caller's values are left as they were
-
-
-@pytest.mark.parametrize("sigma2", [0.0, 1e-12, 0.025, 250.0, osnr_to_sigma2(MIN_OSNR_DB)])
-def test_beat_coefficients_give_the_noisy_beat(sigma2):
-    # b0 + s b1 + s^2 b2 is the beat of add_unit_noise's fields up to the
-    # rounding of either form, a few ulps of the product of the field bounds
-    c = build_constellation(2, 4)
-    s = math.sqrt(sigma2)
-    for key in range(5):
-        _, _, kx, ky, unit = draw_frame(c, 4, key, 3_000)
-        b0, b1, b2 = _beat_coefficients(kx, ky, unit)
-        fx, fy = add_unit_noise(kx, ky, sigma2, unit)
-        beat = fx[1:] * np.conj(fy[:-1])
-        if sigma2 == 0.0:
-            assert np.array_equal(beat, b0)
-            continue
-        ux = np.abs(unit[1:, 0] + 1j * unit[1:, 1])
-        uy = np.abs(unit[:-1, 2] + 1j * unit[:-1, 3])
-        bound = (np.abs(kx[1:]) + s * ux) * (np.abs(ky[:-1]) + s * uy)
-        err = np.abs(b0 + s * b1 + s**2 * b2 - beat)
-        assert np.all(err <= 4.0 * np.finfo(float).eps * bound)
 
 
 @pytest.mark.parametrize("start, stop, step", [(-30.0, 60.0, 10.0), (250.0, 3000.0, 250.0)])
