@@ -2,9 +2,11 @@
 """Print the sha256 of the SER and rate CSVs of the standing config set.
 
 The set covers the default SER sweep in genie, reduced-front-end and
-estimated-channel modes, the 4x16 and 3x8 alphabets at 0-60 dB, the 1x2
-alphabet at -10 to 30 dB, and the genie and decision-directed rate sweeps
-(default and 3x8), each at seeds 0, 1 and 7.  Compare its output before and
+estimated-channel modes, and with the estimated channel and the reduced
+front-end together (the path of the benchmark's pool workload); the 4x16 and
+3x8 alphabets at 0-60 dB, the 1x2 alphabet at -10 to 30 dB, and the genie and
+decision-directed rate sweeps (default and 3x8), each at seeds 0, 1 and 7: 33
+digests.  Compare its output before and
 after a change to see which CSV bytes moved.  Takes no options; run from the
 root of a checkout with ``PYTHONPATH=src`` (about 25 s on two cores).
 """
@@ -23,6 +25,7 @@ CONFIGS = {
     "ser-genie": {"detection_mode": "genie"},
     "ser-reduced": {"receiver_variant": "reduced"},
     "ser-estimated": {"channel_mode": "estimated"},
+    "ser-est-reduced": {"channel_mode": "estimated", "receiver_variant": "reduced"},
     "ser-4x16-0-60": {"n_rings": 4, "n_phases": 16, "blocks": 2,
                       "osnr_start_db": 0.0, "osnr_stop_db": 60.0, "osnr_step_db": 10.0},
     "ser-3x8-0-60": {"n_rings": 3, "n_phases": 8, "blocks": 2,

@@ -81,8 +81,11 @@ def _ser_block(cfg: ExperimentConfig, block: int) -> np.ndarray:
 
 def _map_blocks(func, blocks, workers: int):
     # more processes than blocks or CPUs add start-up cost and memory, never
-    # speed, and the results do not depend on the count
-    processes = min(workers, len(blocks), os.cpu_count() or 1)
+    # speed, and the results do not depend on the count; the CPUs are those
+    # this process may run on (a taskset or cpuset may allow fewer than the
+    # machine has), where the platform reports them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(workers, len(blocks), cpus)
     if processes < 2:
         return [func(b) for b in blocks]
     with Pool(processes=processes) as pool:

@@ -10,8 +10,11 @@ w1..w4 are the slot's Stokes vector (``channel.stokes_vector``); the front-end
 adds only the delayed beat pair.  The reduced variant replaces each balanced
 detector pair with a single photodiode: each hybrid port sums two intensities
 and half of one beat sample, so the reduced samples are affine in the full
-ones, and ``recover_full_block`` inverts that map digitally.  The delay line
-is empty before the first slot, so slot 0 behaves as if F_y[-1] = 0.
+ones, and ``recover_full_block`` inverts that map digitally.  Those two public
+maps return new arrays; ``evaluate_samples`` applies the same two maps in place
+to the array it has just evaluated, column by column, with the same rounding.
+The delay line is empty before the first slot, so slot 0 behaves as if
+F_y[-1] = 0.
 
 Noisy samples have one formula, here.  With unit noise quadratures U fixed
 across an OSNR grid, the fields are K + s U, s = sqrt(sigma2), and the
@@ -42,24 +45,40 @@ def frontend_full_block(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     return np.column_stack([stokes_vector(fx, fy), delayed.real, delayed.imag])
 
 
+def _reduce(samples: np.ndarray) -> np.ndarray:
+    # the reduced map in place, one column at a time: x/2 + (w1 + w2k), the
+    # same rounding as (w1 + w2k) + x/2; w2k is w2, or w2[n-1] for w5 and w6
+    w1, w2 = samples[:, 0], samples[:, 1]
+    now, prev = w1 + w2, w1 + _delayed(w2)
+    for k, port in ((2, now), (3, now), (4, prev), (5, prev)):
+        col = samples[:, k]
+        col /= 2.0
+        col += port
+    return samples
+
+
+def _restore(samples: np.ndarray) -> np.ndarray:
+    # the restoration in place, one column at a time: 2 ((x - w1) - w2k)
+    w1, w2 = samples[:, 0], samples[:, 1]
+    w2_prev = _delayed(w2)
+    for k, w2k in ((2, w2), (3, w2), (4, w2_prev), (5, w2_prev)):
+        col = samples[:, k]
+        col -= w1
+        col -= w2k
+        col *= 2.0
+    return samples
+
+
 def frontend_reduced_block(full: np.ndarray) -> np.ndarray:
     """Reduced-variant samples (w1, w2, w1+w2+w3/2, w1+w2+w4/2, w1+w2'+w5/2,
-    w1+w2'+w6/2), w2' = w2[n-1], of full-variant samples (n, 6)."""
-    reduced = np.array(full, dtype=float)
-    w1, w2 = reduced[:, :1], reduced[:, 1:2]
-    reduced[:, 2:4] = w1 + w2 + reduced[:, 2:4] / 2.0
-    reduced[:, 4:] = w1 + _delayed(w2) + reduced[:, 4:] / 2.0
-    return reduced
+    w1+w2'+w6/2), w2' = w2[n-1], of full-variant samples (n, 6), in a new array."""
+    return _reduce(np.array(full, dtype=float))
 
 
 def recover_full_block(reduced: np.ndarray) -> np.ndarray:
-    """Digital restoration of (w1..w6) from reduced-variant samples (n, 6):
-    the inverse of the affine map of ``frontend_reduced_block``."""
-    full = np.array(reduced, dtype=float)
-    w1, w2 = full[:, :1], full[:, 1:2]
-    full[:, 2:4] = 2.0 * (full[:, 2:4] - w1 - w2)
-    full[:, 4:] = 2.0 * (full[:, 4:] - w1 - _delayed(w2))
-    return full
+    """Digital restoration of (w1..w6) from reduced-variant samples (n, 6), in
+    a new array: the inverse of the affine map of ``frontend_reduced_block``."""
+    return _restore(np.array(reduced, dtype=float))
 
 
 def beat_coefficients(kx, ky, unit):
@@ -103,13 +122,15 @@ def horner(coefficients, s: float) -> np.ndarray:
 def evaluate_samples(coefficients: np.ndarray, sigma2: float, variant: str) -> np.ndarray:
     """The (n, 6) samples w1..w6 of a ``sample_coefficients`` table at noise
     variance ``sigma2`` (``check_sigma2``), through the ``variant`` ("full" or
-    "reduced") front-end; reduced-variant samples are restored digitally."""
+    "reduced") front-end, in a new array.  Reduced-variant samples are mapped
+    and restored digitally in place in that array, bit for bit as
+    ``recover_full_block(frontend_reduced_block(...))`` would return them."""
     check_sigma2(sigma2)
     samples = horner(coefficients, np.sqrt(sigma2))
     if variant == "full":
         return samples
     if variant == "reduced":
-        return recover_full_block(frontend_reduced_block(samples))
+        return _restore(_reduce(samples))
     raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
 
 

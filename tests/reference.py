@@ -8,7 +8,9 @@ the six samples (``gauss_hermite_moments``) and the surrogate's closed forms
 for them (``two_slot_moments``), the exact moments of the averaged training
 pilots (``training_moments``), both by quadrature through the library's own
 functions, the encoder as exponentials of its running phase
-(``encode_exp``), the noisy samples of the rebuilt noisy fields
+(``encode_exp``), the reduced front-end's block maps as they broadcast
+intensity columns over column pairs (``broadcast_reduced_block``,
+``broadcast_recover_full_block``), the noisy samples of the rebuilt noisy fields
 (``field_samples``), and the rate kernel as it rebuilt the noisy fields at
 every OSNR point (``field_rate_curve``)."""
 
@@ -33,7 +35,7 @@ from stokesdd.detection import (
     run_successive_receiver,
     run_training,
 )
-from stokesdd.frontend import frontend_full_block, frontend_reduced_block, received_samples, recover_full_block
+from stokesdd.frontend import frontend_full_block, received_samples
 from stokesdd.metrics import _mi_from_counts, draw_frame
 
 
@@ -363,6 +365,33 @@ def recover_full(reduced: ReducedFrontendOutputs, w2_prev: float) -> FrontendOut
     return FrontendOutputs(reduced.w1, reduced.w2, w3, w4, w5, w6, reduced.n)
 
 
+def _previous_slot(column: np.ndarray) -> np.ndarray:
+    # an (n, 1) column one slot later: the delay line is empty before slot 0
+    return np.concatenate([np.zeros((1, 1)), column[:-1]])
+
+
+def broadcast_reduced_block(full) -> np.ndarray:
+    """``frontend.frontend_reduced_block`` as it updated each column pair of a
+    copy of ``full`` (n, 6) with (n, 1) intensity columns broadcast against
+    it: (w1 + w2) + x/2, and w2[n-1] for the delayed pair."""
+    reduced = np.array(full, dtype=float)
+    w1, w2 = reduced[:, :1], reduced[:, 1:2]
+    reduced[:, 2:4] = w1 + w2 + reduced[:, 2:4] / 2.0
+    reduced[:, 4:] = w1 + _previous_slot(w2) + reduced[:, 4:] / 2.0
+    return reduced
+
+
+def broadcast_recover_full_block(reduced) -> np.ndarray:
+    """``frontend.recover_full_block`` as it restored each column pair of a
+    copy of ``reduced`` (n, 6) by broadcasting: 2 ((x - w1) - w2), and w2[n-1]
+    for the delayed pair."""
+    full = np.array(reduced, dtype=float)
+    w1, w2 = full[:, :1], full[:, 1:2]
+    full[:, 2:4] = 2.0 * (full[:, 2:4] - w1 - w2)
+    full[:, 4:] = 2.0 * (full[:, 4:] - w1 - _previous_slot(w2))
+    return full
+
+
 # --- training -----------------------------------------------------------------
 
 
@@ -397,7 +426,7 @@ def field_samples(kx, ky, sigma2: float, unit: np.ndarray, variant: str) -> np.n
     scaled to ``sigma2`` and added to (kx, ky), then the ``variant`` ("full"
     or "reduced") front-end, reduced-variant samples restored digitally."""
     full = frontend_full_block(*add_unit_noise(kx, ky, sigma2, unit))
-    return full if variant == "full" else recover_full_block(frontend_reduced_block(full))
+    return full if variant == "full" else broadcast_recover_full_block(broadcast_reduced_block(full))
 
 
 def training_moments(channel: JonesChannel, repeats: int):

@@ -279,19 +279,7 @@ def test_decision_directed_rate_rows_independent_of_worker_count():
     assert rows == run_rate_experiment(base.replaced(workers=2))
 
 
-@pytest.mark.parametrize(
-    "cpus, workers, blocks, processes",
-    [
-        (3, 100_000, 100_000, 3),
-        (8, 4, 2, 2),
-        (8, 3, 10, 3),
-        (None, 4, 10, None),
-        (1, 4, 10, None),
-        (8, 1, 10, None),
-        (8, 4, 1, None),
-    ],
-)
-def test_worker_pool_is_bounded_by_blocks_and_cpus(cpus, workers, blocks, processes, monkeypatch):
+def _fake_pool_sizes(monkeypatch):
     # a fake pool records its size and maps in this process, so no process
     # starts; below two processes the map runs serially and makes no pool
     sizes = []
@@ -310,9 +298,40 @@ def test_worker_pool_is_bounded_by_blocks_and_cpus(cpus, workers, blocks, proces
             return [func(item) for item in items]
 
     monkeypatch.setattr(experiments, "Pool", FakePool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, blocks, processes",
+    [
+        (3, 100_000, 100_000, 3),
+        (8, 4, 2, 2),
+        (8, 3, 10, 3),
+        (None, 4, 10, None),
+        (1, 4, 10, None),
+        (8, 1, 10, None),
+        (8, 4, 1, None),
+    ],
+)
+def test_worker_pool_is_bounded_by_blocks_and_cpus(cpus, workers, blocks, processes, monkeypatch):
+    # where the platform reports no CPU affinity, os.cpu_count bounds the pool
+    sizes = _fake_pool_sizes(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     got = experiments._map_blocks(lambda b: 2 * b, range(blocks), workers)
     assert got == [2 * b for b in range(blocks)]
+    assert sizes == ([] if processes is None else [processes])
+
+
+@pytest.mark.parametrize("allowed, workers, processes", [(1, 2, None), (3, 4, 3), (8, 4, 4)])
+def test_worker_pool_is_bounded_by_the_cpus_the_process_may_run_on(allowed, workers, processes, monkeypatch):
+    # under a CPU affinity mask (taskset, a cpuset) the pool counts the
+    # allowed CPUs, not the machine's
+    sizes = _fake_pool_sizes(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(allowed)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    got = experiments._map_blocks(lambda b: 2 * b, range(10), workers)
+    assert got == [2 * b for b in range(10)]
     assert sizes == ([] if processes is None else [processes])
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,8 +10,10 @@ from stokesdd.channel import (
     MAX_SIGMA2,
     apply_jones,
     haar_random_channel,
+    osnr_to_sigma2,
     stokes_vector,
 )
+from stokesdd.config import ExperimentConfig
 from stokesdd.constellation import build_constellation
 from stokesdd.frontend import (
     beat_coefficients,
@@ -23,7 +26,16 @@ from stokesdd.frontend import (
 )
 from stokesdd.metrics import draw_frame
 
-from reference import DualPolSymbol, field_samples, frontend_full, frontend_reduced, recover_full, stokes_matrix
+from reference import (
+    DualPolSymbol,
+    broadcast_recover_full_block,
+    broadcast_reduced_block,
+    field_samples,
+    frontend_full,
+    frontend_reduced,
+    recover_full,
+    stokes_matrix,
+)
 
 finite_complex = st.builds(
     complex,
@@ -82,6 +94,78 @@ def test_reduced_recover_matches_full_block():
     full = frontend_full_block(fx, fy)
     rebuilt = recover_full_block(frontend_reduced_block(full))
     assert np.abs(rebuilt - full).max() < 1e-12
+
+
+def _bits(a):
+    # compared as integers, so that -0.0 and 0.0 differ
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("rings, phases", [(2, 4), (4, 16)])
+@pytest.mark.parametrize("sigma2", [0.0, 1e-12, 0.025, 250.0, MAX_SIGMA2])
+def test_reduced_maps_round_as_the_broadcast_oracle(sigma2, rings, phases):
+    # the reduced evaluation is the oracle's restore of its reduce of the
+    # full evaluation, and each public map is its oracle, bit for bit: an
+    # operation taken in another order would move some last bits
+    c = build_constellation(rings, phases)
+    for key in range(3):
+        _, _, kx, ky, unit = draw_frame(c, 6, key, 2_000)
+        table = sample_coefficients(kx, ky, unit)
+        full = evaluate_samples(table, sigma2, "full")
+        reduced = broadcast_reduced_block(full)
+        restored = broadcast_recover_full_block(reduced)
+        assert np.array_equal(_bits(evaluate_samples(table, sigma2, "reduced")), _bits(restored))
+        assert np.array_equal(_bits(frontend_reduced_block(full)), _bits(reduced))
+        assert np.array_equal(_bits(recover_full_block(reduced)), _bits(restored))
+
+
+def test_reduced_maps_keep_signed_zeros_as_the_broadcast_oracle():
+    # every sign of zero, and +-1, in every column of some row
+    values = np.array([0.0, -0.0, 1.0, -1.0])
+    rows = values[np.indices((4,) * 6).reshape(6, -1).T]
+    for block_map, oracle in (
+        (frontend_reduced_block, broadcast_reduced_block),
+        (recover_full_block, broadcast_recover_full_block),
+    ):
+        assert np.array_equal(_bits(block_map(rows)), _bits(oracle(rows)))
+
+
+@pytest.mark.parametrize("block_map", [frontend_reduced_block, recover_full_block])
+def test_public_maps_copy_and_read_any_layout(block_map):
+    # the input is left as it was, the output is a new array, and the
+    # input's memory layout does not change a bit of it
+    rng = np.random.default_rng(12)
+    samples = rng.standard_normal((500, 6))
+    wide = np.zeros((500, 9))
+    wide[:, 2:8] = samples
+    want = _bits(block_map(samples))
+    for layout in (samples, np.asfortranarray(samples), wide[:, 2:8]):
+        before = _digest(layout)
+        got = block_map(layout)
+        assert _digest(layout) == before
+        assert not np.shares_memory(got, layout)
+        assert np.array_equal(_bits(got), want)
+
+
+def test_evaluate_samples_leaves_the_table_unchanged():
+    # a whole grid of points, in both variants, reads the table without
+    # writing it, and evaluating the grid again gives the same bits
+    c = build_constellation(2, 4)
+    _, _, kx, ky, unit = draw_frame(c, 5, 0, 1_000)
+    table = sample_coefficients(kx, ky, unit)
+    before = _digest(table)
+    sigma2s = [osnr_to_sigma2(osnr_db) for osnr_db in ExperimentConfig().osnr_grid()]
+    for variant in ("full", "reduced"):
+        first = [evaluate_samples(table, sigma2, variant) for sigma2 in sigma2s]
+        assert _digest(table) == before
+        assert not any(np.shares_memory(samples, table) for samples in first)
+        for sigma2, samples in zip(sigma2s, first):
+            assert np.array_equal(_bits(evaluate_samples(table, sigma2, variant)), _bits(samples))
+    assert _digest(table) == before
 
 
 def test_block_matches_scalar_path():
