@@ -88,6 +88,12 @@ def _map_blocks(func, blocks, workers: int):
     processes = min(workers, len(blocks), cpus)
     if processes < 2:
         return [func(b) for b in blocks]
+    # numpy loads numpy.random lazily and nothing on the import path of
+    # stokesdd loads it, so each forked worker would import it (with secrets,
+    # hashlib and the bit generators) on its first block of every sweep;
+    # imported once here, every fork inherits it.  Only pooled sweeps pay
+    # for it; importing the package does not.
+    import numpy.random  # noqa: F401
     with Pool(processes=processes) as pool:
         return pool.map(func, blocks)  # ordered gather keeps merging canonical
 

@@ -11,8 +11,9 @@ functions, the encoder as exponentials of its running phase
 (``encode_exp``), the reduced front-end's block maps as they broadcast
 intensity columns over column pairs (``broadcast_reduced_block``,
 ``broadcast_recover_full_block``), the noisy samples of the rebuilt noisy fields
-(``field_samples``), and the rate kernel as it rebuilt the noisy fields at
-every OSNR point (``field_rate_curve``)."""
+(``field_samples``), the rate kernel as it rebuilt the noisy fields at
+every OSNR point (``field_rate_curve``), and the SER counts as one integer sum
+of the mismatch table over its rows (``summed_ser_counts``)."""
 
 from __future__ import annotations
 
@@ -656,3 +657,12 @@ def field_rate_curve(config: ExperimentConfig, key: int) -> np.ndarray:
             eta_idx, stat, constellation.n_phases, config.n_bins, 1.0 + 4.0 * sigma_w
         )
     return bits
+
+
+def summed_ser_counts(truth, decisions) -> np.ndarray:
+    """``metrics.accumulate_ser``'s (4,) int64 error counts as one int64 sum
+    of the (n, 4) mismatch table over axis 0, the pilot's inter-slot
+    placeholder cleared."""
+    mismatch = np.asarray(truth) != np.asarray(decisions)
+    mismatch[0, 3] = False
+    return mismatch.sum(axis=0, dtype=np.int64)

@@ -6,7 +6,9 @@ import math
 import os
 import re
 import runpy
+import subprocess
 import sys
+import textwrap
 import types
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stokesdd
 from stokesdd.cli import _add_experiment_args, _build_config, main
 from stokesdd import experiments
 from stokesdd.channel import JonesChannel, osnr_to_sigma2
@@ -333,6 +336,76 @@ def test_worker_pool_is_bounded_by_the_cpus_the_process_may_run_on(allowed, work
     got = experiments._map_blocks(lambda b: 2 * b, range(10), workers)
     assert got == [2 * b for b in range(10)]
     assert sizes == ([] if processes is None else [processes])
+
+
+def _run_fresh(code: str) -> str:
+    # pytest and hypothesis have loaded numpy.random in this process, so what
+    # an import leaves out of sys.modules shows only in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stokesdd.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # every interpreter start pays for what the import path loads
+    out = _run_fresh(
+        """
+        import sys
+        import stokesdd.cli
+        print("numpy.random" in sys.modules)
+        """
+    )
+    assert out.split() == ["False"]
+
+
+def test_pool_workers_import_nothing():
+    # the pool is replaced by one that records the parent's modules when it
+    # is built and maps in-process, so the blocks run where a fork would
+    # start: a module the map imports is one every worker would import on
+    # every sweep
+    out = _run_fresh(
+        """
+        import os
+        import sys
+        from stokesdd import experiments
+        from stokesdd.config import ExperimentConfig
+
+        recorded = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                recorded.append(set(sys.modules))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        experiments.Pool = RecordingPool
+        os.sched_getaffinity = lambda pid: {0, 1}
+        sweeps = [
+            (experiments.run_ser_experiment, ExperimentConfig(
+                channel_mode="estimated", receiver_variant="reduced", symbols_per_block=200, blocks=2,
+                training_repeats=100, osnr_start_db=10.0, osnr_stop_db=14.0, workers=2)),
+        ] + [
+            (experiments.run_rate_experiment, ExperimentConfig(
+                experiment="rate", rate_context=context, n_samples=400, n_channels=2, workers=2))
+            for context in ("genie", "decision-directed")
+        ]
+        for run, cfg in sweeps:
+            run(cfg)
+            print(len(recorded), sorted(set(sys.modules) - recorded[-1]))
+        """
+    )
+    assert out.splitlines() == ["1 []", "2 []", "3 []"]
 
 
 def test_ser_trials_column_counts_every_slot_but_the_pilots_inter_slot_entry():

@@ -6,7 +6,7 @@ import pytest
 from stokesdd.channel import haar_random_channel
 from stokesdd.config import MIN_OSNR_DB, ExperimentConfig
 from stokesdd.constellation import build_constellation
-from stokesdd.detection import beat_gain
+from stokesdd.detection import PILOT, beat_gain
 from stokesdd.metrics import (
     accumulate_ser,
     draw_frame,
@@ -15,7 +15,7 @@ from stokesdd.metrics import (
 )
 
 from conftest import rate_bits
-from reference import binned_mi_bits, ell_gain, field_rate_curve, genie_pair_terms
+from reference import binned_mi_bits, ell_gain, field_rate_curve, genie_pair_terms, summed_ser_counts
 
 
 def test_accumulate_ser_identical_streams():
@@ -44,6 +44,30 @@ def test_accumulate_ser_counts_erasures_as_errors():
     decided = truth.copy()
     decided[4, 3] = -1
     assert np.array_equal(accumulate_ser(truth, decided), [0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_accumulate_ser_matches_the_summed_oracle(seed):
+    # random streams led by the pilot: decisions equal, wrong or erased (-1)
+    # at a random rate, the pilot's inter-slot placeholder among them, on
+    # C-order, F-order and strided inputs, int64 and int32
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 17, 1000, 10_001):
+        truth = rng.integers(0, 4, (n, 4))
+        truth[0] = PILOT
+        decided = truth.copy()
+        wrong = rng.random((n, 4)) < rng.uniform(0.0, 1.0)
+        decided[wrong] = rng.integers(-1, 4, int(wrong.sum()))
+        decided[0, 3] = rng.integers(-1, 4)  # the placeholder: never counted
+        for t, d in (
+            (truth, decided),
+            (np.asfortranarray(truth), np.asfortranarray(decided)),
+            (np.repeat(truth, 2, axis=1)[:, ::2], np.repeat(decided, 2, axis=1)[:, ::2]),
+            (truth.astype(np.int32), decided.astype(np.int32)),
+        ):
+            got = accumulate_ser(t, d)
+            assert got.dtype == np.int64 and got.shape == (4,)
+            assert np.array_equal(got, summed_ser_counts(t, d))
 
 
 def test_accumulate_ser_rejects_length_mismatch():
