@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the encoder's integer phases at the caps that ``validate()`` allows.
+"""Check the encoder's integer phases at the caps an ``ExperimentConfig`` allows.
 
 Encodes ``MAX_FRAME_SLOTS`` slots on the one-ring alphabets of
 ``MAX_HYPOTHESES`` phases and of one phase fewer, each as an extreme stream
@@ -46,7 +46,7 @@ def check(name, constellation, idx):
 
 def main():
     for n_phases in (MAX_HYPOTHESES, MAX_HYPOTHESES - 1):
-        ExperimentConfig(n_rings=1, n_phases=n_phases, symbols_per_block=MAX_FRAME_SLOTS).validate()
+        ExperimentConfig(n_rings=1, n_phases=n_phases, symbols_per_block=MAX_FRAME_SLOTS)  # raises past a cap
         c = build_constellation(1, n_phases)
         extreme = np.broadcast_to(np.array([0, 0, 0, n_phases - 1]), (MAX_FRAME_SLOTS, 4))
         check(f"1x{n_phases} extreme", c, extreme)

@@ -7,7 +7,7 @@ import dataclasses
 import os
 import sys
 
-from .config import SEED_ENV_VAR, ExperimentConfig
+from .config import CHOICES, SEED_ENV_VAR, ExperimentConfig
 from .experiments import (
     channel_estimation_demo,
     emit_plot_script,
@@ -69,27 +69,26 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
         help="also emit a standalone matplotlib script next to the CSV",
     )
     for name, typ in _OVERRIDES:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name)
+        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name, choices=CHOICES.get(name))
 
 
 def _build_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
-    if args.config:
-        try:
-            cfg = ExperimentConfig.from_file(args.config)
-        except (OSError, ValueError) as err:  # JSON syntax errors are ValueErrors
-            raise ValueError(f"--config: {err}") from None
-    else:
-        cfg = ExperimentConfig()
+    """The config of the flags, merged over the ``--config`` file's fields,
+    if any, and checked once as a whole."""
     overrides = {"experiment": experiment}
     for name, _ in _OVERRIDES:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if "seed" not in overrides and not args.config:
-        overrides["seed"] = _env_seed(cfg.seed)
-    cfg = cfg.replaced(**overrides)
-    cfg.validate()
-    return cfg
+    if not args.config:
+        if "seed" not in overrides:
+            overrides["seed"] = _env_seed(ExperimentConfig.seed)
+        return ExperimentConfig(**overrides)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            return ExperimentConfig.from_json(fh.read(), **overrides)
+    except (OSError, ValueError) as err:  # JSON syntax errors are ValueErrors
+        raise ValueError(f"--config: {err}") from None
 
 
 def main(argv=None) -> int:

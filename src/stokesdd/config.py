@@ -1,5 +1,10 @@
-"""Experiment configuration: a flat dataclass with JSON round-tripping and
-field-by-field validation."""
+"""Experiment configuration: a frozen flat dataclass with JSON round-tripping.
+
+A config checks itself when it is built, directly, by ``replaced()`` or by
+``from_json()``, so every ``ExperimentConfig`` that exists is valid and its
+callers need not check it again.  ``CHOICES`` and ``MINIMA`` state each
+string and integer field's domain; ``validate()`` adds the float fields' and
+the cross-field bounds."""
 
 from __future__ import annotations
 
@@ -40,10 +45,25 @@ MIN_OSNR_DB = -100.0
 # a grid point this far past osnr_stop_db still belongs to the grid
 _GRID_TOL = 1e-9
 
+# the values of each string field; the CLI's flags list them
+CHOICES = {
+    "experiment": ("ser", "rate"),
+    "receiver_variant": ("full", "reduced"),
+    "channel_mode": ("true", "estimated"),
+    "detection_mode": ("genie", "decision-directed"),
+    "rate_context": ("genie", "decision-directed"),  # conditioning of the rate estimate
+}
 
-@dataclass
+# the least value of each integer field
+MINIMA = dict(
+    n_rings=1, n_phases=1, symbols_per_block=2, blocks=1, seed=0,
+    training_repeats=1, n_samples=1, n_bins=2, n_channels=1, workers=1,
+)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str = "ser"  # ser | rate
+    experiment: str = "ser"
     n_rings: int = 2
     n_phases: int = 4
     osnr_start_db: float = 10.0
@@ -52,17 +72,21 @@ class ExperimentConfig:
     symbols_per_block: int = 10_000
     blocks: int = 10
     seed: int = 0
-    receiver_variant: str = "full"  # full | reduced
-    channel_mode: str = "true"  # true | estimated
+    receiver_variant: str = "full"
+    channel_mode: str = "true"
     training_repeats: int = 10_000
-    detection_mode: str = "decision-directed"  # genie | decision-directed
+    detection_mode: str = "decision-directed"
     n_samples: int = 200_000  # rate experiment
     n_bins: int = 32
     n_channels: int = 20
-    rate_context: str = "genie"  # conditioning of the rate estimate
+    rate_context: str = "genie"
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        """Raise a ValueError naming the first field out of its domain."""
         # the annotations are strings here, so each field's type is read off
         # its default; bool is an int subclass but never a valid count
         for field in dataclasses.fields(self):
@@ -75,66 +99,18 @@ class ExperimentConfig:
                 isinstance(value, bool) or not isinstance(value, (int, float))
             ):
                 raise ValueError(f"{field.name} must be a number, got {value!r}")
-        if self.experiment not in ("ser", "rate"):
-            raise ValueError("experiment must be 'ser' or 'rate'")
-        if self.n_rings < 1:
-            raise ValueError("n_rings must be a positive integer")
-        if self.n_phases < 1:
-            raise ValueError("n_phases must be a positive integer")
-        self._check_grid_bounds()
-        if not self.osnr_grid():
-            raise ValueError("osnr_start_db/osnr_stop_db define an empty grid")
-        # the grid's lowest point has its largest noise variance
-        if self.osnr_start_db < MIN_OSNR_DB:
-            raise ValueError(
-                f"osnr_start_db: {self.osnr_start_db!r} dB is below {MIN_OSNR_DB!r} dB, the OSNR floor"
-            )
-        if self.symbols_per_block < 2:
-            raise ValueError("symbols_per_block must be at least 2")
-        if self.symbols_per_block > MAX_FRAME_SLOTS:
-            raise ValueError(f"symbols_per_block exceeds {MAX_FRAME_SLOTS} slots per frame")
-        if self.blocks < 1:
-            raise ValueError("blocks must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.receiver_variant not in ("full", "reduced"):
-            raise ValueError("receiver_variant must be 'full' or 'reduced'")
-        if self.channel_mode not in ("true", "estimated"):
-            raise ValueError("channel_mode must be 'true' or 'estimated'")
-        if self.training_repeats < 1:
-            raise ValueError("training_repeats must be positive")
-        if self.detection_mode not in ("genie", "decision-directed"):
-            raise ValueError("detection_mode must be 'genie' or 'decision-directed'")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be at least 2")
-        if self.n_phases * self.n_bins**2 > MAX_HISTOGRAM_CELLS:
-            raise ValueError(f"n_bins: n_phases * n_bins^2 exceeds {MAX_HISTOGRAM_CELLS} histogram cells")
-        if self.n_channels < 1:
-            raise ValueError("n_channels must be positive")
-        if self.experiment == "rate" and self.n_samples < self.n_channels:
-            raise ValueError("n_samples must be at least n_channels for a rate sweep")
-        if self.experiment == "rate" and -(-self.n_samples // self.n_channels) + 1 > MAX_FRAME_SLOTS:
-            raise ValueError(
-                f"n_samples/n_channels: ceil(n_samples / n_channels) + 1 exceeds {MAX_FRAME_SLOTS} slots per frame"
-            )
-        if self.rate_context not in ("genie", "decision-directed"):
-            raise ValueError("rate_context must be 'genie' or 'decision-directed'")
-        if self.n_rings**2 * self.n_phases > MAX_HYPOTHESES:
-            raise ValueError(
-                f"n_rings/n_phases: n_rings^2 * n_phases exceeds {MAX_HYPOTHESES} per-slot hypotheses"
-            )
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-
-    def _check_grid_bounds(self) -> None:
+        for name, values in CHOICES.items():
+            if getattr(self, name) not in values:
+                raise ValueError(f"{name} must be one of {values}, got {getattr(self, name)!r}")
+        for name, least in MINIMA.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
         for name in ("osnr_start_db", "osnr_stop_db", "osnr_step_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.osnr_step_db <= 0:
             raise ValueError("osnr_step_db must be positive")
-        # count the points before building the list, which a tiny step would
+        # count the points before any list is built, which a tiny step would
         # grow until memory runs out; the quotient is inf, not an error, when
         # the step is subnormal
         span = (self.osnr_stop_db + _GRID_TOL - self.osnr_start_db) / self.osnr_step_db
@@ -143,9 +119,29 @@ class ExperimentConfig:
                 "osnr_start_db/osnr_stop_db/osnr_step_db define more than "
                 f"{MAX_OSNR_POINTS} grid points"
             )
+        if self.osnr_start_db > self.osnr_stop_db + _GRID_TOL:  # osnr_grid()'s first test
+            raise ValueError("osnr_start_db/osnr_stop_db define an empty grid")
+        # the grid's lowest point has its largest noise variance
+        if self.osnr_start_db < MIN_OSNR_DB:
+            raise ValueError(
+                f"osnr_start_db: {self.osnr_start_db!r} dB is below {MIN_OSNR_DB!r} dB, the OSNR floor"
+            )
+        if self.symbols_per_block > MAX_FRAME_SLOTS:
+            raise ValueError(f"symbols_per_block exceeds {MAX_FRAME_SLOTS} slots per frame")
+        if self.n_phases * self.n_bins**2 > MAX_HISTOGRAM_CELLS:
+            raise ValueError(f"n_bins: n_phases * n_bins^2 exceeds {MAX_HISTOGRAM_CELLS} histogram cells")
+        if self.experiment == "rate" and self.n_samples < self.n_channels:
+            raise ValueError("n_samples must be at least n_channels for a rate sweep")
+        if self.experiment == "rate" and -(-self.n_samples // self.n_channels) + 1 > MAX_FRAME_SLOTS:
+            raise ValueError(
+                f"n_samples/n_channels: ceil(n_samples / n_channels) + 1 exceeds {MAX_FRAME_SLOTS} slots per frame"
+            )
+        if self.n_rings**2 * self.n_phases > MAX_HYPOTHESES:
+            raise ValueError(
+                f"n_rings/n_phases: n_rings^2 * n_phases exceeds {MAX_HYPOTHESES} per-slot hypotheses"
+            )
 
     def osnr_grid(self) -> list[float]:
-        self._check_grid_bounds()  # also when validate() was not called
         grid = []
         k = 0
         # generate by index to avoid accumulating float steps
@@ -161,7 +157,9 @@ class ExperimentConfig:
         return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str, **overrides) -> "ExperimentConfig":
+        """The config of a JSON object's fields, each of ``overrides`` in
+        place of the object's, checked once as a whole."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"a config must be a JSON object, got {type(data).__name__}")
@@ -169,12 +167,7 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls(**{**data, **overrides})
 
     def replaced(self, **overrides) -> "ExperimentConfig":
         return dataclasses.replace(self, **overrides)

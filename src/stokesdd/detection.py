@@ -372,8 +372,9 @@ PILOT = (0, 0, 0, 0)
 
 @dataclass
 class ReceiverResult:
-    """Decided index array (n, 4) with per-slot erasure flags, and the (n-1,)
-    conditioning gain of slots 1..n-1 that the inter-slot stage used.
+    """Decided index array (n, 4), whose inter-slot entry is -1 at an
+    erasure (``erasures``), and the (n-1,) conditioning gain of slots 1..n-1
+    that the inter-slot stage used.
 
     Slot 0 is the pilot: its per-slot dimensions are detected blind like any
     other slot, its inter-slot entry is a placeholder, and the inter-slot
@@ -381,8 +382,11 @@ class ReceiverResult:
     """
 
     indices: np.ndarray
-    erasures: np.ndarray
     gain: np.ndarray
+
+    @property
+    def erasures(self) -> np.ndarray:
+        return self.indices[:, 3] < 0
 
 
 def run_successive_receiver(
@@ -431,4 +435,4 @@ def run_successive_receiver(
 
     out[0, 3] = 0
     out[1:, 3] = eta
-    return ReceiverResult(out, out[:, 3] < 0, gain)
+    return ReceiverResult(out, gain)

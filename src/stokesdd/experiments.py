@@ -100,7 +100,6 @@ def _map_blocks(func, blocks, workers: int):
 
 def run_ser_experiment(config: ExperimentConfig) -> list[str]:
     """Symbol-error-rate sweep; returns CSV rows (header included)."""
-    config.validate()
     per_block = _map_blocks(partial(_ser_block, config), range(config.blocks), config.workers)
     errors = np.sum(per_block, axis=0)
 
@@ -119,7 +118,6 @@ def run_ser_experiment(config: ExperimentConfig) -> list[str]:
 
 def run_rate_experiment(config: ExperimentConfig) -> list[str]:
     """Inter-slot phase achievable-rate sweep; returns CSV rows."""
-    config.validate()
     per_channel = _map_blocks(
         partial(estimate_mi_dim4, config), range(config.n_channels), config.workers
     )
@@ -196,8 +194,8 @@ def channel_estimation_demo(osnr_db: float, repeats: int, seed: int = 0) -> dict
     sweep's grid may start at."""
     if not _is_count(repeats):  # checked before anything is drawn
         raise ValueError(f"repeats (--repeats) must be a positive integer, got {repeats!r}")
-    if osnr_db < MIN_OSNR_DB:
-        raise ValueError(f"OSNR {osnr_db!r} dB (--osnr-db) is below the sweeps' floor, {MIN_OSNR_DB!r} dB")
+    if not osnr_db >= MIN_OSNR_DB:  # NaN too
+        raise ValueError(f"OSNR {osnr_db!r} dB (--osnr-db) must be at least the sweeps' floor, {MIN_OSNR_DB!r} dB")
     sigma2 = osnr_to_sigma2(osnr_db)
     channel = haar_random_channel(_rng(seed, 901), sigma2)
     estimate, residual = estimate_channel(run_training(channel, repeats, _rng(seed, 902)))

@@ -159,8 +159,7 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
     ``config.rate_context`` selects the conditioning: "genie" divides the
     beat's ``beat_coefficients`` once by the gain of the true per-slot values;
     "decision-directed" runs the receiver on the frame's samples at each point
-    and divides their beat by the gain of its own decisions.  The config is
-    taken as validated.
+    and divides their beat by the gain of its own decisions.
     """
     constellation = build_constellation(config.n_rings, config.n_phases)
     m = -(-config.n_samples // config.n_channels)  # ceil: per-channel sample count

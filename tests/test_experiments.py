@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 import runpy
 import subprocess
@@ -64,6 +65,47 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_json(json.dumps({"n_rings": 2, "bogus": 1}))
 
 
+def test_config_fields_cannot_be_assigned():
+    cfg = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_rings = 0
+    assert cfg.n_rings == 2
+    cfg.validate()  # a built config passes again
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ExperimentConfig().replaced(detection_mode="magic"), "detection_mode"),
+        (lambda: ExperimentConfig().replaced(n_bins=1), "n_bins"),
+        (lambda: ExperimentConfig().replaced(osnr_step_db=0.0), "osnr_step_db"),
+        (lambda: ExperimentConfig.from_json(json.dumps({"channel_mode": "oracle"})), "channel_mode"),
+        (lambda: ExperimentConfig.from_json(json.dumps({"blocks": 0})), "blocks"),
+        (lambda: ExperimentConfig.from_json("{}", workers=0), "workers"),
+    ],
+    ids=["replaced-choice", "replaced-minimum", "replaced-grid", "json-choice", "json-minimum", "json-override"],
+)
+def test_replaced_and_from_json_check_the_config(build, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        build()
+
+
+def test_from_json_checks_the_fields_merged_with_the_overrides():
+    text = json.dumps({"experiment": "rate", "n_samples": 5})
+    with pytest.raises(ValueError, match="n_samples.*n_channels"):
+        ExperimentConfig.from_json(text)  # 5 samples for the default 20 channels
+    cfg = ExperimentConfig.from_json(text, n_channels=5)
+    assert cfg == ExperimentConfig(experiment="rate", n_samples=5, n_channels=5)
+
+
+def test_config_survives_a_pickle_round_trip():
+    # the worker pool ships configs to its processes this way
+    cfg = ExperimentConfig(seed=3, channel_mode="estimated", osnr_stop_db=12.5, workers=2)
+    again = pickle.loads(pickle.dumps(cfg))
+    assert again == cfg
+    assert again.to_json() == cfg.to_json()
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -93,21 +135,20 @@ def test_config_rejects_unknown_fields():
     ],
 )
 def test_config_validation_names_the_field(field, value):
-    cfg = ExperimentConfig(**{field: value})
     with pytest.raises(ValueError, match=re.escape(field)):
-        cfg.validate()
+        ExperimentConfig(**{field: value})
 
 
 def test_config_accepts_the_osnr_floor_and_nothing_below():
-    ExperimentConfig(osnr_start_db=MIN_OSNR_DB, osnr_stop_db=MIN_OSNR_DB).validate()
+    ExperimentConfig(osnr_start_db=MIN_OSNR_DB, osnr_stop_db=MIN_OSNR_DB)
     below = math.nextafter(MIN_OSNR_DB, -math.inf)
     with pytest.raises(ValueError, match="osnr_start_db"):
-        ExperimentConfig(osnr_start_db=below, osnr_stop_db=0.0).validate()
+        ExperimentConfig(osnr_start_db=below, osnr_stop_db=0.0)
 
 
 def test_the_rejection_prints_the_osnr_floor_in_full():
     with pytest.raises(ValueError, match="osnr_start_db") as err:
-        ExperimentConfig(osnr_start_db=-100.5, osnr_stop_db=0.0).validate()
+        ExperimentConfig(osnr_start_db=-100.5, osnr_stop_db=0.0)
     floor = float(re.search(r"is below (\S+) dB", str(err.value)).group(1))
     assert floor == MIN_OSNR_DB
 
@@ -138,20 +179,18 @@ def test_scores_at_the_osnr_floor_are_finite(variant):
 
 
 def test_rate_config_needs_a_sample_per_channel():
-    cfg = ExperimentConfig(experiment="rate", n_samples=5, n_channels=20)
     with pytest.raises(ValueError, match="n_samples.*n_channels"):
-        cfg.validate()
-    cfg.replaced(experiment="ser").validate()  # the SER sweep ignores both
+        ExperimentConfig(experiment="rate", n_samples=5, n_channels=20)
+    ExperimentConfig(experiment="ser", n_samples=5, n_channels=20)  # the SER sweep ignores both
 
 
 def test_config_accepts_ints_in_float_fields():
-    ExperimentConfig(osnr_start_db=10, osnr_stop_db=20, osnr_step_db=5).validate()
+    ExperimentConfig(osnr_start_db=10, osnr_stop_db=20, osnr_step_db=5)
 
 
 def test_empty_grid_rejected():
-    cfg = ExperimentConfig(osnr_start_db=20.0, osnr_stop_db=10.0)
     with pytest.raises(ValueError, match="grid"):
-        cfg.validate()
+        ExperimentConfig(osnr_start_db=20.0, osnr_stop_db=10.0)
 
 
 @pytest.mark.parametrize(
@@ -164,36 +203,33 @@ def test_oversized_osnr_grid_rejected_before_it_is_built(start, stop, step, monk
         raise AssertionError("osnr_grid() called on an oversized grid")
 
     monkeypatch.setattr(ExperimentConfig, "osnr_grid", never)
-    cfg = ExperimentConfig(osnr_start_db=start, osnr_stop_db=stop, osnr_step_db=step)
     with pytest.raises(ValueError, match="osnr_start_db/osnr_stop_db/osnr_step_db") as err:
-        cfg.validate()
+        ExperimentConfig(osnr_start_db=start, osnr_stop_db=stop, osnr_step_db=step)
     assert str(MAX_OSNR_POINTS) in str(err.value)
 
 
 @pytest.mark.parametrize("step", [1e-9, 0.0, -1.0, math.nan])
 def test_unvalidated_osnr_grid_rejects_unbounded_steps(step):
-    cfg = ExperimentConfig(osnr_step_db=step)
+    # no config skips validation, so none can build an unbounded grid
     with pytest.raises(ValueError, match="osnr_"):
-        cfg.osnr_grid()
+        ExperimentConfig(osnr_step_db=step)
 
 
 def test_osnr_grid_at_the_cap_accepted():
     cfg = ExperimentConfig(osnr_start_db=0.0, osnr_stop_db=MAX_OSNR_POINTS - 1.0, osnr_step_db=1.0)
-    cfg.validate()
     assert len(cfg.osnr_grid()) == MAX_OSNR_POINTS
 
 
 def test_rate_histogram_cells_are_capped():
     # the rate histogram holds n_phases * n_bins^2 cells of ~25 bytes each;
     # the cap holds for either experiment, as the rate sweep takes any
-    # validated config, and is checked without allocating the histogram
-    ExperimentConfig(n_phases=4, n_bins=2048).validate()
-    ExperimentConfig(n_phases=8, n_bins=1448).validate()
+    # config, and is checked without allocating the histogram
+    ExperimentConfig(n_phases=4, n_bins=2048)
+    ExperimentConfig(n_phases=8, n_bins=1448)
     for experiment in ("ser", "rate"):
         for n_phases, n_bins in ((4, 2049), (8, 1449), (4, 100_000)):
-            cfg = ExperimentConfig(experiment=experiment, n_phases=n_phases, n_bins=n_bins)
             with pytest.raises(ValueError, match="n_bins") as err:
-                cfg.validate()
+                ExperimentConfig(experiment=experiment, n_phases=n_phases, n_bins=n_bins)
             assert str(MAX_HISTOGRAM_CELLS) in str(err.value)
 
 
@@ -203,17 +239,17 @@ def test_score_table_cells_are_capped():
     # the (rows, H) score block, at 2^23 cells, whatever the frame length
     assert SCORE_SLICE_ROWS * MAX_HYPOTHESES == 2**23
     frame = dict(experiment="rate", n_rings=4, n_phases=16, n_channels=1)
-    ExperimentConfig(n_rings=4, n_phases=16, symbols_per_block=2**20).validate()
-    ExperimentConfig(rate_context="decision-directed", n_samples=2**20, **frame).validate()
-    ExperimentConfig(n_rings=32, n_phases=8, symbols_per_block=100).validate()  # H = 2^13
+    ExperimentConfig(n_rings=4, n_phases=16, symbols_per_block=2**20)
+    ExperimentConfig(rate_context="decision-directed", n_samples=2**20, **frame)
+    ExperimentConfig(n_rings=32, n_phases=8, symbols_per_block=100)  # H = 2^13
     too_large = [
-        ExperimentConfig(n_rings=32, n_phases=16, symbols_per_block=100),
-        ExperimentConfig(experiment="rate", n_rings=32, n_phases=9, symbols_per_block=2),
-        ExperimentConfig(n_rings=64, n_phases=64),
+        dict(n_rings=32, n_phases=16, symbols_per_block=100),
+        dict(experiment="rate", n_rings=32, n_phases=9, symbols_per_block=2),
+        dict(n_rings=64, n_phases=64),
     ]
-    for cfg in too_large:
+    for fields in too_large:
         with pytest.raises(ValueError, match="n_rings/n_phases") as err:
-            cfg.validate()
+            ExperimentConfig(**fields)
         assert str(MAX_HYPOTHESES) in str(err.value)
 
 
@@ -221,18 +257,18 @@ def test_frame_length_is_capped():
     # a frame past the cap is refused by name before anything is allocated:
     # an SER block, or a rate channel's ceil(n_samples / n_channels) + 1 slots
     rate = dict(experiment="rate", n_channels=3)
-    ExperimentConfig(symbols_per_block=MAX_FRAME_SLOTS).validate()
-    ExperimentConfig(n_samples=3 * (MAX_FRAME_SLOTS - 1), **rate).validate()
-    ExperimentConfig(n_samples=10**13).validate()  # an SER sweep draws no rate frame
+    ExperimentConfig(symbols_per_block=MAX_FRAME_SLOTS)
+    ExperimentConfig(n_samples=3 * (MAX_FRAME_SLOTS - 1), **rate)
+    ExperimentConfig(n_samples=10**13)  # an SER sweep draws no rate frame
     too_long = [
-        (ExperimentConfig(symbols_per_block=MAX_FRAME_SLOTS + 1), "symbols_per_block"),
-        (ExperimentConfig(symbols_per_block=10**13, blocks=1), "symbols_per_block"),
-        (ExperimentConfig(n_samples=3 * (MAX_FRAME_SLOTS - 1) + 1, **rate), "n_samples/n_channels"),
-        (ExperimentConfig(experiment="rate", n_samples=10**13, n_channels=1), "n_samples/n_channels"),
+        (dict(symbols_per_block=MAX_FRAME_SLOTS + 1), "symbols_per_block"),
+        (dict(symbols_per_block=10**13, blocks=1), "symbols_per_block"),
+        (dict(n_samples=3 * (MAX_FRAME_SLOTS - 1) + 1, **rate), "n_samples/n_channels"),
+        (dict(experiment="rate", n_samples=10**13, n_channels=1), "n_samples/n_channels"),
     ]
-    for cfg, named in too_long:
+    for fields, named in too_long:
         with pytest.raises(ValueError, match=named) as err:
-            cfg.validate()
+            ExperimentConfig(**fields)
         assert str(MAX_FRAME_SLOTS) in str(err.value)
 
 
@@ -476,7 +512,7 @@ def test_every_accepted_config_gives_rates_in_range(
     # below the floor is rejected by name.  Every draw is small (H <= 72,
     # <= 80 slots, <= 16 bins), so none allocates more than a few MiB
     n_samples, n_channels, n_bins = rate
-    cfg = ExperimentConfig(
+    fields = dict(
         experiment=experiment,
         n_rings=alphabet[0],
         n_phases=alphabet[1],
@@ -497,8 +533,9 @@ def test_every_accepted_config_gives_rates_in_range(
     )
     if start < MIN_OSNR_DB:
         with pytest.raises(ValueError, match="osnr_start_db"):
-            cfg.validate()
+            ExperimentConfig(**fields)
         return
+    cfg = ExperimentConfig(**fields)
     if experiment == "ser":
         sers = [float(row.split(",")[2]) for row in run_ser_experiment(cfg)[1:]]
         assert all(0.0 <= s <= 1.0 for s in sers), sers
@@ -764,6 +801,8 @@ def test_generated_rate_script_plots_one_series(tmp_path, monkeypatch):
         (["rate", "--n-samples", "10000000000000", "--n-channels", "1"], None, "n_samples/n_channels"),
         (["ser", "--blocks", "1", "--symbols-per-block", "10", "--out", "missing/x.csv"], None, "--out"),
         (["rate", "--n-samples", "100", "--n-channels", "2", "--out", "."], None, "--out"),
+        (["estimate-channel-demo", "--osnr-db", "nan"], None, "--osnr-db"),
+        (["ser", "--detection-mode", "magic"], None, "--detection-mode"),
     ],
     ids=[
         "demo-seed", "demo-repeats-0", "demo-env-negative", "demo-env-word", "ser-env-float",
@@ -772,7 +811,7 @@ def test_generated_rate_script_plots_one_series(tmp_path, monkeypatch):
         "demo-below-the-osnr-floor", "demo-just-below-the-osnr-floor",
         "config-missing", "config-directory", "config-not-an-object", "config-syntax",
         "rate-histogram-too-large", "ser-score-table-too-large", "ser-frame-too-long", "rate-frame-too-long",
-        "out-missing-directory", "out-is-a-directory",
+        "out-missing-directory", "out-is-a-directory", "demo-osnr-nan", "ser-detection-mode-choice",
     ],
 )
 def test_cli_rejects_bad_inputs_by_name(argv, env_seed, named, tmp_path, monkeypatch, capsys):
@@ -827,6 +866,18 @@ def test_cli_config_file_and_flag_overrides(tmp_path, monkeypatch):
     assert rc == 0
     direct = run_ser_experiment(cfg.replaced(blocks=1))
     assert open("a.csv").read().splitlines() == direct
+
+
+def test_cli_config_file_completed_by_flags(tmp_path, monkeypatch):
+    # the file alone is no valid rate config (5 samples for 20 channels);
+    # merged with the flags it is, and it runs as the same flags alone
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    (tmp_path / "f.json").write_text(json.dumps({"experiment": "rate", "n_samples": 5}))
+    assert main(["rate", "--config", "f.json", "--n-channels", "5", "--out", "file.csv"]) == 0
+    assert main(["rate", "--n-samples", "5", "--n-channels", "5", "--out", "flags.csv"]) == 0
+    assert len(open("file.csv").read().splitlines()) == 10
+    assert open("file.csv").read() == open("flags.csv").read()
 
 
 def test_cli_env_var_seed(tmp_path, monkeypatch):

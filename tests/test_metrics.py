@@ -166,7 +166,6 @@ def test_rate_kernel_matches_the_field_oracle_bit_for_bit(context, rings, phases
         experiment="rate", n_rings=rings, n_phases=phases, n_samples=6_000, n_channels=3, n_bins=16,
         seed=8, rate_context=context, osnr_start_db=start, osnr_stop_db=stop, osnr_step_db=step,
     )
-    cfg.validate()
     for key in range(cfg.n_channels):
         assert np.array_equal(estimate_mi_dim4(cfg, key), field_rate_curve(cfg, key))
 
