@@ -8,7 +8,7 @@ front-end together (the path of the benchmark's pool workload); the 4x16 and
 decision-directed rate sweeps (default and 3x8), each at seeds 0, 1 and 7: 33
 digests.  Compare its output before and
 after a change to see which CSV bytes moved.  Takes no options; run from the
-root of a checkout with ``PYTHONPATH=src`` (about 25 s on two cores).
+root of a checkout with ``PYTHONPATH=src`` (about 7 s on two cores).
 """
 
 import hashlib

@@ -1,7 +1,8 @@
 """Dual-polarization direct-detection link simulator.
 
 Modules: constellation (ring-PSK alphabet, the grid phasors
-``phasor_table``, the phase encoder, the index draw ``draw_indices``), channel
+``phasor_table``, the phase encoder, the index draw ``draw_indices`` and
+``ravel_indices``, the one check of an index stream), channel
 (random unitary rotation, amplifier noise, and ``stokes_vector``, the one
 formula of w1..w4 that the front-end, the surrogate moments and training build
 on), frontend (photocurrent observables of both receiver variants, and the
@@ -20,31 +21,9 @@ of a keyed kernel over blocks or channels, and CSV/plot emission).
 
 Every layer works on whole blocks of slots: index arrays (n, 4), field arrays
 (n,), sample arrays (n, 6); scalar per-slot forms live in the tests as oracles.
+Each name is read from its module (``from stokesdd.detection import PILOT``).
 """
 
-from .channel import (
-    JonesChannel,
-    apply_jones,
-    channel_from_pair,
-    haar_random_channel,
-    osnr_to_sigma2,
-    stokes_vector,
-)
-from .config import ExperimentConfig
-from .constellation import (
-    RingPskConstellation,
-    build_constellation,
-    draw_indices,
-    encode_indices,
-)
-from .detection import (
-    PILOT,
-    ReceiverResult,
-    estimate_channel,
-    gaussian_stats_dims123,
-    run_successive_receiver,
-    run_training,
-)
-from .metrics import accumulate_ser, estimate_mi_dim4
+from . import channel, config, constellation, detection, frontend, metrics
 
 __version__ = "0.1.0"

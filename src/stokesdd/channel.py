@@ -31,7 +31,7 @@ class JonesChannel:
     sigma2: float = 0.0
 
     def __post_init__(self):
-        if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > UNITARITY_TOL:
+        if not abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) <= UNITARITY_TOL:  # NaN does not pass
             raise ValueError("(a, b) must satisfy |a|^2 + |b|^2 = 1")
         check_sigma2(self.sigma2)
 

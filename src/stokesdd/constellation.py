@@ -69,6 +69,29 @@ def phasor_table(constellation: RingPskConstellation) -> np.ndarray:
     return np.exp(1j * constellation.phase_step * np.arange(constellation.n_phases))
 
 
+def ravel_indices(constellation: RingPskConstellation, idx, columns: int) -> np.ndarray:
+    """Flat index of each row of an (n, ``columns``) stream of (rx, ry, t)
+    or (rx, ry, t, e) in the alphabet (n_rings, n_rings, n_phases[,
+    n_phases]): the hypothesis numbers of an (n, 3) stream.
+
+    ``idx`` must be a nonempty integer (not bool) array of that shape with
+    every entry inside the alphabet; anything else raises a ValueError that
+    names ``idx`` and the alphabet.
+    """
+    idx = np.asarray(idx)
+    alphabet = (constellation.n_rings,) * 2 + (constellation.n_phases,) * (columns - 2)
+    try:
+        if idx.dtype.kind not in "iu" or idx.ndim != 2 or idx.shape[1] != columns or len(idx) == 0:
+            raise ValueError
+        # numpy raises on any index outside the alphabet, negative ones included
+        return np.ravel_multi_index(tuple(idx.T), alphabet)
+    except ValueError:
+        raise ValueError(
+            f"idx must be a nonempty integer (n, {columns}) array, no entry out of range of "
+            f"the alphabet {alphabet}; got {idx.dtype} {idx.shape}"
+        ) from None
+
+
 def encode_indices(constellation: RingPskConstellation, idx):
     """Map an (n, 4) integer index array to transmit field arrays (ex, ey).
 
@@ -78,12 +101,9 @@ def encode_indices(constellation: RingPskConstellation, idx):
     steps, carried as an integer modulo n_phases, so each field is its ring
     radius times a ``phasor_table`` entry, exactly, however long the stream.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[1] != 4 or idx.shape[0] == 0:
-        raise ValueError("expected a nonempty (n, 4) index array")
-    nr, nph = constellation.n_rings, constellation.n_phases
-    if idx.min() < 0 or (idx >= np.array([nr, nr, nph, nph])).any():  # each column's high
-        raise ValueError("symbol index out of range")
+    ravel_indices(constellation, idx, 4)
+    idx = np.asarray(idx, dtype=np.int64)  # checked; e - t of a narrow or unsigned dtype would wrap
+    nph = constellation.n_phases
     radii = np.asarray(constellation.radii)
     phasors = phasor_table(constellation)
     # arg(E_y) = k_y*step starts at zero and advances by (e - t) steps per

@@ -72,7 +72,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import JonesChannel, apply_jones, channel_from_pair, check_sigma2, stokes_vector
-from .constellation import RingPskConstellation, phasor_table
+from .constellation import RingPskConstellation, phasor_table, ravel_indices
 from .frontend import received_samples
 
 # below this beat-mean amplitude the inter-slot phase hypotheses coincide and
@@ -227,22 +227,15 @@ def beat_gain(constellation: RingPskConstellation, channel: JonesChannel, idx) -
     """Gain multiplying exp(i*eta) in the noiseless delayed beat
     K_x[n] K_y*[n-1] of consecutive slots of one stream.
 
-    ``idx`` is the (n, 3) integer stream of (rx, ry, t), each index inside
-    the alphabet; anything else raises a ValueError.  Returns the (n-1,)
-    gains of slots 1..n-1.  Each slot's fields are anchored at arg(E_x) = 0,
-    so the previous slot's y field is rotated by exp(i*t'*step) to anchor it
-    at arg(E_y') = 0, the reference of the inter-slot phase.  The fields are
-    gathers from the H-row table of ``_hypothesis_fields``.
+    ``idx`` is the (n, 3) integer stream of (rx, ry, t) inside the alphabet;
+    ``ravel_indices`` checks it and numbers each slot's hypothesis.  Returns
+    the (n-1,) gains of slots 1..n-1.  Each slot's fields are anchored at
+    arg(E_x) = 0, so the previous slot's y field is rotated by exp(i*t'*step)
+    to anchor it at arg(E_y') = 0, the reference of the inter-slot phase.
+    The fields are gathers from the H-row table of ``_hypothesis_fields``.
     """
     idx = np.asarray(idx)
-    if idx.ndim != 2 or idx.shape[1] != 3 or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"idx must be an integer (n, 3) array of (rx, ry, t), got {idx.dtype} {idx.shape}")
-    nr, nph = constellation.n_rings, constellation.n_phases
-    try:  # numpy raises on any index outside the alphabet, negative ones included
-        h = np.ravel_multi_index(tuple(idx.T), (nr, nr, nph))
-    except ValueError:
-        msg = f"idx has an entry outside the alphabet (n_rings, n_rings, n_phases) = {(nr, nr, nph)}"
-        raise ValueError(msg) from None
+    h = ravel_indices(constellation, idx, 3)
     _, kx, ky = _hypothesis_fields(channel, constellation)
     phasors = phasor_table(constellation)
     # re-anchored per slot, not in the table: numpy computes a product with a

@@ -32,14 +32,6 @@ from .constellation import RingPskConstellation, build_constellation, draw_indic
 from .detection import PILOT, beat_gain, run_successive_receiver
 from .frontend import beat_coefficients, evaluate_samples, horner, sample_coefficients
 
-__all__ = [
-    "accumulate_ser",
-    "draw_frame",
-    "histogram_mi_bits",
-    "estimate_mi_dim4",
-]
-
-
 def accumulate_ser(truth: np.ndarray, decisions: np.ndarray) -> np.ndarray:
     """Count per-dimension index mismatches between a truth stream and a
     decision stream, (n, 4) index arrays each; returns the (4,) int64 error
@@ -89,14 +81,13 @@ def histogram_mi_bits(
 
     Samples outside the box (including non-finite ones) clip into the edge
     bins, so the joint histogram accounts for every sample: NaN joins +inf at
-    the upper edge.  Labels must lie in [0, n_labels).
+    the upper edge.  Labels must be integers (not bool) in [0, n_labels).
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":  # a float label would be truncated into a bin
+        raise ValueError(f"labels must be integers, got a {labels.dtype} array")
     if labels.size and (labels.min() < 0 or labels.max() >= n_labels):
-        raise ValueError(
-            f"labels must lie in [0, {n_labels}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
+        raise ValueError(f"labels must lie in [0, {n_labels}), got range [{labels.min()}, {labels.max()}]")
     h = max(box_halfwidth, 1e-12)
     # grid coordinates of (re, im), one working (n, 2) array scaled in place
     cells = np.ascontiguousarray(values, dtype=complex).view(np.float64).reshape(-1, 2) + h
@@ -108,7 +99,7 @@ def histogram_mi_bits(
     # clipped before the cast: a coordinate past the int64 range keeps its edge
     np.clip(cells, 0, n_bins - 1, out=cells)
     ij = cells.astype(np.int64)
-    flat = labels * n_bins
+    flat = np.multiply(labels, n_bins, dtype=np.int64)
     flat += ij[:, 0]
     flat *= n_bins
     flat += ij[:, 1]

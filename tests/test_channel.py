@@ -27,6 +27,12 @@ def test_unitarity_enforced():
         JonesChannel(0.9 + 0j, 0j, 0.0)
     with pytest.raises(ValueError):
         JonesChannel(1.0 + 0j, 0j, -1e-3)
+    # NaN compares False with the tolerance, so it must fail the test, not pass it
+    for a, b in ((math.nan, 0j), (1.0 + 0j, math.nan), (math.inf, 0j), (complex(0, math.inf), 0j)):
+        with pytest.raises(ValueError, match="must satisfy"):
+            JonesChannel(a, b, 0.01)
+    with pytest.raises(ValueError, match="must satisfy"):
+        channel_from_pair(math.nan, 1.0)
     JonesChannel(1.0 + 0j, 0j, 0.0)  # exact case constructs fine
 
 

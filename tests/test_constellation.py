@@ -117,6 +117,20 @@ def test_encode_rejects_out_of_range_indices():
     encode_indices(c, [[0, 0, 0, 0], [1, 1, 3, 3]])  # every column at its top value
     with pytest.raises(ValueError):
         encode_indices(c, np.empty((0, 4), dtype=int))
+    # a float stream would be truncated (t = 2.7 encoded as 2) and a bool one
+    # read as 0/1; both fail like an index outside the alphabet
+    for stream in ([[0, 0, 0, 0], [1, 1, 2.7, 3.9]], np.array([[0, 0, 0, 0], [1, 1, 2, 3]]) > 0):
+        with pytest.raises(ValueError, match=r"out of range.*\(2, 2, 4, 4\)"):
+            encode_indices(c, stream)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
+def test_encode_reads_every_integer_dtype_as_int64(dtype):
+    # e - t of unsigned or narrow columns would wrap before the phase sum
+    c = build_constellation(3, 7)
+    idx = draw_indices(np.random.default_rng(5), c, 200)
+    for got, want in zip(encode_indices(c, idx.astype(dtype)), encode_indices(c, idx)):
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=40, deadline=None)

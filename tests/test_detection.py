@@ -750,6 +750,14 @@ def test_estimate_channel_noiseless_exact():
         assert gauge_aligned_error(est, ch) < 1e-9
 
 
+def test_estimate_channel_of_non_finite_observables_raises():
+    # a NaN or infinite estimate would reach the receiver, which decides
+    # every slot as hypothesis 0 on a NaN channel
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            estimate_channel(np.full((3, 4), value))
+
+
 def test_identity_channel_pilot_observables():
     ch = JonesChannel(1.0 + 0j, 0j, 0.0)
     obs = run_training(ch, 1, np.random.default_rng(0))

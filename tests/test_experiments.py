@@ -398,6 +398,21 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert out.split() == ["False"]
 
 
+def test_the_package_loads_its_modules_and_names_nothing_else():
+    # ``import stokesdd`` loads the library modules; every function, class
+    # and constant is read from its module, not from the package
+    out = _run_fresh(
+        """
+        import sys
+        import stokesdd
+        print(sorted(m for m in sys.modules if m.startswith("stokesdd.")))
+        print(sorted(name for name in vars(stokesdd) if not name.startswith("_")))
+        """
+    )
+    modules = ["channel", "config", "constellation", "detection", "frontend", "metrics"]
+    assert out.splitlines() == [str([f"stokesdd.{m}" for m in modules]), str(modules)]
+
+
 def test_pool_workers_import_nothing():
     # the pool is replaced by one that records the parent's modules when it
     # is built and maps in-process, so the blocks run where a fork would

@@ -116,6 +116,17 @@ def test_histogram_mi_rejects_out_of_range_labels(bad_label):
         histogram_mi_bits(labels, np.ones(40, dtype=complex), 4, 8, 1.0)
 
 
+def test_histogram_mi_rejects_float_and_bool_labels():
+    # a float label would be truncated into a bin: [0.9, 1.2, 3.7] read as
+    # [0, 1, 3] gives log2(3) bits of three labels that name no symbol
+    values = np.array([0.5, -0.5, 0.5j], dtype=complex)
+    for labels in (np.array([0.9, 1.2, 3.7]), np.array([0.0, 1.0, 3.0]), np.array([True, False, True])):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            histogram_mi_bits(labels, values, 4, 8, 1.0)
+    narrow = histogram_mi_bits(np.array([0, 1, 3], dtype=np.uint8), values, 4, 8, 1.0)
+    assert narrow == histogram_mi_bits(np.array([0, 1, 3]), values, 4, 8, 1.0) == pytest.approx(math.log2(3))
+
+
 @pytest.mark.filterwarnings("error")
 def test_histogram_mi_bins_huge_finite_values_at_their_edge():
     # (x + h) / (2h) * n_bins overflows to +-inf here; each sample still
