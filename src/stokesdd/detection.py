@@ -48,18 +48,24 @@ gain per slot, the noiseless K_x[n] K_y*[n-1] of the current and previous
 slot with each slot's phase anchored (``beat_gain``): that of the receiver's
 own decisions, or one the caller passes, such as genie mode's gain of the
 true values.  The bank and ``beat_gain`` read one table of the hypotheses'
-fields (``_hypothesis_fields``).  The candidate means 2*gain*exp(i*c*step)
+fields (``_hypothesis_fields``): the receiver keeps each slot's decided
+hypothesis number and gathers its own gain from the bank's copy of the
+table, ``beat_gain`` numbers a caller's stream and gathers from the table
+through the same function.  The candidate means 2*gain*exp(i*c*step)
 share one isotropic covariance and one modulus, so rounding the phase of
 w56*conj(gain) to the grid is ML given w56 = w5 + i w6 alone.  It ignores
 the kappa_a above; ROADMAP item 9 measures ~10x lower dimension-4 SER with them.
 
 Every stage works on a whole frame: the receiver takes the (n, 6) samples,
 whose slot 0 is ``PILOT``, and returns (n, 4) indices with the gain it
-conditioned on.  Training draws the Stokes vector w1..w4 of each (E_x, E_y)
-row of ``TRAINING_PILOTS``, averaged over r noisy transmissions, from its
+conditioned on.  Training works on a whole OSNR grid: at each point it
+draws the Stokes vector w1..w4 of each (E_x, E_y) row of
+``TRAINING_PILOTS``, averaged over r noisy transmissions, from its
 sufficient statistics (the noise's sample mean and Wishart scatter) at a
-cost independent of r, and passes the (3, 4) averages to ``estimate_channel``,
-which returns the ``JonesChannel`` the receiver runs on.
+cost independent of r, each point from its own generator, and evaluates the
+K points' pilot rows in one stacked pass.  Each point's (3, 4) averages go
+to ``estimate_channel``, which returns the ``JonesChannel`` the receiver
+runs on.
 """
 
 from __future__ import annotations
@@ -67,13 +73,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .channel import JonesChannel, apply_jones, channel_from_pair, check_sigma2, stokes_vector
 from .constellation import RingPskConstellation, phasor_table, ravel_indices
-from .frontend import received_samples
+from .frontend import horner, sample_coefficients
 
 # below this beat-mean amplitude the inter-slot phase hypotheses coincide and
 # the slot is flagged as an erasure
@@ -131,6 +137,8 @@ class _HypothesisBank:
 
     triples: np.ndarray  # (H, 3) in canonical rx-major order
     table: np.ndarray  # (15, H) coefficients of the monomials (1, w_i, w_i w_j for i <= j)
+    kx: np.ndarray  # (H,) noiseless received fields the table was built from
+    ky: np.ndarray
 
 
 def _hypothesis_fields(channel: JonesChannel, constellation: RingPskConstellation):
@@ -171,7 +179,7 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     table[1:5] = (prec @ means[:, :, None])[..., 0].T
     iu, ju = np.array(_PAIRS).T
     table[5:] = np.where(iu == ju, -0.5, -1.0)[:, None] * prec[:, iu, ju].T
-    return _HypothesisBank(triples, table)
+    return _HypothesisBank(triples, table, kx, ky)
 
 
 def detect_dims123_block(obs: np.ndarray, bank: _HypothesisBank):
@@ -179,7 +187,8 @@ def detect_dims123_block(obs: np.ndarray, bank: _HypothesisBank):
 
     ``obs`` is (rows, 4) rows of (w1, w2, w3, w4), scored against ``bank``
     (``_build_bank``) with one monomial build and one GEMM.  Returns the
-    decided (rows, 3) index array and the (rows, H) score block: surrogate
+    decided (rows,) hypothesis numbers, whose (rx, ry, t) are the rows of
+    ``bank.triples``, and the (rows, H) score block: surrogate
     log-likelihoods, or -0.5 |w - mu_h|^2 past the hand-over.  The receiver
     passes one slice of at most ``SCORE_SLICE_ROWS`` rows per call.
     """
@@ -189,8 +198,7 @@ def detect_dims123_block(obs: np.ndarray, bank: _HypothesisBank):
     for k, (i, j) in enumerate(_PAIRS):
         np.multiply(f[1 + i], f[1 + j], out=f[5 + k])
     scores = f.T @ bank.table
-    best = scores.argmax(axis=1)  # ties resolve to the lowest hypothesis index
-    return bank.triples[best], scores
+    return scores.argmax(axis=1), scores  # ties resolve to the lowest hypothesis index
 
 
 # No library caller: reached only through tests/reference.py::ell_gain and
@@ -234,14 +242,19 @@ def beat_gain(constellation: RingPskConstellation, channel: JonesChannel, idx) -
     to anchor it at arg(E_y') = 0, the reference of the inter-slot phase.
     The fields are gathers from the H-row table of ``_hypothesis_fields``.
     """
-    idx = np.asarray(idx)
-    h = ravel_indices(constellation, idx, 3)
     _, kx, ky = _hypothesis_fields(channel, constellation)
-    phasors = phasor_table(constellation)
-    # re-anchored per slot, not in the table: numpy computes a product with a
+    return _stream_gain(constellation, kx, ky, ravel_indices(constellation, idx, 3))
+
+
+def _stream_gain(constellation: RingPskConstellation, kx, ky, h) -> np.ndarray:
+    # the gains of slots 1..n-1 of the stream of hypothesis numbers h,
+    # gathered from the hypotheses' fields (kx, ky) and phasors exp(i*t*step):
+    # the numbering is t-minor, so hypothesis j has t = j % n_phases.
+    # Re-anchored per slot, not in the table: numpy computes a product with a
     # temporary operand of >= 256 KiB in place, operands swapped, which rounds
     # a complex product's imaginary part differently; this keeps every n's bits
-    return kx[h][1:] * np.conj(ky[h][:-1] * phasors[idx[:-1, 2]])
+    phasors = phasor_table(constellation)[np.arange(len(kx)) % constellation.n_phases]
+    return kx[h][1:] * np.conj(ky[h][:-1] * phasors[h[:-1]])
 
 
 def detect_dim4_block(w56: np.ndarray, gain: np.ndarray, constellation: RingPskConstellation):
@@ -273,31 +286,50 @@ def _is_count(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
 
 
-def run_training(channel: JonesChannel, repeats: int, rng: np.random.Generator) -> np.ndarray:
+def run_training(
+    channels: Sequence[JonesChannel], repeats: int, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
     """Average each training pilot's noisy Stokes vector over ``repeats``
-    transmissions; returns the (3, 4) averaged w1..w4, one row per pilot.
+    transmissions at each of K points, point k through ``channels[k]`` with
+    draws from ``rngs[k]``; returns the (3K, 4) averaged w1..w4, one row per
+    pilot, point k's three pilots in rows 3k..3k+2 (one point: the (3, 4)
+    averages ``estimate_channel`` takes).
 
     w1..w4 are linear in the coherency f f^H, and the mean of r coherencies
     (K + n_k)(K + n_k)^H is (K + m)(K + m)^H + S/r, where the noise's sample
     mean m ~ CN(0, (2 sigma2/r) I) and scatter S ~ complex Wishart_2(r-1,
     2 sigma2 I) are independent (Goodman 1963).  So each pilot draws m from
-    four normals, as ``received_samples(kx, ky, sigma2/r, ...)``, and S = L L^H
-    from its complex Bartlett factor (Bartlett 1933): L11^2 = 2 sigma2
-    Gamma(r-1), L22^2 = 2 sigma2 Gamma(r-2) (zero at r = 2) and
-    L21 = sqrt(sigma2) (g + i g') from two more normals.  The average is the
-    exact law of the brute-force one at a cost independent of r; at r = 1
-    the scatter vanishes and the average is the frame path's sample.
+    four normals, evaluated as the ``sample_coefficients`` table at
+    sigma2/r, and S = L L^H from its complex Bartlett factor (Bartlett
+    1933): L11^2 = 2 sigma2 Gamma(r-1), L22^2 = 2 sigma2 Gamma(r-2) (zero at
+    r = 2) and L21 = sqrt(sigma2) (g + i g') from two more normals.  The
+    average is the exact law of the brute-force one at a cost independent of
+    r; at r = 1 the scatter vanishes and the average is the frame path's
+    sample.  Each point makes its own draws in that order (all points'
+    normals come first, so points that share one generator draw in another
+    order than alone); the arithmetic then runs once on the stacked K*3
+    pilot rows, element by element, so every point's averages are those of
+    the point trained alone.
     """
     if not _is_count(repeats):
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
-    kx, ky = apply_jones(channel, *TRAINING_PILOTS.T)
-    g = rng.standard_normal((len(TRAINING_PILOTS), 4 if repeats == 1 else 6))
-    averaged = received_samples(kx, ky, channel.sigma2 / repeats, g[:, :4], "full")[:, :4]
+    if len(channels) != len(rngs) or not channels:
+        raise ValueError(
+            f"expected one generator per channel and at least one point, "
+            f"got {len(channels)} channels and {len(rngs)} generators"
+        )
+    n_pilots = len(TRAINING_PILOTS)
+    kx, ky = np.concatenate([apply_jones(ch, *TRAINING_PILOTS.T) for ch in channels], axis=1)
+    g = np.concatenate([rng.standard_normal((n_pilots, 4 if repeats == 1 else 6)) for rng in rngs])
+    # each row's sqrt(sigma2 / r), a column broadcast over the samples
+    scale = np.sqrt(np.repeat([ch.sigma2 / repeats for ch in channels], n_pilots))
+    averaged = horner(sample_coefficients(kx, ky, g[:, :4]), scale[:, None])[:, :4]
     if repeats > 1:
         # the columns (L11, L21) and (0, L22) of L / sqrt(r), whose rank-one
         # coherencies sum to S / r
-        gammas = rng.standard_gamma([repeats - 1, repeats - 2], size=(len(TRAINING_PILOTS), 2))
-        scale = math.sqrt(channel.sigma2 / repeats)
+        gammas = np.concatenate(
+            [rng.standard_gamma([repeats - 1, repeats - 2], size=(n_pilots, 2)) for rng in rngs]
+        )
         l11, l22 = scale * np.sqrt(2.0 * gammas.T)
         l21 = scale * (g[:, 4] + 1j * g[:, 5])
         averaged += stokes_vector(l11, l21) + stokes_vector(0.0, l22)
@@ -315,9 +347,9 @@ def _canonical_sign(a: complex, b: complex):
 
 def estimate_channel(training_obs: np.ndarray) -> tuple[JonesChannel, float]:
     """Solve for the rotation from the (3, 4) averaged pilot observables of
-    ``run_training``, one row (w1..w4) per pilot.  Returns ``(channel,
-    residual)``: the noiseless ``JonesChannel`` estimate, with the overall
-    sign fixed canonically, and the L2 misfit of the observables.
+    one ``run_training`` point, one finite row (w1..w4) per pilot.  Returns
+    ``(channel, residual)``: the noiseless ``JonesChannel`` estimate, with
+    the overall sign fixed canonically, and the L2 misfit of the observables.
 
     The beat samples are unbiased: pilot 1 gives -ab, pilots 2 and 3 give
     a^2 - b^2 and i(a^2 + b^2), fixing both squared parameters and their
@@ -330,6 +362,10 @@ def estimate_channel(training_obs: np.ndarray) -> tuple[JonesChannel, float]:
             "expected the (3, 4) averaged observables w1..w4 of the three pilots, "
             f"got shape {training_obs.shape}"
         )
+    # else a NaN or infinity surfaces as a misleading normalization error,
+    # or reaches the receiver as a NaN channel
+    if not np.isfinite(training_obs).all():
+        raise ValueError("training_obs must hold finite averaged observables")
     beats = [complex(o[2], o[3]) / 2.0 for o in training_obs]
     ab = -beats[0]
     a2 = (beats[1] + beats[2] / 1j) / 2.0
@@ -412,18 +448,24 @@ def run_successive_receiver(
         if gain.shape != (len(arr) - 1,) or not np.isfinite(gain).all():
             raise ValueError(f"gain must be a finite ({len(arr) - 1},) array, got {gain.dtype} {gain.shape}")
     w56 = arr[:, 4] + 1j * arr[:, 5]
-    out = np.empty((len(arr), 4), dtype=np.int64)
     # one bank per frame; each slice's score block is dropped once its argmax
-    # is written, so no (n, H) table is ever built
+    # is written as hypothesis numbers, so no (n, H) table is ever built
     bank = _build_bank(channel, constellation)
+    h = np.empty(len(arr), dtype=np.intp)
     for start in range(0, len(arr), SCORE_SLICE_ROWS):
         rows = slice(start, start + SCORE_SLICE_ROWS)
-        out[rows, :3] = detect_dims123_block(arr[rows, :4], bank)[0]
+        h[rows] = detect_dims123_block(arr[rows, :4], bank)[0]
+    # the (n, 4) result in one gather of whole rows (rx, ry, t, 0): a take of
+    # contiguous rows costs far less than filling the strided [:, :3] columns
+    index_rows = np.zeros((len(bank.triples), 4), dtype=np.int64)
+    index_rows[:, :3] = bank.triples
+    out = np.take(index_rows, h, axis=0)
 
     if gain is None:
-        cond = out[:, :3].copy()
-        cond[0] = PILOT[:3]
-        gain = beat_gain(constellation, channel, cond)
+        # the decided stream from the known pilot on, gathered from the
+        # fields the bank was built from
+        h[0] = np.ravel_multi_index(PILOT[:3], (constellation.n_rings,) * 2 + (constellation.n_phases,))
+        gain = _stream_gain(constellation, bank.kx, bank.ky, h)
     eta = detect_dim4_block(w56[1:], gain, constellation)
 
     out[0, 3] = 0

@@ -61,19 +61,24 @@ def _ser_block(cfg: ExperimentConfig, block: int) -> np.ndarray:
     coefficients = sample_coefficients(kx, ky, unit)
     del kx, ky, unit  # the table is all the points read of the frame's fields and noise
 
+    channels = [JonesChannel(channel0.a, channel0.b, osnr_to_sigma2(osnr_db)) for osnr_db in grid]
+    estimated = cfg.channel_mode == "estimated"
+    if estimated:
+        # one training pass over the grid, point i drawing from stream (seed, block, 3, i)
+        rngs = [_rng(cfg.seed, block, 3, i) for i in range(len(grid))]
+        training = run_training(channels, cfg.training_repeats, rngs).reshape(len(grid), -1, 4)
+        estimates = [estimate_channel(obs)[0] for obs in training]
+        channels = [JonesChannel(est.a, est.b, ch.sigma2) for est, ch in zip(estimates, channels)]
+
+    # genie mode: the true values' gain through the receiver's channel; the
+    # gain reads only (a, b), so the true channel's serves every point
+    genie = cfg.detection_mode == "genie"
+    gain = beat_gain(constellation, channel0, idx[:, :3]) if genie and not estimated else None
     errors = np.zeros((len(grid), 4), dtype=np.int64)
-    for i, osnr_db in enumerate(grid):
-        sigma2 = osnr_to_sigma2(osnr_db)
-        frames = evaluate_samples(coefficients, sigma2, cfg.receiver_variant)
-
-        channel = JonesChannel(channel0.a, channel0.b, sigma2)
-        if cfg.channel_mode == "estimated":
-            training = run_training(channel, cfg.training_repeats, _rng(cfg.seed, block, 3, i))
-            est = estimate_channel(training)[0]
-            channel = JonesChannel(est.a, est.b, sigma2)
-
-        # genie mode: the true values' gain through the receiver's channel
-        gain = beat_gain(constellation, channel, idx[:, :3]) if cfg.detection_mode == "genie" else None
+    for i, channel in enumerate(channels):
+        frames = evaluate_samples(coefficients, channel.sigma2, cfg.receiver_variant)
+        if genie and estimated:
+            gain = beat_gain(constellation, channel, idx[:, :3])
         result = run_successive_receiver(frames, channel, constellation, gain=gain)
         errors[i] = accumulate_ser(idx, result.indices)
     return errors
@@ -198,7 +203,7 @@ def channel_estimation_demo(osnr_db: float, repeats: int, seed: int = 0) -> dict
         raise ValueError(f"OSNR {osnr_db!r} dB (--osnr-db) must be at least the sweeps' floor, {MIN_OSNR_DB!r} dB")
     sigma2 = osnr_to_sigma2(osnr_db)
     channel = haar_random_channel(_rng(seed, 901), sigma2)
-    estimate, residual = estimate_channel(run_training(channel, repeats, _rng(seed, 902)))
+    estimate, residual = estimate_channel(run_training([channel], repeats, [_rng(seed, 902)]))
     return {
         "true_a": channel.a,
         "true_b": channel.b,

@@ -110,9 +110,10 @@ def sample_coefficients(kx, ky, unit) -> np.ndarray:
     return table
 
 
-def horner(coefficients, s: float) -> np.ndarray:
-    """c0 + s c1 + s^2 c2 of the arrays (c0, c1, c2) by Horner's rule, in a new array."""
-    value = coefficients[2] * s
+def horner(coefficients, s: float, out=None) -> np.ndarray:
+    """c0 + s c1 + s^2 c2 of the arrays (c0, c1, c2) by Horner's rule, in
+    ``out`` or a new array."""
+    value = np.multiply(coefficients[2], s, out=out)
     value += coefficients[1]
     value *= s
     value += coefficients[0]

@@ -13,7 +13,8 @@ used, so the two differ only by the receiver's decision errors.  Each point
 reads its noisy samples from ``frontend``'s coefficients of the frame, formed
 once per channel: the genie context only the delayed beat's, the decision-
 directed context the whole table its receiver needs.  The normalized values
-are histogrammed on a square grid.
+are histogrammed on a square grid, the labels checked and offset once per
+channel.
 
 ``estimate_mi_dim4(config, key)`` is the rate sweep's per-channel kernel, as
 ``_ser_block`` is the SER sweep's per-block one: it returns one channel's
@@ -83,30 +84,48 @@ def histogram_mi_bits(
     bins, so the joint histogram accounts for every sample: NaN joins +inf at
     the upper edge.  Labels must be integers (not bool) in [0, n_labels).
     """
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":  # a float label would be truncated into a bin
-        raise ValueError(f"labels must be integers, got a {labels.dtype} array")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_labels):
-        raise ValueError(f"labels must lie in [0, {n_labels}), got range [{labels.min()}, {labels.max()}]")
-    h = max(box_halfwidth, 1e-12)
-    # grid coordinates of (re, im), one working (n, 2) array scaled in place
-    cells = np.ascontiguousarray(values, dtype=complex).view(np.float64).reshape(-1, 2) + h
-    with np.errstate(over="ignore", invalid="ignore"):  # a coordinate may pass the float range
-        cells /= 2.0 * h
-        cells *= n_bins
-        if not math.isfinite(cells.sum()):  # a NaN, an infinity or only a large sum
-            np.nan_to_num(cells, copy=False, nan=n_bins)
-    # clipped before the cast: a coordinate past the int64 range keeps its edge
-    np.clip(cells, 0, n_bins - 1, out=cells)
-    ij = cells.astype(np.int64)
-    flat = np.multiply(labels, n_bins, dtype=np.int64)
-    flat += ij[:, 0]
-    flat *= n_bins
-    flat += ij[:, 1]
-    counts = np.bincount(flat, minlength=n_labels * n_bins * n_bins).reshape(
-        n_labels, n_bins, n_bins
-    )
-    return _mi_from_counts(counts)
+    return _LabelBins(labels, n_labels, n_bins).mi_bits(values, box_halfwidth)
+
+
+class _LabelBins:
+    """Integer labels in [0, n_labels), checked once, with their bin offsets
+    and the work arrays of one binning: every histogram of the same labels
+    (``mi_bits``) reuses them.  The work arrays ``cells`` (n, 2) and
+    ``flat`` (n,) hold nothing between calls, so a caller may borrow them."""
+
+    def __init__(self, labels, n_labels: int, n_bins: int):
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "iu":  # a float label would be truncated into a bin
+            raise ValueError(f"labels must be integers, got a {labels.dtype} array")
+        if labels.size and (labels.min() < 0 or labels.max() >= n_labels):
+            raise ValueError(f"labels must lie in [0, {n_labels}), got range [{labels.min()}, {labels.max()}]")
+        self.n_labels, self.n_bins = n_labels, n_bins
+        self.offsets = np.multiply(labels, n_bins, dtype=np.int64)
+        self.cells = np.empty((labels.size, 2))  # grid coordinates of (re, im)
+        self.ij = np.empty((labels.size, 2), dtype=np.int64)
+        self.flat = np.empty_like(self.offsets)
+
+    def mi_bits(self, values, box_halfwidth: float) -> float:
+        """``histogram_mi_bits`` of these labels and ``values``."""
+        n_bins = self.n_bins
+        h = max(box_halfwidth, 1e-12)
+        cells, ij, flat = self.cells, self.ij, self.flat
+        np.add(np.ascontiguousarray(values, dtype=complex).view(np.float64).reshape(-1, 2), h, out=cells)
+        with np.errstate(over="ignore", invalid="ignore"):  # a coordinate may pass the float range
+            cells /= 2.0 * h
+            cells *= n_bins
+            if not math.isfinite(cells.sum()):  # a NaN, an infinity or only a large sum
+                np.nan_to_num(cells, copy=False, nan=n_bins)
+        # clipped before the cast: a coordinate past the int64 range keeps its edge
+        np.clip(cells, 0, n_bins - 1, out=cells)
+        np.copyto(ij, cells, casting="unsafe")
+        np.add(self.offsets, ij[:, 0], out=flat)
+        flat *= n_bins
+        flat += ij[:, 1]
+        counts = np.bincount(flat, minlength=self.n_labels * n_bins * n_bins).reshape(
+            self.n_labels, n_bins, n_bins
+        )
+        return _mi_from_counts(counts)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -127,9 +146,10 @@ def draw_frame(constellation: RingPskConstellation, seed: int, key: int, n: int)
     return channel, idx, kx, ky, unit
 
 
-def _noise_deviation(residual) -> float:
-    """Per-quadrature RMS of the complex ``residual``."""
-    power = np.abs(residual)
+def _noise_deviation(residual, power) -> float:
+    """Per-quadrature RMS of the complex ``residual``; ``power`` is a real
+    work array of its shape."""
+    np.abs(residual, out=power)
     np.square(power, out=power)
     return math.sqrt(power.mean() / 2.0)
 
@@ -145,7 +165,9 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
     computed on an ``n_bins`` square grid covering the unit circle widened by
     four empirical noise deviations.  Every point evaluates coefficients
     formed once per channel (``frontend``), so the curve is monotone up to
-    estimator noise, and each point equals the same OSNR computed alone.
+    estimator noise, and each point equals the same OSNR computed alone.  The
+    labels are checked and given their bin offsets once per channel, and the
+    points share their work arrays.
 
     ``config.rate_context`` selects the conditioning: "genie" divides the
     beat's ``beat_coefficients`` once by the gain of the true per-slot values;
@@ -173,20 +195,27 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
         table = sample_coefficients(kx, ky, unit)
     del kx, ky, unit  # the coefficients hold all the sweep reads of the frame
 
+    # the labels are checked and offset once; each point overwrites the
+    # statistic, its residual, its power and the binning's work arrays.  The
+    # residual and its power are spent before each binning, so they borrow
+    # its work arrays: the sweep's peak RSS is set by these arrays
+    bins = _LabelBins(eta_idx, constellation.n_phases, config.n_bins)
+    stat = np.empty(m, dtype=complex)
+    residual = bins.cells.view(complex)[:, 0]
+    power = bins.flat.view(np.float64)
     grid = config.osnr_grid()
     bits = np.empty(len(grid))
     for k, osnr_db in enumerate(grid):
         sigma2 = osnr_to_sigma2(osnr_db)
         if genie:
-            stat = horner(coefficients, math.sqrt(sigma2)).view(complex)
+            horner(coefficients, math.sqrt(sigma2), out=stat.view(np.float64))
         else:
             samples = evaluate_samples(table, sigma2, "full")
             gain = run_successive_receiver(samples, JonesChannel(channel.a, channel.b, sigma2), constellation).gain
             # (w5 + i w6) / 2 is the beat; the power of two scales exactly
             with np.errstate(divide="ignore", invalid="ignore"):
-                stat = samples[1:, 4:].view(complex)[:, 0] / (2.0 * gain)
-        sigma_w = _noise_deviation(stat - reference)
-        bits[k] = histogram_mi_bits(
-            eta_idx, stat, constellation.n_phases, config.n_bins, 1.0 + 4.0 * sigma_w
-        )
+                np.divide(samples[1:, 4:].view(complex)[:, 0], 2.0 * gain, out=stat)
+        np.subtract(stat, reference, out=residual)
+        sigma_w = _noise_deviation(residual, power)
+        bits[k] = bins.mi_bits(stat, 1.0 + 4.0 * sigma_w)
     return bits

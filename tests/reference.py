@@ -12,7 +12,8 @@ functions, the encoder as exponentials of its running phase
 intensity columns over column pairs (``broadcast_reduced_block``,
 ``broadcast_recover_full_block``), the noisy samples of the rebuilt noisy fields
 (``field_samples``), the rate kernel as it rebuilt the noisy fields at
-every OSNR point (``field_rate_curve``), and the SER counts as one integer sum
+every OSNR point (``field_rate_curve``), training as it trained one point
+per call (``single_point_training``), and the SER counts as one integer sum
 of the mismatch table over its rows (``summed_ser_counts``)."""
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from stokesdd.channel import JonesChannel, add_unit_noise, apply_jones, osnr_to_sigma2
+from stokesdd.channel import JonesChannel, add_unit_noise, apply_jones, osnr_to_sigma2, stokes_vector
 from stokesdd.config import ExperimentConfig
 from stokesdd.constellation import TWO_PI, RingPskConstellation, build_constellation
 from stokesdd.detection import (
     ERASURE_TOL,
+    TRAINING_PILOTS,
     beat_gain,
     context_vectors,
     gaussian_stats_dims123,
@@ -397,8 +399,8 @@ def broadcast_recover_full_block(reduced) -> np.ndarray:
 
 
 class _NodeDraws:
-    """Stand-in for the ``np.random.Generator`` of ``run_training`` that
-    serves one node of a product rule: the normals' nodes in turn, and for
+    """Stand-in for one point's ``np.random.Generator`` in ``run_training``
+    that serves one node of a product rule: the normals' nodes in turn, and for
     each gamma of shape k the node k - sqrt(k) or k + sqrt(k) by its side.
     Every row (pilot) of a draw takes the same nodes.  A draw it cannot fill,
     or any other method, raises, so a change to the draws fails the oracle."""
@@ -430,20 +432,40 @@ def field_samples(kx, ky, sigma2: float, unit: np.ndarray, variant: str) -> np.n
     return full if variant == "full" else broadcast_recover_full_block(broadcast_reduced_block(full))
 
 
+def single_point_training(channel: JonesChannel, repeats: int, rng) -> np.ndarray:
+    """``detection.run_training`` of one point as it trained one point per
+    call: the (3, 4) pilot averages of ``channel`` over ``repeats``
+    transmissions, the sample mean drawn from four normals per pilot through
+    ``received_samples`` at sigma2 / repeats, the scatter from its Bartlett
+    factor's two gammas and two more normals."""
+    kx, ky = apply_jones(channel, *TRAINING_PILOTS.T)
+    g = rng.standard_normal((len(TRAINING_PILOTS), 4 if repeats == 1 else 6))
+    averaged = received_samples(kx, ky, channel.sigma2 / repeats, g[:, :4], "full")[:, :4]
+    if repeats > 1:
+        gammas = rng.standard_gamma([repeats - 1, repeats - 2], size=(len(TRAINING_PILOTS), 2))
+        scale = math.sqrt(channel.sigma2 / repeats)
+        l11, l22 = scale * np.sqrt(2.0 * gammas.T)
+        l21 = scale * (g[:, 4] + 1j * g[:, 5])
+        averaged += stokes_vector(l11, l21) + stokes_vector(0.0, l22)
+    return averaged
+
+
 def training_moments(channel: JonesChannel, repeats: int):
     """Exact mean (3, 4) and per-pilot covariance (3, 4, 4) of
-    ``run_training(channel, repeats, rng)``, by running it on a product rule.
+    ``run_training([channel], repeats, [rng])``, by running it on a product
+    rule: one grid call, one point per node.
 
     Each of its six normals takes the 3-node Gauss-Hermite rule: a sample is
     at most degree 2 in a normal, so the covariance integrands are at most
     degree 4, and 3 nodes are exact to degree 5.  Each of its two gammas of
     shape k takes k -/+ sqrt(k) with probability 1/2, which matches E[g] = k
     and E[g^2] = k^2 + k: a sample is linear in g, or sqrt(g) times a normal,
-    whose odd terms the symmetric rules cancel.  The 3^6 2^2 = 2916 calls
+    whose odd terms the symmetric rules cancel.  The 3^6 2^2 = 2916 points
     draw the same node for all three pilots, so only each pilot's own moments
     are exact; the cross-pilot ones are not returned."""
     p, normals, sides = _product_rule(6, 2)
-    w = np.array([run_training(channel, repeats, _NodeDraws(*node)) for node in zip(normals, sides)])
+    draws = [_NodeDraws(*node) for node in zip(normals, sides)]
+    w = run_training([channel] * len(draws), repeats, draws).reshape(len(draws), -1, 4)
     mean = np.einsum("n,nia->ia", p, w)
     dev = w - mean
     return mean, np.einsum("n,nia,nib->iab", p, dev, dev)

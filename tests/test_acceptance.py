@@ -237,12 +237,12 @@ def test_criterion_09_channel_estimation():
     worst_err = 0.0
     for _ in range(20):
         ch = haar_random_channel(rng, sigma2)
-        est, _ = estimate_channel(run_training(ch, 10_000, rng))
+        est, _ = estimate_channel(run_training([ch], 10_000, [rng]))
         worst_err = max(worst_err, gauge_aligned_error(est, ch))
     worst_res = 0.0
     for _ in range(20):
         ch = haar_random_channel(rng, 0.0)
-        _, residual = estimate_channel(run_training(ch, 1, rng))
+        _, residual = estimate_channel(run_training([ch], 1, [rng]))
         worst_res = max(worst_res, residual)
     ok = worst_err < 0.01 and worst_res < 1e-9
     record_acceptance(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesdd.channel import (
+    MAX_SIGMA2,
     JonesChannel,
     apply_jones,
     haar_random_channel,
@@ -47,6 +48,7 @@ from reference import (
     gauss_hermite_moments,
     hypothesis_stats,
     nearest_phase_argmin,
+    single_point_training,
     training_moments,
     two_slot_moments,
     wrap_angle,
@@ -147,7 +149,8 @@ def test_detect_noiseless_recovers_symbols_exactly():
         ex, ey = encode_indices(c, idx)
         kx, ky = apply_jones(ch, ex, ey)
         frames = frontend_full_block(kx, ky)
-        decided, _ = detect_dims123_block(frames[:, :4], detection._build_bank(ch, c))
+        bank = detection._build_bank(ch, c)
+        decided = bank.triples[detect_dims123_block(frames[:, :4], bank)[0]]
         assert (decided == idx[:, :3]).all()
 
 
@@ -200,7 +203,8 @@ def test_scalar_detect_matches_block():
     idx = random_symbol_stream(rng, c, 30)
     ex, ey = encode_indices(c, idx)
     frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((len(idx), 4)), "full")
-    block, _ = detect_dims123_block(frames[:, :4], detection._build_bank(ch, c))
+    bank = detection._build_bank(ch, c)
+    block = bank.triples[detect_dims123_block(frames[:, :4], bank)[0]]
     for n in range(len(idx)):
         d = detect_dims123(frames[n, :4], ch, c)
         assert (d.indices.rx, d.indices.ry, d.indices.t) == tuple(block[n])
@@ -264,7 +268,8 @@ def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
     obs = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((n, 4)), "full")[:, :4]
 
     bank = detection._build_bank(ch, c)
-    decided, scores = detect_dims123_block(obs, bank)
+    best, scores = detect_dims123_block(obs, bank)
+    decided = bank.triples[best]
     ref = einsum_bank_scores(means, covs, ch.sigma2, obs)
     assert scores.shape == ref.shape
     assert (decided == triples[ref.argmax(axis=1)]).all()
@@ -306,7 +311,8 @@ def test_scores_past_the_hand_over_match_each_hypothesis_terms(shape):
             obs = received_samples(
                 *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
             )[:, :4]
-            decided, scores = detect_dims123_block(obs, bank)
+            best, scores = detect_dims123_block(obs, bank)
+            decided = bank.triples[best]
             near = half_negative_squared_distances(obs, means)
             tol = 16.0 * eps * expanded_score_scale(means, covs, 0.0, obs)
             assert (np.abs(scores - near) <= tol[:, None]).all(), osnr_db
@@ -325,7 +331,9 @@ def test_zero_noise_scores_are_half_negative_squared_distances(shape, n):
     c = build_constellation(*shape)
     ch = haar_random_channel(rng, 0.0)
     obs = rng.standard_normal((n, 4))
-    decided, scores = detect_dims123_block(obs, detection._build_bank(ch, c))
+    bank = detection._build_bank(ch, c)
+    best, scores = detect_dims123_block(obs, bank)
+    decided = bank.triples[best]
     triples, means, covs = hypothesis_stats(ch, c)
     ref = half_negative_squared_distances(obs, means)
     tol = 16.0 * np.finfo(float).eps * expanded_score_scale(means, covs, 0.0, obs)
@@ -349,7 +357,8 @@ def test_high_osnr_decisions_are_exact_past_the_hand_over(shape):
             obs = received_samples(
                 *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
             )[:, :4]
-            decided, _ = detect_dims123_block(obs, detection._build_bank(ch, c))
+            bank = detection._build_bank(ch, c)
+            decided = bank.triples[detect_dims123_block(obs, bank)[0]]
             assert np.array_equal(decided, idx[:, :3]), (osnr_db, int((decided != idx[:, :3]).any(axis=1).sum()))
 
 
@@ -539,6 +548,58 @@ def test_decision_directed_gain_conditions_on_pilot_and_decisions():
     cond[0] = PILOT[:3]
     expected = ell_gain(c, ch, cond[:-1], cond[1:])
     assert np.allclose(result.gain, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 4), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_decision_directed_gain_is_beat_gain_of_the_pilot_pinned_decisions(shape):
+    # the receiver gathers its own gain from its bank's field table by its
+    # decided hypothesis numbers, slot 0 pinned to the pilot's; it must equal
+    # beat_gain of the decided stream with slot 0 set to PILOT, bit for bit,
+    # also past 16,384 slots, where numpy computes a product of a temporary
+    # in place with its operands swapped
+    rng = np.random.default_rng(1011)
+    c = build_constellation(*shape)
+    for osnr_db in (None, 10.0, 14.0, 18.0, 22.0, 26.0):
+        sigma2 = 0.0 if osnr_db is None else osnr_to_sigma2(osnr_db)
+        ch = haar_random_channel(rng, sigma2)
+        for n in (2, 700, 20_000):
+            idx = random_symbol_stream(rng, c, n)
+            idx[0] = PILOT
+            kx, ky = apply_jones(ch, *encode_indices(c, idx))
+            frames = received_samples(kx, ky, sigma2, rng.standard_normal((n, 4)), "full")
+            result = run_successive_receiver(frames, ch, c)
+            cond = result.indices[:, :3].copy()
+            cond[0] = PILOT[:3]
+            want = beat_gain(c, ch, cond)
+            assert np.array_equal(result.gain.view(np.uint64), want.view(np.uint64)), (osnr_db, n)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 4), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_hypothesis_numbers_give_the_decided_triples(shape):
+    # detect_dims123_block returns each slot's argmax hypothesis number h;
+    # bank.triples[h] must be the (rx, ry, t) the rx-major numbering gives
+    # that argmax, which the block returned as its decision before, and the
+    # receiver's decided triples, slice by slice
+    rng = np.random.default_rng(1013)
+    c = build_constellation(*shape)
+    alphabet = (c.n_rings, c.n_rings, c.n_phases)
+    ch = haar_random_channel(rng, osnr_to_sigma2(12.0))
+    n = 2 * SCORE_SLICE_ROWS + 37
+    idx = random_symbol_stream(rng, c, n)
+    idx[0] = PILOT
+    kx, ky = apply_jones(ch, *encode_indices(c, idx))
+    frames = received_samples(kx, ky, ch.sigma2, rng.standard_normal((n, 4)), "full")
+    bank = detection._build_bank(ch, c)
+    decided = []
+    for start in range(0, n, SCORE_SLICE_ROWS):
+        h, scores = detect_dims123_block(frames[start : start + SCORE_SLICE_ROWS, :4], bank)
+        assert h.shape == (len(scores),)
+        assert np.array_equal(h, scores.argmax(axis=1))
+        want = np.column_stack(np.unravel_index(scores.argmax(axis=1), alphabet))
+        assert np.array_equal(bank.triples[h], want)
+        decided.append(want)
+    result = run_successive_receiver(frames, ch, c)
+    assert np.array_equal(result.indices[:, :3], np.concatenate(decided))
 
 
 def test_phasor_gathers_equal_the_per_slot_exp_bit_for_bit():
@@ -745,7 +806,7 @@ def test_estimate_channel_noiseless_exact():
     rng = np.random.default_rng(90)
     for _ in range(50):
         ch = haar_random_channel(rng, 0.0)
-        est, residual = estimate_channel(run_training(ch, 1, rng))
+        est, residual = estimate_channel(run_training([ch], 1, [rng]))
         assert residual < 1e-9
         assert gauge_aligned_error(est, ch) < 1e-9
 
@@ -758,9 +819,24 @@ def test_estimate_channel_of_non_finite_observables_raises():
             estimate_channel(np.full((3, 4), value))
 
 
+@pytest.mark.parametrize("where", ["all-nan", "one-nan-among-zeros", "all-inf"])
+def test_estimate_channel_names_non_finite_training_obs(where):
+    # without the check, all-NaN observables failed on |a|^2 + |b|^2 = 1 and
+    # one NaN beat among zero observables on "cannot normalize the zero pair"
+    obs = {
+        "all-nan": np.full((3, 4), math.nan),
+        "one-nan-among-zeros": np.zeros((3, 4)),
+        "all-inf": np.full((3, 4), math.inf),
+    }[where]
+    if where == "one-nan-among-zeros":
+        obs[0, 2] = math.nan
+    with pytest.raises(ValueError, match="training_obs"):
+        estimate_channel(obs)
+
+
 def test_identity_channel_pilot_observables():
     ch = JonesChannel(1.0 + 0j, 0j, 0.0)
-    obs = run_training(ch, 1, np.random.default_rng(0))
+    obs = run_training([ch], 1, [np.random.default_rng(0)])
     assert np.allclose(obs[0, :4], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -768,7 +844,7 @@ def test_estimate_invariant_to_whole_matrix_phase():
     # e^{i phi} J produces identical observables, hence an identical estimate
     rng = np.random.default_rng(91)
     ch = haar_random_channel(rng, 0.0)
-    est_ref, _ = estimate_channel(run_training(ch, 1, rng))
+    est_ref, _ = estimate_channel(run_training([ch], 1, [rng]))
     dark = DualPolSymbol(0j, 0j)
     for phi in (0.0, 0.4, -2.2, math.pi / 2):
         rot = cmath.exp(1j * phi)
@@ -784,7 +860,7 @@ def test_estimate_invariant_to_whole_matrix_phase():
 def test_estimate_channel_noisy_convergence():
     rng = np.random.default_rng(92)
     ch = haar_random_channel(rng, osnr_to_sigma2(20.0))
-    est, _ = estimate_channel(run_training(ch, 2000, rng))
+    est, _ = estimate_channel(run_training([ch], 2000, [rng]))
     assert gauge_aligned_error(est, ch) < 0.03
 
 
@@ -794,7 +870,7 @@ def test_estimate_channel_recovers_complex_rotations_for_detection():
     c = build_constellation(2, 4)
     for _ in range(10):
         ch = haar_random_channel(rng, 0.0)
-        est, _ = estimate_channel(run_training(ch, 1, rng))
+        est, _ = estimate_channel(run_training([ch], 1, [rng]))
         idx = random_symbol_stream(rng, c, 40)
         ex, ey = encode_indices(c, idx)
         kx, ky = apply_jones(ch, ex, ey)
@@ -806,7 +882,7 @@ def test_estimate_channel_recovers_complex_rotations_for_detection():
 
 def test_estimate_channel_requires_three_pilot_blocks():
     ch = JonesChannel(1.0 + 0j, 0j, 0.0)
-    obs = run_training(ch, 1, np.random.default_rng(0))
+    obs = run_training([ch], 1, [np.random.default_rng(0)])
     assert obs.shape == (3, 4)
     assert obs.dtype == np.float64
     for bad in (obs[:2], np.vstack([obs, obs[:1]]), np.hstack([obs, obs[:, 2:]])):
@@ -827,7 +903,7 @@ def test_training_matches_the_exact_moments(repeats):
         ch = haar_random_channel(rng, sigma2)
         kx, ky = apply_jones(ch, *TRAINING_PILOTS.T)
         seed = int(rng.integers(2**32))
-        got = run_training(ch, repeats, np.random.default_rng(seed))
+        got = run_training([ch], repeats, [np.random.default_rng(seed)])
         if repeats == 1:
             unit = np.random.default_rng(seed).standard_normal((3, 4))
             assert np.array_equal(got, received_samples(kx, ky, sigma2, unit, "full")[:, :4])
@@ -842,19 +918,47 @@ def test_training_matches_the_exact_moments(repeats):
         assert np.abs(cov - want_cov).max() <= 1e-11 * np.abs(want_cov).max()
 
 
+@pytest.mark.parametrize("k", [1, 2, 9])
+@pytest.mark.parametrize("repeats", [1, 2, 17, 10_000])
+def test_grid_training_equals_each_point_trained_alone(k, repeats):
+    # each point of a grid makes its own draws, and the stacked pilot rows go
+    # through the same elementwise operations, so every point's (3, 4)
+    # averages are, bit for bit, those of one point per call (the oracle)
+    # and of the point trained alone, at every noise level
+    rng = np.random.default_rng(1012)
+    levels = (0.0, 1e-12, 0.025, MAX_SIGMA2)
+    for offset in range(len(levels)):
+        channels = [haar_random_channel(rng, levels[(offset + i) % len(levels)]) for i in range(k)]
+        seeds = [int(s) for s in rng.integers(2**63, size=k)]
+        got = run_training(channels, repeats, [np.random.default_rng(s) for s in seeds])
+        assert got.shape == (3 * k, 4)
+        for i, (ch, seed) in enumerate(zip(channels, seeds)):
+            want = single_point_training(ch, repeats, np.random.default_rng(seed)).view(np.uint64)
+            assert np.array_equal(got[3 * i : 3 * i + 3].view(np.uint64), want), (i, ch.sigma2)
+            alone = run_training([ch], repeats, [np.random.default_rng(seed)])
+            assert np.array_equal(alone.view(np.uint64), want), (i, ch.sigma2)
+
+
+def test_training_needs_one_generator_per_point():
+    ch = haar_random_channel(np.random.default_rng(98), osnr_to_sigma2(20.0))
+    for channels, n_rngs in (([ch], 0), ([ch, ch], 1), ([ch], 2), ([], 0)):
+        with pytest.raises(ValueError, match="generator"):
+            run_training(channels, 2, [np.random.default_rng(0)] * n_rngs)
+
+
 def test_training_rejects_repeats_that_are_not_positive_integers():
     # a fractional count is the law of no number of transmissions; bool is
     # an int subclass but never a count
     ch = haar_random_channel(np.random.default_rng(99), osnr_to_sigma2(20.0))
     for repeats in (2.5, 1.5, 2.0, np.float64(3.0), True, 0, -3, np.int64(0)):
         with pytest.raises(ValueError, match="repeats"):
-            run_training(ch, repeats, np.random.default_rng(0))
+            run_training([ch], repeats, [np.random.default_rng(0)])
     for repeats in (2.5, True):  # the demo names its CLI flag, before it draws a channel
         with pytest.raises(ValueError, match="--repeats"):
             channel_estimation_demo(20.0, repeats)
     for repeats in (1, 17):
-        want = run_training(ch, repeats, np.random.default_rng(0))
-        got = run_training(ch, np.int64(repeats), np.random.default_rng(0))
+        want = run_training([ch], repeats, [np.random.default_rng(0)])
+        got = run_training([ch], np.int64(repeats), [np.random.default_rng(0)])
         assert np.array_equal(got, want)
 
 
@@ -864,7 +968,7 @@ def test_training_cost_is_independent_of_repeats():
     rng = np.random.default_rng(97)
     ch = haar_random_channel(rng, osnr_to_sigma2(10.0))
     start = time.perf_counter()
-    got = run_training(ch, 10**12, rng)
+    got = run_training([ch], 10**12, [rng])
     assert time.perf_counter() - start < 1.0
     assert np.isfinite(got).all()
     for row, (ex, ey) in zip(got, TRAINING_PILOTS):
