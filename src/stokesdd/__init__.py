@@ -15,9 +15,11 @@ against one gain per slot, K_x[n] K_y*[n-1] of the decided slots' noiseless
 fields or a gain the receiver is given, such as the true values' gain in
 genie mode; training-based channel estimation), metrics (SER
 accumulation, ``draw_frame``, the one keyed Monte Carlo frame of the SER and
-rate sweeps, and ``estimate_mi_dim4(config, key)``, one channel's plug-in
-rate over the OSNR grid), experiments/config/cli (seeded sweeps, each a map
-of a keyed kernel over blocks or channels, and CSV/plot emission).
+rate sweeps, and ``frame_noise``, its noise, drawn apart so that each caller
+frees it once its coefficients are formed, and ``estimate_mi_dim4(config,
+key)``, one channel's plug-in rate over the OSNR grid),
+experiments/config/cli (seeded sweeps, each a map of a keyed kernel over
+blocks or channels, and CSV/plot emission).
 
 Every layer works on whole blocks of slots: index arrays (n, 4), field arrays
 (n,), sample arrays (n, 6); scalar per-slot forms live in the tests as oracles.

@@ -268,9 +268,21 @@ def detect_dim4_block(w56: np.ndarray, gain: np.ndarray, constellation: RingPskC
     with -1 marking an erased slot (vanishing gain).
     """
     ratio = np.angle(w56 * np.conj(gain)) / constellation.phase_step
-    decided = np.rint(ratio).astype(np.int64) % constellation.n_phases
+    decided = _floor_mod(np.rint(ratio).astype(np.int64), constellation.n_phases)
     decided[2.0 * np.abs(gain) < ERASURE_TOL] = -1
     return decided
+
+
+def _floor_mod(k: np.ndarray, n: int) -> np.ndarray:
+    """``k % n`` of an int64 array and a divisor n >= 1, in place in ``k``:
+    k - (k // n) * n, whose division by a scalar numpy runs at about a third
+    of ``%``'s cost.  It equals ``%`` for every int64: the result lies in
+    [0, n), and int64 arithmetic is exact modulo 2**64, so a product
+    (k // n) * n that wraps below the int64 range (k near -2**63) cancels."""
+    q = k // n
+    q *= n
+    k -= q
+    return k
 
 
 # --- training-based channel estimation -------------------------------------

@@ -41,7 +41,7 @@ from .detection import (
     run_training,
 )
 from .frontend import evaluate_samples, sample_coefficients
-from .metrics import _rng, accumulate_ser, draw_frame, estimate_mi_dim4
+from .metrics import _rng, accumulate_ser, draw_frame, estimate_mi_dim4, frame_noise
 
 SER_HEADER = "osnr_db,dim,ser,trials,mode"
 RATE_HEADER = "osnr_db,mi_bits,n_samples,n_bins"
@@ -57,9 +57,9 @@ def _ser_block(cfg: ExperimentConfig, block: int) -> np.ndarray:
     grid = cfg.osnr_grid()
     n = cfg.symbols_per_block
 
-    channel0, idx, kx, ky, unit = draw_frame(constellation, cfg.seed, block, n)
-    coefficients = sample_coefficients(kx, ky, unit)
-    del kx, ky, unit  # the table is all the points read of the frame's fields and noise
+    channel0, idx, kx, ky = draw_frame(constellation, cfg.seed, block, n)
+    coefficients = sample_coefficients(kx, ky, frame_noise(cfg.seed, block, n))
+    del kx, ky  # the table is all the points read of the frame's fields and noise
 
     channels = [JonesChannel(channel0.a, channel0.b, osnr_to_sigma2(osnr_db)) for osnr_db in grid]
     estimated = cfg.channel_mode == "estimated"

@@ -84,9 +84,14 @@ def recover_full_block(reduced: np.ndarray) -> np.ndarray:
 def beat_coefficients(kx, ky, unit):
     """The (n-1,) complex (b0, b1, b2) of the noisy delayed beat F_x[n] F_y*[n-1]
     = b0 + s b1 + s^2 b2 of slots 1..n-1, from the noiseless fields and the
-    (n, 4) unit quadratures; b0 is the noiseless beat, bit for bit."""
+    (n, 4) unit quadratures; b0 is the noiseless beat, bit for bit.
+
+    The call drops its reference to ``unit`` once U_x[n] and conj U_y[n-1]
+    are formed, so quadratures passed straight in (``metrics.frame_noise``)
+    are freed halfway through it, before b0..b2 are allocated."""
     ux = unit[1:, 0] + 1j * unit[1:, 1]
     uy_prev = unit[:-1, 2] - 1j * unit[:-1, 3]  # conj of the previous slot's y noise
+    del unit
     b2 = ux * uy_prev
     b1 = kx[1:] * uy_prev
     del uy_prev  # each temporary goes as soon as it is used: they set the rate sweep's peak RSS

@@ -6,15 +6,20 @@ information between the uniform phase index and the delayed beat observable,
 normalized by its known complex gain so that every conditioning context shares
 one statistic near the unit circle.  Both contexts read the same keyed frame
 per channel draw (``draw_frame``, the frame of the SER sweep): a pilot-led
-stream whose consecutive slots are the (previous, current) pairs.  The genie
-context takes the gain of the true contexts from the receiver's beat-gain
-kernel; the decision-directed context runs the receiver and reads the gain it
-used, so the two differ only by the receiver's decision errors.  Each point
-reads its noisy samples from ``frontend``'s coefficients of the frame, formed
-once per channel: the genie context only the delayed beat's, the decision-
-directed context the whole table its receiver needs.  The normalized values
-are histogrammed on a square grid, the labels checked and offset once per
-channel.
+stream whose consecutive slots are the (previous, current) pairs, and its
+noise (``frame_noise``), drawn apart so that it exists only while the
+coefficients are formed.  The genie context takes the gain of the true
+contexts from the receiver's beat-gain kernel; the decision-directed context
+runs the receiver and reads the gain it used, so the two differ only by the
+receiver's decision errors.  Each point reads its noisy samples from
+``frontend``'s coefficients of the frame, formed once per channel: the genie
+context only the delayed beat's, the decision-directed context the whole table
+its receiver needs.  The genie context forms
+its gain before the noise is drawn, and the noise is freed inside
+``beat_coefficients``, so no step of a channel's set-up holds more memory
+than its points do and each channel reuses the heap pages the last one
+freed.  The normalized values are histogrammed on a square grid, the labels
+checked and offset once per channel.
 
 ``estimate_mi_dim4(config, key)`` is the rate sweep's per-channel kernel, as
 ``_ser_block`` is the SER sweep's per-block one: it returns one channel's
@@ -134,16 +139,23 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def draw_frame(constellation: RingPskConstellation, seed: int, key: int, n: int):
-    """One keyed Monte Carlo frame of ``n`` slots: the Haar channel, the
-    (n, 4) indices with slot 0 pinned to ``PILOT``, the noiseless received
-    fields and the (n, 4) unit noise quadratures,
-    ``(channel, idx, kx, ky, unit)``; streams (seed, key, 0/1/2)."""
+    """One keyed Monte Carlo frame of ``n`` slots without its noise: the Haar
+    channel, the (n, 4) indices with slot 0 pinned to ``PILOT`` and the
+    noiseless received fields, ``(channel, idx, kx, ky)``; streams
+    (seed, key, 0/1).  ``frame_noise`` draws the frame's noise."""
     channel = haar_random_channel(_rng(seed, key, 0))
     idx = draw_indices(_rng(seed, key, 1), constellation, n)
     idx[0] = PILOT
     kx, ky = apply_jones(channel, *encode_indices(constellation, idx))
-    unit = _rng(seed, key, 2).standard_normal((n, 4))
-    return channel, idx, kx, ky, unit
+    return channel, idx, kx, ky
+
+
+def frame_noise(seed: int, key: int, n: int) -> np.ndarray:
+    """The (n, 4) unit noise quadratures of the frame ``draw_frame`` draws
+    for the same (seed, key, n); stream (seed, key, 2).  Callers pass it
+    straight into their coefficient builder, so it lives no longer than that
+    call needs it."""
+    return _rng(seed, key, 2).standard_normal((n, 4))
 
 
 def _noise_deviation(residual, power) -> float:
@@ -160,14 +172,14 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
     (n_osnr,) float array of bits.
 
     One keyed frame of ceil(n_samples / n_channels) + 1 slots is drawn
-    (``draw_frame``; slot 0 is the pilot), the delayed beat of each later slot
-    is normalized by its known gain, and the plug-in mutual information is
-    computed on an ``n_bins`` square grid covering the unit circle widened by
-    four empirical noise deviations.  Every point evaluates coefficients
-    formed once per channel (``frontend``), so the curve is monotone up to
-    estimator noise, and each point equals the same OSNR computed alone.  The
-    labels are checked and given their bin offsets once per channel, and the
-    points share their work arrays.
+    (``draw_frame`` and ``frame_noise``; slot 0 is the pilot), the delayed
+    beat of each later slot is normalized by its known gain, and the plug-in
+    mutual information is computed on an ``n_bins`` square grid covering the
+    unit circle widened by four empirical noise deviations.  Every point
+    evaluates coefficients formed once per channel (``frontend``), so the
+    curve is monotone up to estimator noise, and each point equals the same
+    OSNR computed alone.  The labels are checked and given their bin offsets
+    once per channel, and the points share their work arrays.
 
     ``config.rate_context`` selects the conditioning: "genie" divides the
     beat's ``beat_coefficients`` once by the gain of the true per-slot values;
@@ -176,13 +188,19 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
     """
     constellation = build_constellation(config.n_rings, config.n_phases)
     m = -(-config.n_samples // config.n_channels)  # ceil: per-channel sample count
-    channel, idx, kx, ky, unit = draw_frame(constellation, config.seed, key, m + 1)
-    eta_idx = idx[1:, 3]
-    reference = phasor_table(constellation)[eta_idx]
+    channel, idx, kx, ky = draw_frame(constellation, config.seed, key, m + 1)
     genie = config.rate_context == "genie"
     if genie:
-        coefficients = beat_coefficients(kx, ky, unit)
+        # no step of the set-up holds more than the points will: the gain is
+        # formed while the frame is all that is live, the (m + 1, 4) stream
+        # goes before the noise is drawn, and the noise, passed unbound, goes
+        # inside ``beat_coefficients``.  Each channel then reuses the pages
+        # the last one freed instead of faulting in fresh ones
         gain = beat_gain(constellation, channel, idx[:, :3])
+        eta_idx = idx[1:, 3].copy()
+        del idx
+        coefficients = beat_coefficients(kx, ky, frame_noise(config.seed, key, m + 1))
+        del kx, ky
         # divided, not multiplied by 1/gain: where s*b1 falls below b0's last
         # bit (past ~300 dB) the statistic is then the noiseless beat over its
         # gain, correctly rounded, and samples on a bin edge keep their side
@@ -192,8 +210,10 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
         del gain
         coefficients = [b.view(np.float64) for b in coefficients]  # s is real: (re, im) pairs
     else:
-        table = sample_coefficients(kx, ky, unit)
-    del kx, ky, unit  # the coefficients hold all the sweep reads of the frame
+        eta_idx = idx[1:, 3]
+        table = sample_coefficients(kx, ky, frame_noise(config.seed, key, m + 1))
+        del kx, ky  # the table holds all the sweep reads of the frame's fields and noise
+    reference = phasor_table(constellation)[eta_idx]
 
     # the labels are checked and offset once; each point overwrites the
     # statistic, its residual, its power and the binning's work arrays.  The

@@ -39,7 +39,7 @@ from stokesdd.detection import (
     run_training,
 )
 from stokesdd.frontend import frontend_full_block, received_samples
-from stokesdd.metrics import _mi_from_counts, draw_frame
+from stokesdd.metrics import _mi_from_counts, draw_frame, frame_noise
 
 
 @dataclass(frozen=True)
@@ -658,7 +658,8 @@ def field_rate_curve(config: ExperimentConfig, key: int) -> np.ndarray:
     ``binned_mi_bits``."""
     constellation = build_constellation(config.n_rings, config.n_phases)
     m = -(-config.n_samples // config.n_channels)  # ceil: per-channel sample count
-    channel, idx, kx, ky, unit = draw_frame(constellation, config.seed, key, m + 1)
+    channel, idx, kx, ky = draw_frame(constellation, config.seed, key, m + 1)
+    unit = frame_noise(config.seed, key, m + 1)
     eta_idx = idx[1:, 3]
     genie = config.rate_context == "genie"
     genie_gain = beat_gain(constellation, channel, idx[:, :3]) if genie else None

@@ -498,6 +498,20 @@ def test_rounded_phase_decision_at_ties_picks_a_nearest_mean(phases):
     assert (np.abs(chosen - dist.min(axis=1)) <= 1e-12 * dist.min(axis=1)).all()
 
 
+@pytest.mark.parametrize("n", [1, 3, 8191, 8192])
+def test_floor_mod_is_the_remainder_operator(n):
+    # the phase decision's k - (k // n) * n, in place, against numpy's %:
+    # negative values, both int64 ends and +-2**62 with their neighbours,
+    # where (k // n) * n may wrap past the int64 range
+    edges = [0, 1, -1, n - 1, n, n + 1, -n + 1, -n, -n - 1, 2**62, -(2**62), 2**63 - 1, -(2**63)]
+    k = np.array(edges + [e + d for e in (2**62, -(2**62)) for d in (-n - 1, -n, -1, 1, n, n + 1)], dtype=np.int64)
+    k = np.concatenate([k, np.random.default_rng(n).integers(-(2**63), 2**63 - 1, 10_000, endpoint=True)])
+    want = k % n
+    got = detection._floor_mod(k, n)
+    assert got is k and got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 def test_phase_decision_allocates_no_slot_by_phase_table():
     n, phases = 10_000, 64
     rng = np.random.default_rng(9)

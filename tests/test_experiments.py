@@ -41,7 +41,7 @@ from stokesdd.experiments import (
     write_csv,
 )
 from stokesdd.frontend import received_samples
-from stokesdd.metrics import draw_frame, estimate_mi_dim4
+from stokesdd.metrics import draw_frame, estimate_mi_dim4, frame_noise
 
 FAST_SER = dict(
     osnr_start_db=20.0,
@@ -170,8 +170,8 @@ def test_scores_at_the_osnr_floor_are_finite(variant):
     # hundreds of decades inside the float range, so a frame scores no NaN
     c = build_constellation(4, 16)
     sigma2 = osnr_to_sigma2(MIN_OSNR_DB)
-    channel, _, kx, ky, unit = draw_frame(c, 0, 0, 10_000)
-    frames = received_samples(kx, ky, sigma2, unit, variant)
+    channel, _, kx, ky = draw_frame(c, 0, 0, 10_000)
+    frames = received_samples(kx, ky, sigma2, frame_noise(0, 0, 10_000), variant)
     bank = _build_bank(JonesChannel(channel.a, channel.b, sigma2), c)
     for start in range(0, len(frames), SCORE_SLICE_ROWS):
         _, scores = detect_dims123_block(frames[start : start + SCORE_SLICE_ROWS, :4], bank)

@@ -24,7 +24,7 @@ from stokesdd.frontend import (
     recover_full_block,
     sample_coefficients,
 )
-from stokesdd.metrics import draw_frame
+from stokesdd.metrics import draw_frame, frame_noise
 
 from reference import (
     DualPolSymbol,
@@ -113,8 +113,8 @@ def test_reduced_maps_round_as_the_broadcast_oracle(sigma2, rings, phases):
     # operation taken in another order would move some last bits
     c = build_constellation(rings, phases)
     for key in range(3):
-        _, _, kx, ky, unit = draw_frame(c, 6, key, 2_000)
-        table = sample_coefficients(kx, ky, unit)
+        _, _, kx, ky = draw_frame(c, 6, key, 2_000)
+        table = sample_coefficients(kx, ky, frame_noise(6, key, 2_000))
         full = evaluate_samples(table, sigma2, "full")
         reduced = broadcast_reduced_block(full)
         restored = broadcast_recover_full_block(reduced)
@@ -155,8 +155,8 @@ def test_evaluate_samples_leaves_the_table_unchanged():
     # a whole grid of points, in both variants, reads the table without
     # writing it, and evaluating the grid again gives the same bits
     c = build_constellation(2, 4)
-    _, _, kx, ky, unit = draw_frame(c, 5, 0, 1_000)
-    table = sample_coefficients(kx, ky, unit)
+    _, _, kx, ky = draw_frame(c, 5, 0, 1_000)
+    table = sample_coefficients(kx, ky, frame_noise(5, 0, 1_000))
     before = _digest(table)
     sigma2s = [osnr_to_sigma2(osnr_db) for osnr_db in ExperimentConfig().osnr_grid()]
     for variant in ("full", "reduced"):
@@ -218,7 +218,8 @@ def test_sample_coefficients_give_the_noisy_samples(sigma2):
     # columns are twice the genie rate's beat coefficients
     c = build_constellation(2, 4)
     for key in range(5):
-        _, _, kx, ky, unit = draw_frame(c, 4, key, 3_000)
+        _, _, kx, ky = draw_frame(c, 4, key, 3_000)
+        unit = frame_noise(4, key, 3_000)
         table = sample_coefficients(kx, ky, unit)
         assert table.shape == (3, 3_000, 6)
         assert np.array_equal(table[0], frontend_full_block(kx, ky))

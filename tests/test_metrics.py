@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,20 +166,52 @@ def test_histogram_mi_matches_the_oracle_bit_for_bit(seed):
     assert np.array_equal(values, kept, equal_nan=True)  # the caller's values are left as they were
 
 
-@pytest.mark.parametrize("start, stop, step", [(-30.0, 60.0, 10.0), (250.0, 3000.0, 250.0)])
-@pytest.mark.parametrize("context", ["genie", "decision-directed"])
-@pytest.mark.parametrize("rings, phases", [(2, 4), (3, 8)])
-def test_rate_kernel_matches_the_field_oracle_bit_for_bit(context, rings, phases, start, stop, step):
+# grids x contexts x alphabets at 2,000 slots per channel, with the ids that
+# stacked parametrize marks would give them, and one case at the benchmark's size
+_ORACLE_CASES = [
+    pytest.param(
+        rings, phases, context, start, stop, step, 2_000, id=f"{rings}-{phases}-{context}-{start}-{stop}-{step}"
+    )
+    for start, stop, step in [(-30.0, 60.0, 10.0), (250.0, 3000.0, 250.0)]
+    for context in ["genie", "decision-directed"]
+    for rings, phases in [(2, 4), (3, 8)]
+] + [
+    # the benchmark's 30,000 slots per channel: numpy computes a product with
+    # a temporary operand of >= 256 KiB in place in it, operands swapped,
+    # which 2,000 slots never reach
+    pytest.param(2, 4, "genie", 10.0, 26.0, 2.0, 30_000, id="2-4-genie-10.0-26.0-2.0-m30000"),
+]
+
+
+@pytest.mark.parametrize("rings, phases, context, start, stop, step, m", _ORACLE_CASES)
+def test_rate_kernel_matches_the_field_oracle_bit_for_bit(context, rings, phases, start, stop, step, m):
     # the quadratic form and the copy-free histogram bin every sample where
     # the rebuilt noisy fields and the copying histogram did; far above
     # 300 dB the noise is below the beat's last bit, and the statistics sit
     # on the bin edges through 0, so only the same rounding keeps the bits
     cfg = ExperimentConfig(
-        experiment="rate", n_rings=rings, n_phases=phases, n_samples=6_000, n_channels=3, n_bins=16,
+        experiment="rate", n_rings=rings, n_phases=phases, n_samples=3 * m, n_channels=3, n_bins=16,
         seed=8, rate_context=context, osnr_start_db=start, osnr_stop_db=stop, osnr_step_db=step,
     )
     for key in range(cfg.n_channels):
         assert np.array_equal(estimate_mi_dim4(cfg, key), field_rate_curve(cfg, key))
+
+
+def test_genie_channel_peak_is_set_by_its_points():
+    # one genie channel of the benchmark's rate sweep (30,000 slots): the
+    # points hold ~142 bytes per slot (coefficients, statistic, reference and
+    # binning), and no step of the set-up may hold more, or each channel
+    # faults in fresh heap pages
+    cfg = ExperimentConfig(experiment="rate", rate_context="genie", n_samples=600_000)
+    m = cfg.n_samples // cfg.n_channels
+    estimate_mi_dim4(cfg, 1)  # the first call's imports (numpy.random) are not a channel's
+    tracemalloc.start()
+    try:
+        estimate_mi_dim4(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * m
 
 
 @pytest.mark.filterwarnings("error")
@@ -257,7 +290,7 @@ def test_genie_terms_match_noiseless_beat(rings, phases):
     m = 2_000
     # the rate's stream: consecutive slots of one keyed frame are the pairs
     for key in range(20):
-        channel, idx, kx, ky, _ = draw_frame(c, rings * 100 + phases, key, m)
+        channel, idx, kx, ky = draw_frame(c, rings * 100 + phases, key, m)
         gain = ell_gain(c, channel, idx[:-1, :3], idx[1:, :3])
         beat = kx[1:] * np.conj(ky[:-1])
         rows = np.abs(gain) > 1e-6
