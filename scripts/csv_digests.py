@@ -4,12 +4,14 @@
 The set covers the default SER sweep in genie, reduced-front-end and
 estimated-channel modes, and with the estimated channel and the reduced
 front-end together (the path of the benchmark's pool workload); the 4x16 and
-3x8 alphabets at 0-60 dB, the 1x2 alphabet at -10 to 30 dB, and the genie and
-decision-directed rate sweeps (default and 3x8), and the genie rate sweep at
-600,000 samples (the benchmark's rate workload, 30,000 slots per channel),
-each at seeds 0, 1 and 7: 36 digests.  Compare its output before and after a
-change to see which CSV bytes moved.  Takes no options; run from the root of a
-checkout with ``PYTHONPATH=src`` (about 9 s on two cores).
+3x8 alphabets at 0-60 dB, the 1x2 alphabet at -10 to 30 dB, one 40,000-slot
+4x16 block (its complex temporaries are 640 KiB, past the 256 KiB from which
+numpy reuses a temporary in place), and the genie and decision-directed rate
+sweeps (default and 3x8), and the genie rate sweep at 600,000 samples (the
+benchmark's rate workload, 30,000 slots per channel), each at seeds 0, 1 and
+7: 39 digests.  Compare its output before and after a change to see which CSV
+bytes moved.  Takes no options; run from the root of a checkout with
+``PYTHONPATH=src`` (about 7 s on two cores).
 """
 
 import hashlib
@@ -33,6 +35,7 @@ CONFIGS = {
                      "osnr_start_db": 0.0, "osnr_stop_db": 60.0, "osnr_step_db": 10.0},
     "ser-1x2-m10-30": {"n_rings": 1, "n_phases": 2, "blocks": 2,
                        "osnr_start_db": -10.0, "osnr_stop_db": 30.0, "osnr_step_db": 10.0},
+    "ser-4x16-40k": {"n_rings": 4, "n_phases": 16, "symbols_per_block": 40_000, "blocks": 1},
     "rate-genie": {"experiment": "rate"},
     "rate-genie-600k": {"experiment": "rate", "n_samples": 600_000},
     "rate-dd": {"experiment": "rate", "rate_context": "decision-directed"},

@@ -32,8 +32,10 @@ hypothesis bank stores their (15, H) coefficient table
 T = -0.5 [mu^T P mu + log det C; -2 P mu; P_ii, or 2 P_ij for i < j], and a
 slice of slots is scored by building its monomial rows and one GEMM.  The
 receiver builds the bank once per frame and scores the frame slice by slice,
-keeping only each slot's argmax, so the memory of a call is bounded by one
-slice's score block, never by a whole-frame (n, H) table.
+keeping only each slot's argmax.  A slice holds at most ``SCORE_SLICE_CELLS``
+scores (``score_slice_rows``), so the memory of a call is bounded by one
+512 KiB score block, never by a whole-frame (n, H) table, and each slice's
+GEMM and argmax run on a block that stays in cache.
 
 The expanded form cancels: w^T P w and mu^T P mu are ~|P| while their
 difference is O(1), so its error grows with the condition number kappa of
@@ -85,14 +87,28 @@ from .frontend import horner, sample_coefficients
 # the slot is flagged as an erasure
 ERASURE_TOL = 1e-12
 
-# slots per scoring slice of the receiver, chosen by timing: the slice's
-# (rows, H) score block is 2 MiB at H = 256, one per-core L2 cache, and its
-# ~16 numpy calls are spread over enough slots (128-row slices took twice as
-# long at 2x4 and 4x16); one unsliced GEMM of a whole frame halved the
-# 2-worker pool's throughput, probably through OpenBLAS helper threads.  The
-# slice, not the frame, bounds a receiver call's memory: its largest array is
-# the (rows, H) score block
+# the receiver's scoring slices, both bounds chosen by timing.  A slice holds
+# at most SCORE_SLICE_CELLS scores: its (rows, H) score block is then at most
+# 512 KiB, which the GEMM writes and the argmax reads back while it is still
+# in cache.  On a 2-core Xeon (2 MiB of L2 per core) a 10^4-slot receiver call
+# was fastest at 2^16 cells of the 2^14..2^18 tried: 3.2 ms at 4x16 against
+# 3.4 ms with 1024-row (2 MiB) blocks, 11.7 ms at 4x64 against 13.5 ms.
+# A slice holds at most SCORE_SLICE_ROWS slots, so its ~16 numpy calls are
+# spread over enough of them at small H (128-row slices took twice as long
+# at 2x4 and 4x16); one unsliced GEMM of a whole frame halved the 2-worker
+# pool's throughput, probably through OpenBLAS helper threads.  The slice,
+# not the frame, bounds a receiver call's memory: its largest array is the
+# score block
 SCORE_SLICE_ROWS = 1024
+SCORE_SLICE_CELLS = 2**16
+
+
+def score_slice_rows(n_hypotheses: int) -> int:
+    """Slots per scoring slice of a bank of ``n_hypotheses``: as many as
+    ``SCORE_SLICE_CELLS`` scores allow, at least 1 and at most
+    ``SCORE_SLICE_ROWS`` (1024 up to H = 64, 256 at 4x16, 8 at H = 2^13)."""
+    return max(1, min(SCORE_SLICE_ROWS, SCORE_SLICE_CELLS // n_hypotheses))
+
 
 # the hand-over from the surrogate's table to the nearest mean's: the bank
 # holds (P_h, log det C_h) while max_h kappa_h * eps stays below this bound,
@@ -190,7 +206,8 @@ def detect_dims123_block(obs: np.ndarray, bank: _HypothesisBank):
     decided (rows,) hypothesis numbers, whose (rx, ry, t) are the rows of
     ``bank.triples``, and the (rows, H) score block: surrogate
     log-likelihoods, or -0.5 |w - mu_h|^2 past the hand-over.  The receiver
-    passes one slice of at most ``SCORE_SLICE_ROWS`` rows per call.
+    passes one slice of ``score_slice_rows(H)`` rows per call, so the score
+    block holds at most ``SCORE_SLICE_CELLS`` cells (512 KiB).
     """
     f = np.empty((15, len(obs)))
     f[0] = 1.0
@@ -461,11 +478,14 @@ def run_successive_receiver(
             raise ValueError(f"gain must be a finite ({len(arr) - 1},) array, got {gain.dtype} {gain.shape}")
     w56 = arr[:, 4] + 1j * arr[:, 5]
     # one bank per frame; each slice's score block is dropped once its argmax
-    # is written as hypothesis numbers, so no (n, H) table is ever built
+    # is written as hypothesis numbers, so no (n, H) table is ever built.
+    # The slices read the samples' first four columns, contiguous in the
+    # column-major array ``frontend.evaluate_samples`` returns
     bank = _build_bank(channel, constellation)
     h = np.empty(len(arr), dtype=np.intp)
-    for start in range(0, len(arr), SCORE_SLICE_ROWS):
-        rows = slice(start, start + SCORE_SLICE_ROWS)
+    step = score_slice_rows(len(bank.triples))
+    for start in range(0, len(arr), step):
+        rows = slice(start, start + step)
         h[rows] = detect_dims123_block(arr[rows, :4], bank)[0]
     # the (n, 4) result in one gather of whole rows (rx, ry, t, 0): a take of
     # contiguous rows costs far less than filling the strided [:, :3] columns

@@ -22,6 +22,15 @@ front-end is a quadratic form Q, so the samples are Q(K) + s B(K, U) +
 s^2 Q(U), B the polarization of Q: ``sample_coefficients`` builds that table
 per frame, and ``evaluate_samples`` evaluates it at each point by Horner's
 rule.  Each function takes a whole sequence and returns one row per slot.
+
+The table is stored column-major: each plane is the transpose of a (6, n)
+array, so each sample's n values are contiguous.  Every pass over it works
+column by column (Horner's rule, the reduced map and its restoration, and
+the receiver's reads of w1..w4 and of w5 + i w6), and each then runs on
+contiguous memory instead of 48-byte strides; Horner's rule keeps the
+layout, so the samples come out column-major too.  A 10^4-slot reduced
+evaluation takes about half as long as on a row-major table, with the same
+bits: every value is computed by the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -104,14 +113,20 @@ def beat_coefficients(kx, ky, unit):
 
 def sample_coefficients(kx, ky, unit) -> np.ndarray:
     """The (3, n, 6) table (Q(K), B(K, U), Q(U)) of a frame's noiseless
-    fields and (n, 4) unit quadratures; c[0] is ``frontend_full_block(kx, ky)``."""
+    fields and (n, 4) unit quadratures, column-major (the transpose of a
+    (3, 6, n) array); c[0] is ``frontend_full_block(kx, ky)``."""
     ux, uy = unit[:, 0] + 1j * unit[:, 1], unit[:, 2] + 1j * unit[:, 3]
-    table = np.zeros((3, len(unit), 6))  # zeros: slot 0 has no delayed beat
+    columns = np.zeros((3, 6, len(unit)))  # zeros: slot 0 has no delayed beat
+    table = columns.transpose(0, 2, 1)
     table[0] = frontend_full_block(kx, ky)
     table[2] = frontend_full_block(ux, uy)
     beat = kx * uy.conj() + ux * ky.conj()
-    table[1, :, :4] = 2.0 * np.column_stack([(kx * ux.conj()).real, (ky * uy.conj()).real, beat.real, beat.imag])
-    table[1, 1:, 4:] = 2.0 * beat_coefficients(kx, ky, unit)[1].view(float).reshape(-1, 2)
+    polarization = columns[1]
+    for k, term in enumerate(((kx * ux.conj()).real, (ky * uy.conj()).real, beat.real, beat.imag)):
+        np.multiply(2.0, term, out=polarization[k])
+    delayed = beat_coefficients(kx, ky, unit)[1]
+    np.multiply(2.0, delayed.real, out=polarization[4, 1:])
+    np.multiply(2.0, delayed.imag, out=polarization[5, 1:])
     return table
 
 
@@ -128,7 +143,8 @@ def horner(coefficients, s: float, out=None) -> np.ndarray:
 def evaluate_samples(coefficients: np.ndarray, sigma2: float, variant: str) -> np.ndarray:
     """The (n, 6) samples w1..w6 of a ``sample_coefficients`` table at noise
     variance ``sigma2`` (``check_sigma2``), through the ``variant`` ("full" or
-    "reduced") front-end, in a new array.  Reduced-variant samples are mapped
+    "reduced") front-end, in a new array of the table's layout (column-major
+    for ``sample_coefficients``'s).  Reduced-variant samples are mapped
     and restored digitally in place in that array, bit for bit as
     ``recover_full_block(frontend_reduced_block(...))`` would return them."""
     check_sigma2(sigma2)

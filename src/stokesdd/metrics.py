@@ -232,9 +232,11 @@ def estimate_mi_dim4(config: ExperimentConfig, key: int) -> np.ndarray:
         else:
             samples = evaluate_samples(table, sigma2, "full")
             gain = run_successive_receiver(samples, JonesChannel(channel.a, channel.b, sigma2), constellation).gain
-            # (w5 + i w6) / 2 is the beat; the power of two scales exactly
+            # (w5 + i w6) / 2 is the beat, formed from the samples' two
+            # contiguous columns as the receiver forms it; the power of two
+            # scales exactly
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(samples[1:, 4:].view(complex)[:, 0], 2.0 * gain, out=stat)
+                np.divide(samples[1:, 4] + 1j * samples[1:, 5], 2.0 * gain, out=stat)
         np.subtract(stat, reference, out=residual)
         sigma_w = _noise_deviation(residual, power)
         bits[k] = bins.mi_bits(stat, 1.0 + 4.0 * sigma_w)

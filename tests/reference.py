@@ -38,7 +38,7 @@ from stokesdd.detection import (
     run_successive_receiver,
     run_training,
 )
-from stokesdd.frontend import frontend_full_block, received_samples
+from stokesdd.frontend import beat_coefficients, frontend_full_block, received_samples
 from stokesdd.metrics import _mi_from_counts, draw_frame, frame_noise
 
 
@@ -422,6 +422,20 @@ class _NodeDraws:
     def standard_gamma(self, shape, size):
         k = np.broadcast_to(np.asarray(shape, dtype=float), size)
         return k + self._take(self._sides, size) * np.sqrt(k)
+
+
+def row_major_sample_coefficients(kx, ky, unit) -> np.ndarray:
+    """``frontend.sample_coefficients`` as it built the (3, n, 6) table row
+    by row (C order): each plane assigned whole, the polarization's columns
+    gathered by ``np.column_stack`` and its delayed pair by a complex view."""
+    ux, uy = unit[:, 0] + 1j * unit[:, 1], unit[:, 2] + 1j * unit[:, 3]
+    table = np.zeros((3, len(unit), 6))
+    table[0] = frontend_full_block(kx, ky)
+    table[2] = frontend_full_block(ux, uy)
+    beat = kx * uy.conj() + ux * ky.conj()
+    table[1, :, :4] = 2.0 * np.column_stack([(kx * ux.conj()).real, (ky * uy.conj()).real, beat.real, beat.imag])
+    table[1, 1:, 4:] = 2.0 * beat_coefficients(kx, ky, unit)[1].view(float).reshape(-1, 2)
+    return table
 
 
 def field_samples(kx, ky, sigma2: float, unit: np.ndarray, variant: str) -> np.ndarray:

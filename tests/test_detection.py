@@ -30,6 +30,7 @@ from stokesdd.detection import (
     gaussian_stats_dims123,
     run_successive_receiver,
     run_training,
+    score_slice_rows,
 )
 import stokesdd.detection as detection
 from stokesdd.experiments import channel_estimation_demo
@@ -252,7 +253,8 @@ def half_negative_squared_distances(obs, means):
     shape=st.sampled_from([(1, 1), (2, 4), (3, 8), (4, 16)]),
     osnr_db=st.floats(0.0, 140.0),
     # the row counts of a receiver's slices: one, two, a short and a full
-    # slice (the receiver's slice edges are drawn by the test below)
+    # slice of the longest, SCORE_SLICE_ROWS (the receiver's slice edges are
+    # drawn by the test below)
     n=st.sampled_from([1, 2, SCORE_SLICE_ROWS - 1, SCORE_SLICE_ROWS]),
     seed=st.integers(0, 2**31),
 )
@@ -394,19 +396,29 @@ def test_standing_osnr_range_scores_by_the_monomial_table(shape):
     ],
 )
 def test_receiver_slices_decide_as_the_whole_frame_oracle(n, osnr_db):
-    # the receiver scores the frame SCORE_SLICE_ROWS slots at a time: no
-    # slice edge, one slot either side of an edge, on one, and many slices
+    # the receiver scores the frame score_slice_rows(H) slots at a time.
+    # Each alphabet's slice length divides SCORE_SLICE_ROWS, so every n ends
+    # the frame at the same place against its slice edges: no edge, one slot
+    # either side of an edge, on one, and many slices
     rng = np.random.default_rng(n)
-    c = build_constellation(4, 16)
-    ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
-    assert holds_nearest_mean(detection._build_bank(ch, c)) == (osnr_db > 100.0)
-    idx = random_symbol_stream(rng, c, n)
-    frames = received_samples(
-        *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
-    )
-    triples, means, covs = hypothesis_stats(ch, c)
-    oracle = triples[einsum_bank_scores(means, covs, ch.sigma2, frames[:, :4]).argmax(axis=1)]
-    assert np.array_equal(run_successive_receiver(frames, ch, c).indices[:, :3], oracle)
+    for shape, rows in (((2, 4), 1024), ((4, 16), 256), ((4, 64), 64)):
+        c = build_constellation(*shape)
+        assert score_slice_rows(c.n_rings**2 * c.n_phases) == rows and SCORE_SLICE_ROWS % rows == 0
+        ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
+        assert holds_nearest_mean(detection._build_bank(ch, c)) == (osnr_db > 100.0)
+        idx = random_symbol_stream(rng, c, n)
+        frames = received_samples(
+            *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
+        )
+        triples, means, covs = hypothesis_stats(ch, c)
+        # the oracle scores whole rows, so its own 256-row chunks (an (n, H,
+        # 4) array would take 117 MB at 4x64) leave its decisions as they are
+        best = [
+            einsum_bank_scores(means, covs, ch.sigma2, frames[start : start + 256, :4]).argmax(axis=1)
+            for start in range(0, n, 256)
+        ]
+        oracle = triples[np.concatenate(best)]
+        assert np.array_equal(run_successive_receiver(frames, ch, c).indices[:, :3], oracle), shape
 
 
 # --- inter-slot detection -----------------------------------------------------
@@ -588,25 +600,26 @@ def test_decision_directed_gain_is_beat_gain_of_the_pilot_pinned_decisions(shape
             assert np.array_equal(result.gain.view(np.uint64), want.view(np.uint64)), (osnr_db, n)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 4), (4, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("shape", [(1, 1), (2, 4), (4, 16), (4, 64)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_hypothesis_numbers_give_the_decided_triples(shape):
     # detect_dims123_block returns each slot's argmax hypothesis number h;
     # bank.triples[h] must be the (rx, ry, t) the rx-major numbering gives
     # that argmax, which the block returned as its decision before, and the
-    # receiver's decided triples, slice by slice
+    # receiver's decided triples, slice by slice (1024, 256 and 64 rows)
     rng = np.random.default_rng(1013)
     c = build_constellation(*shape)
     alphabet = (c.n_rings, c.n_rings, c.n_phases)
     ch = haar_random_channel(rng, osnr_to_sigma2(12.0))
-    n = 2 * SCORE_SLICE_ROWS + 37
+    rows = score_slice_rows(c.n_rings**2 * c.n_phases)
+    n = 2 * rows + 37
     idx = random_symbol_stream(rng, c, n)
     idx[0] = PILOT
     kx, ky = apply_jones(ch, *encode_indices(c, idx))
     frames = received_samples(kx, ky, ch.sigma2, rng.standard_normal((n, 4)), "full")
     bank = detection._build_bank(ch, c)
     decided = []
-    for start in range(0, n, SCORE_SLICE_ROWS):
-        h, scores = detect_dims123_block(frames[start : start + SCORE_SLICE_ROWS, :4], bank)
+    for start in range(0, n, rows):
+        h, scores = detect_dims123_block(frames[start : start + rows, :4], bank)
         assert h.shape == (len(scores),)
         assert np.array_equal(h, scores.argmax(axis=1))
         want = np.column_stack(np.unravel_index(scores.argmax(axis=1), alphabet))
@@ -771,24 +784,28 @@ def test_receiver_rejects_frames_that_are_not_finite_and_real():
 
 
 def test_receiver_peak_memory_is_bounded_by_the_score_slice():
-    # the receiver keeps only each slice's argmax; a whole-frame (n, H) score
-    # table (19.5 MiB here) alone would break the bound of two score slices
+    # the receiver keeps only each slice's argmax, and a slice holds at most
+    # 2^16 scores (512 KiB), so a 10^4-slot call stays within three such
+    # blocks (1.5 MiB; it peaks at 1.20 MiB at 4x16 and 1.37 MiB at 4x64).
+    # A whole-frame (n, H) score table (19.5 MiB at 4x16) or one 1024-row
+    # slice (2 MiB at 4x16, 8 MiB at 4x64) alone would break it
+    bound = 3 * 2**16 * 8
     rng = np.random.default_rng(4)
-    c = build_constellation(4, 16)
-    ch = haar_random_channel(rng, osnr_to_sigma2(20.0))
-    idx = random_symbol_stream(rng, c, 10_000)
-    frames = received_samples(
-        *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
-    )
-    bound = 2 * SCORE_SLICE_ROWS * c.n_rings**2 * c.n_phases * 8
-    for gain in (None, beat_gain(c, ch, idx[:, :3])):
-        tracemalloc.start()
-        try:
-            run_successive_receiver(frames, ch, c, gain=gain)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (peak, bound)
+    for shape in ((4, 16), (4, 64)):
+        c = build_constellation(*shape)
+        ch = haar_random_channel(rng, osnr_to_sigma2(20.0))
+        idx = random_symbol_stream(rng, c, 10_000)
+        frames = received_samples(
+            *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
+        )
+        for gain in (None, beat_gain(c, ch, idx[:, :3])):
+            tracemalloc.start()
+            try:
+                run_successive_receiver(frames, ch, c, gain=gain)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (shape, peak, bound)
 
 
 def test_genie_mode_dominates_decision_directed_dim4():

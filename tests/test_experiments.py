@@ -31,7 +31,7 @@ from stokesdd.config import (
     ExperimentConfig,
 )
 from stokesdd.constellation import build_constellation
-from stokesdd.detection import SCORE_SLICE_ROWS, _build_bank, detect_dims123_block
+from stokesdd.detection import SCORE_SLICE_ROWS, _build_bank, detect_dims123_block, score_slice_rows
 from stokesdd.experiments import (
     RATE_HEADER,
     SER_HEADER,
@@ -234,10 +234,13 @@ def test_rate_histogram_cells_are_capped():
 
 
 def test_score_table_cells_are_capped():
-    # the receiver scores SCORE_SLICE_ROWS slots at a time, so bounding the
-    # H = n_rings^2 * n_phases hypotheses bounds its largest per-slice array,
-    # the (rows, H) score block, at 2^23 cells, whatever the frame length
-    assert SCORE_SLICE_ROWS * MAX_HYPOTHESES == 2**23
+    # the receiver scores score_slice_rows(H) slots at a time, so its largest
+    # per-slice array, the (rows, H) score block, holds at most 2^16 cells
+    # (512 KiB) for every H = n_rings^2 * n_phases the config admits,
+    # whatever the frame length
+    for n_hypotheses in range(1, MAX_HYPOTHESES + 1):
+        rows = score_slice_rows(n_hypotheses)
+        assert 1 <= rows <= SCORE_SLICE_ROWS and rows * n_hypotheses <= 2**16, n_hypotheses
     frame = dict(experiment="rate", n_rings=4, n_phases=16, n_channels=1)
     ExperimentConfig(n_rings=4, n_phases=16, symbols_per_block=2**20)
     ExperimentConfig(rate_context="decision-directed", n_samples=2**20, **frame)

@@ -34,6 +34,7 @@ from reference import (
     frontend_full,
     frontend_reduced,
     recover_full,
+    row_major_sample_coefficients,
     stokes_matrix,
 )
 
@@ -232,6 +233,36 @@ def test_sample_coefficients_give_the_noisy_samples(sigma2):
                 assert np.array_equal(got, want)
             else:
                 assert np.all(np.abs(got - want) <= _rounding_bound(kx, ky, sigma2, unit, variant))
+
+
+@pytest.mark.parametrize("n", [2_000, 2**15])
+@pytest.mark.parametrize("rings, phases", [(2, 4), (4, 16)])
+def test_column_major_table_equals_the_row_major_oracle_bit_for_bit(rings, phases, n):
+    # the table is stored column-major, and its three planes, signed zeros
+    # included, and every evaluation of it are the row-major oracle's bit for
+    # bit.  At 2^15 slots a complex temporary is 512 KiB, past the 256 KiB
+    # from which numpy computes a product in place in its temporary operand,
+    # which rounds a complex product's imaginary part differently.  Slot 0's
+    # delayed pair is a product with the empty delay line, a zero whose sign
+    # follows the frame: these four frames put -0.0 in each of its columns
+    # of Q(K) and Q(U)
+    c = build_constellation(rings, phases)
+    slot0_signs = np.zeros((2, 2), dtype=bool)
+    for key in range(4):
+        _, _, kx, ky = draw_frame(c, 3, key, n)
+        unit = frame_noise(3, key, n)
+        table = sample_coefficients(kx, ky, unit)
+        want = row_major_sample_coefficients(kx, ky, unit)
+        assert table.shape == want.shape == (3, n, 6)
+        assert all(plane.T.flags.c_contiguous for plane in table)
+        for plane, want_plane in zip(table, want):
+            assert np.array_equal(_bits(plane), _bits(want_plane)), key
+        slot0_signs |= np.signbit(table[::2, 0, 4:])
+        for sigma2 in (0.0, 1e-12, 0.025, MAX_SIGMA2):
+            for variant in ("full", "reduced"):
+                got = _bits(evaluate_samples(table, sigma2, variant))
+                assert np.array_equal(got, _bits(evaluate_samples(want, sigma2, variant))), (key, sigma2, variant)
+    assert slot0_signs.all()
 
 
 def test_received_samples_is_noise_then_front_end():

@@ -9,6 +9,7 @@ from stokesdd.config import MIN_OSNR_DB, ExperimentConfig
 from stokesdd.constellation import build_constellation
 from stokesdd.detection import PILOT, beat_gain
 from stokesdd.metrics import (
+    _LabelBins,
     accumulate_ser,
     draw_frame,
     estimate_mi_dim4,
@@ -195,6 +196,33 @@ def test_rate_kernel_matches_the_field_oracle_bit_for_bit(context, rings, phases
     )
     for key in range(cfg.n_channels):
         assert np.array_equal(estimate_mi_dim4(cfg, key), field_rate_curve(cfg, key))
+
+
+def test_decision_directed_beat_bins_as_the_complex_view():
+    # the decision-directed kernel forms the beat w5 + 1j * w6 from the
+    # samples' columns, where a row-major array's (w5, w6) pair could be read
+    # as one complex number.  The two differ at most in the sign of a zero
+    # component, which lands in the same bin (0 maps to the box's middle)
+    rng = np.random.default_rng(23)
+    n, n_phases, n_bins = 5_000, 8, 16
+    samples = rng.standard_normal((n, 6))
+    samples[rng.random((n, 6)) < 0.2] = 0.0
+    samples[rng.random((n, 6)) < 0.2] = -0.0
+    gain = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    gain[:20] = 0.0  # erasures: a zero gain gives inf or NaN
+    labels = rng.integers(0, n_phases, n - 1)
+    stats = []
+    for beat in (samples[1:, 4] + 1j * samples[1:, 5], np.ascontiguousarray(samples)[1:, 4:].view(complex)[:, 0]):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stats.append(np.divide(beat, 2.0 * gain))
+    assert np.array_equal(stats[0], stats[1], equal_nan=True)
+    bins = _LabelBins(labels, n_phases, n_bins)
+    for h in (1.0, 1.3, 4.0):
+        flats, bits = [], []
+        for stat in stats:
+            bits.append(bins.mi_bits(stat, h))
+            flats.append(bins.flat.copy())  # each slot's (label, bin) cell of this binning
+        assert np.array_equal(flats[0], flats[1]) and bits[0] == bits[1]
 
 
 def test_genie_channel_peak_is_set_by_its_points():
