@@ -3,11 +3,14 @@ generated plot scripts.
 
 Both sweeps map a keyed kernel through ``_map_blocks``: ``_ser_block`` over
 the SER blocks, ``metrics.estimate_mi_dim4`` over the rate's channel draws.
-Every random stream is keyed by (seed, block, purpose), so results are
-byte-identical for a fixed config regardless of the worker count.  Channel
-draws, data, and noise quadratures are shared across the OSNR grid (the noise
-is rescaled per point), which keeps the curves monotone up to true detection
-behavior rather than re-sampling jitter.
+With two or more workers it starts one process per worker, each running a
+strided share of the keys, and gathers the shares in key order; a worker's
+error is re-raised in the parent, and a worker that dies without sending its
+results raises.  Every random stream is keyed by (seed, block, purpose), so
+results are byte-identical for a fixed config regardless of the worker count.
+Channel draws, data, and noise quadratures are shared across the OSNR grid
+(the noise is rescaled per point), which keeps the curves monotone up to true
+detection behavior rather than re-sampling jitter.
 
 ``emit_plot_script`` fills one template from the ``_PLOTS`` row the CSV header
 names.  The channel-estimation demo returns a plain dict, printed as
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 
 import numpy as np
 
@@ -84,6 +87,43 @@ def _ser_block(cfg: ExperimentConfig, block: int) -> np.ndarray:
     return errors
 
 
+def _run_share(func, share, writer) -> None:
+    # in a worker: one message back, the list of the share's results in
+    # order, or a tuple of the exception that stopped it and its traceback
+    try:
+        message = [func(b) for b in share]
+    except Exception as exc:
+        import traceback  # only a failing worker needs it; kept off the CLI's import path
+
+        message = (exc, traceback.format_exc())
+    writer.send(message)
+
+
+def _start_share(func, share):
+    reader, writer = Pipe(duplex=False)
+    child = Process(target=_run_share, args=(func, share, writer), daemon=True)
+    child.start()
+    # the child's copy of the writer is now the only one, so the reader sees
+    # EOF once the child has exited, whether or not it sent anything; closed
+    # before the next fork, no later worker holds it open
+    writer.close()
+    return child, reader
+
+
+def _receive_share(k: int, child, reader) -> list:
+    try:
+        message = reader.recv()
+    except EOFError:
+        child.join()
+        code = child.exitcode
+        how = f"signal {-code}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"worker {k} died with {how} before sending its results") from None
+    if isinstance(message, tuple):
+        exc, remote = message
+        raise exc from RuntimeError(f"in worker {k}:\n{remote}")
+    return message
+
+
 def _map_blocks(func, blocks, workers: int):
     # more processes than blocks or CPUs add start-up cost and memory, never
     # speed, and the results do not depend on the count; the CPUs are those
@@ -99,8 +139,30 @@ def _map_blocks(func, blocks, workers: int):
     # imported once here, every fork inherits it.  Only pooled sweeps pay
     # for it; importing the package does not.
     import numpy.random  # noqa: F401
-    with Pool(processes=processes) as pool:
-        return pool.map(func, blocks)  # ordered gather keeps merging canonical
+
+    # one process per worker, worker k running the strided share
+    # blocks[k::processes] and sending it back in one message; the parent
+    # gathers the shares in key order, so the results do not depend on the
+    # count.  A worker's exception is re-raised here and a worker that dies
+    # without sending raises; either way the other workers are stopped, and
+    # every worker is joined (reaped) before this returns or raises.
+    started = []
+    try:
+        for k in range(processes):
+            started.append(_start_share(func, blocks[k::processes]))
+        shares = [_receive_share(k, child, reader) for k, (child, reader) in enumerate(started)]
+    except BaseException:
+        for child, _ in started:
+            child.terminate()
+        raise
+    finally:
+        for child, reader in started:
+            child.join()
+            reader.close()
+    results = [None] * len(blocks)
+    for k, share in enumerate(shares):
+        results[k::processes] = share
+    return results
 
 
 def run_ser_experiment(config: ExperimentConfig) -> list[str]:

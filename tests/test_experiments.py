@@ -321,26 +321,35 @@ def test_decision_directed_rate_rows_independent_of_worker_count():
     assert rows == run_rate_experiment(base.replaced(workers=2))
 
 
-def _fake_pool_sizes(monkeypatch):
-    # a fake pool records its size and maps in this process, so no process
-    # starts; below two processes the map runs serially and makes no pool
-    sizes = []
+class _InProcessShare:
+    # stands in for a started worker and its pipe: the share is mapped in
+    # this process when the worker "starts", and recv hands back its results
 
-    class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def __init__(self, func, share):
+        self.results = [func(b) for b in share]
 
-        def __enter__(self):
-            return self
+    def recv(self):
+        return self.results
 
-        def __exit__(self, *exc):
-            return False
+    def join(self):
+        pass
 
-        def map(self, func, items):
-            return [func(item) for item in items]
+    terminate = close = join
 
-    monkeypatch.setattr(experiments, "Pool", FakePool)
-    return sizes
+
+def _fake_worker_shares(monkeypatch):
+    # the fake start records each worker's share and maps it in this process,
+    # so no process starts; below two processes the map runs serially and
+    # starts no worker
+    shares = []
+
+    def start(func, share):
+        shares.append(share)
+        worker = _InProcessShare(func, share)
+        return worker, worker
+
+    monkeypatch.setattr(experiments, "_start_share", start)
+    return shares
 
 
 @pytest.mark.parametrize(
@@ -356,25 +365,26 @@ def _fake_pool_sizes(monkeypatch):
     ],
 )
 def test_worker_pool_is_bounded_by_blocks_and_cpus(cpus, workers, blocks, processes, monkeypatch):
-    # where the platform reports no CPU affinity, os.cpu_count bounds the pool
-    sizes = _fake_pool_sizes(monkeypatch)
+    # where the platform reports no CPU affinity, os.cpu_count bounds the
+    # worker count
+    shares = _fake_worker_shares(monkeypatch)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     got = experiments._map_blocks(lambda b: 2 * b, range(blocks), workers)
     assert got == [2 * b for b in range(blocks)]
-    assert sizes == ([] if processes is None else [processes])
+    assert shares == ([] if processes is None else [range(blocks)[k::processes] for k in range(processes)])
 
 
 @pytest.mark.parametrize("allowed, workers, processes", [(1, 2, None), (3, 4, 3), (8, 4, 4)])
 def test_worker_pool_is_bounded_by_the_cpus_the_process_may_run_on(allowed, workers, processes, monkeypatch):
-    # under a CPU affinity mask (taskset, a cpuset) the pool counts the
-    # allowed CPUs, not the machine's
-    sizes = _fake_pool_sizes(monkeypatch)
+    # under a CPU affinity mask (taskset, a cpuset) the worker count counts
+    # the allowed CPUs, not the machine's
+    shares = _fake_worker_shares(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(allowed)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     got = experiments._map_blocks(lambda b: 2 * b, range(10), workers)
     assert got == [2 * b for b in range(10)]
-    assert sizes == ([] if processes is None else [processes])
+    assert shares == ([] if processes is None else [range(10)[k::processes] for k in range(processes)])
 
 
 def _run_fresh(code: str) -> str:
@@ -417,10 +427,10 @@ def test_the_package_loads_its_modules_and_names_nothing_else():
 
 
 def test_pool_workers_import_nothing():
-    # the pool is replaced by one that records the parent's modules when it
-    # is built and maps in-process, so the blocks run where a fork would
-    # start: a module the map imports is one every worker would import on
-    # every sweep
+    # the worker start is replaced by one that records the parent's modules
+    # as each worker starts and maps its share in-process, so the blocks run
+    # where a fork would start: a module the map imports is one every worker
+    # would import on every sweep
     out = _run_fresh(
         """
         import os
@@ -430,20 +440,24 @@ def test_pool_workers_import_nothing():
 
         recorded = []
 
-        class RecordingPool:
-            def __init__(self, processes):
+        class InProcessShare:
+            def __init__(self, func, share):
                 recorded.append(set(sys.modules))
+                self.results = [func(b) for b in share]
 
-            def __enter__(self):
-                return self
+            def recv(self):
+                return self.results
 
-            def __exit__(self, *exc):
-                return False
+            def join(self):
+                pass
 
-            def map(self, func, items):
-                return [func(item) for item in items]
+            terminate = close = join
 
-        experiments.Pool = RecordingPool
+        def start(func, share):
+            worker = InProcessShare(func, share)
+            return worker, worker
+
+        experiments._start_share = start
         os.sched_getaffinity = lambda pid: {0, 1}
         sweeps = [
             (experiments.run_ser_experiment, ExperimentConfig(
@@ -456,10 +470,104 @@ def test_pool_workers_import_nothing():
         ]
         for run, cfg in sweeps:
             run(cfg)
-            print(len(recorded), sorted(set(sys.modules) - recorded[-1]))
+            # the modules when the sweep's first worker started
+            print(len(recorded), sorted(set(sys.modules) - recorded[-2]))
         """
     )
-    assert out.splitlines() == ["1 []", "2 []", "3 []"]
+    assert out.splitlines() == ["2 []", "4 []", "6 []"]
+
+
+_FORKED_KERNELS = """
+    import multiprocessing
+    import os
+    import resource
+    import time
+
+    from stokesdd import experiments
+
+    # real forks on two CPUs, whatever the machine has
+    os.sched_getaffinity = lambda pid: {0, 1}
+
+
+    def tenfold(b):
+        return 10 * b
+
+
+    def raises_at_2(b):
+        if b == 2:
+            raise ValueError(f"no block {b}")
+        if b == 3:
+            time.sleep(60)  # still running when worker 0 fails: it must be stopped
+        return b
+
+
+    def exits_at_1(b):
+        if b == 1:
+            os._exit(3)
+        return b
+"""
+
+
+@pytest.mark.parametrize("cpus, blocks", [(2, 5), (3, 7)])
+def test_forked_workers_return_the_serial_list_in_key_order(cpus, blocks):
+    # uneven strided shares ([0, 2, 4] and [1, 3]; [0, 3, 6], [1, 4] and
+    # [2, 5]) are gathered back into key order
+    out = _run_fresh(
+        _FORKED_KERNELS
+        + f"""
+    os.sched_getaffinity = lambda pid: set(range({cpus}))
+    print(experiments._map_blocks(tenfold, range({blocks}), {cpus}))
+    """
+    )
+    assert out.splitlines() == [str([10 * b for b in range(blocks)])]
+
+
+def test_a_pooled_sweep_reaps_its_workers():
+    # perfbench's peak_rss_mb reads the reaped children's peak RSS, which
+    # stays 0 until a worker has been waited for; read before
+    # active_children, which itself reaps
+    out = _run_fresh(
+        _FORKED_KERNELS
+        + """
+    print(experiments._map_blocks(tenfold, range(4), 2))
+    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0, multiprocessing.active_children())
+    """
+    )
+    assert out.splitlines() == ["[0, 10, 20, 30]", "True []"]
+
+
+def test_a_workers_exception_is_re_raised_and_the_other_workers_stopped():
+    # worker 0 raises on key 2 while worker 1 sleeps on key 3: the parent
+    # re-raises the ValueError, stops worker 1 and reaps both
+    out = _run_fresh(
+        _FORKED_KERNELS
+        + """
+    start = time.perf_counter()
+    try:
+        experiments._map_blocks(raises_at_2, range(4), 2)
+    except ValueError as exc:
+        print(repr(exc))
+        print("raises_at_2" in str(exc.__cause__))
+    print(time.perf_counter() - start < 30, multiprocessing.active_children())
+    """
+    )
+    assert out.splitlines() == ["ValueError('no block 2')", "True", "True []"]
+
+
+def test_a_worker_that_dies_without_sending_raises():
+    # a worker that exits without sending (an OOM kill, os._exit) raises
+    # naming its exit code; the run's timeout turns a hang into a failure
+    out = _run_fresh(
+        _FORKED_KERNELS
+        + """
+    try:
+        experiments._map_blocks(exits_at_1, range(4), 2)
+    except ChildProcessError as exc:
+        print(exc)
+    print(multiprocessing.active_children())
+    """
+    )
+    assert out.splitlines() == ["worker 1 died with exit code 3 before sending its results", "[]"]
 
 
 def test_ser_trials_column_counts_every_slot_but_the_pilots_inter_slot_entry():
