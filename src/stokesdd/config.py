@@ -23,10 +23,10 @@ MAX_OSNR_POINTS = 10_000
 MAX_HISTOGRAM_CELLS = 2**24
 
 # most per-slot hypotheses H = n_rings^2 * n_phases: the receiver scores a
-# frame in slices of detection.score_slice_rows(H) slots, so its largest
-# array, the (slice, H) score block, stays within 2^16 float64 cells (512
-# KiB) at any frame length and any H up to this cap, where a slice is 8
-# slots; the repo's own sweeps use at most 256 (4 rings x 16 phases)
+# frame in slices of detection.score_slice_rows(H) slots, so its (slice, H)
+# score block stays within 2^16 float64 cells (512 KiB) at any frame length
+# and any H up to this cap, where a slice is 8 slots; the repo's own sweeps
+# use at most 256 (4 rings x 16 phases)
 MAX_HYPOTHESES = 2**13
 
 # longest frame a sweep may draw: an SER block of symbols_per_block slots, or

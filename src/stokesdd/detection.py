@@ -30,12 +30,19 @@ monomials (1, w_i, w_i w_j for i <= j): the quadratic discriminant of
 Hastie, Tibshirani & Friedman (Elements of Statistical Learning, 4.3).  The
 hypothesis bank stores their (15, H) coefficient table
 T = -0.5 [mu^T P mu + log det C; -2 P mu; P_ii, or 2 P_ij for i < j], and a
-slice of slots is scored by building its monomial rows and one GEMM.  The
-receiver builds the bank once per frame and scores the frame slice by slice,
-keeping only each slot's argmax.  A slice holds at most ``SCORE_SLICE_CELLS``
-scores (``score_slice_rows``), so the memory of a call is bounded by one
-512 KiB score block, never by a whole-frame (n, H) table, and each slice's
-GEMM and argmax run on a block that stays in cache.
+slice of slots is scored by one GEMM of its monomial rows (``monomials``).
+The receiver builds the bank once per frame and scores the frame slice by
+slice, keeping only each slot's argmax.  A slice holds at most
+``SCORE_SLICE_CELLS`` scores (``score_slice_rows``), so each slice's GEMM
+and argmax run on a block that stays in cache.  At 4x16 a slice's GEMM is
+256 x 256 x 15 = 983,040 multiply-adds, the most OpenBLAS runs on its
+single-threaded small-matrix kernel: 272 rows took 70-80 us against 14 us
+for 256.  The monomial rows are built once per chunk of
+``MONOMIAL_CHUNK_ROWS`` slots, a whole number of slices, and each slice is
+scored from a view of its chunk, so the ~13 numpy calls of a build are
+spread over 2048 slots rather than one slice's 256.  The memory of a call
+is bounded by one 512 KiB score block and one chunk's 240 KiB of rows,
+never by a whole-frame (n, H) table.
 
 The expanded form cancels: w^T P w and mu^T P mu are ~|P| while their
 difference is O(1), so its error grows with the condition number kappa of
@@ -93,14 +100,27 @@ ERASURE_TOL = 1e-12
 # in cache.  On a 2-core Xeon (2 MiB of L2 per core) a 10^4-slot receiver call
 # was fastest at 2^16 cells of the 2^14..2^18 tried: 3.2 ms at 4x16 against
 # 3.4 ms with 1024-row (2 MiB) blocks, 11.7 ms at 4x64 against 13.5 ms.
-# A slice holds at most SCORE_SLICE_ROWS slots, so its ~16 numpy calls are
-# spread over enough of them at small H (128-row slices took twice as long
-# at 2x4 and 4x16); one unsliced GEMM of a whole frame halved the 2-worker
-# pool's throughput, probably through OpenBLAS helper threads.  The slice,
-# not the frame, bounds a receiver call's memory: its largest array is the
-# score block
+# 2^16 cells x 15 monomials = 983,040 multiply-adds is also the largest GEMM
+# that OpenBLAS 0.3.31 runs on its single-threaded small-matrix kernel: on a
+# 2-CPU EPYC a 272-row 4x16 slice took 70-80 us against 14 us for 256 rows
+# (23 us for 272 with one BLAS thread), and one unsliced GEMM of a whole
+# frame halved the 2-worker pool's throughput.  A slice holds at most
+# SCORE_SLICE_ROWS slots, so its numpy calls are spread over enough of them
+# at small H (128-row slices took twice as long at 2x4 and 4x16).  The
+# slice and the chunk below, not the frame, bound a receiver call's memory:
+# its largest arrays are the score block and the chunk's monomial rows
 SCORE_SLICE_ROWS = 1024
 SCORE_SLICE_CELLS = 2**16
+
+# the receiver builds the monomial rows of this many slots at a time, rounded
+# down to a whole number of slices (at least one): 2 slices of 1024 rows at
+# 2x4, 8 of 256 at 4x16, 256 of 8 at H = 2^13.  A 2048-slot chunk's rows
+# (240 KiB) and one score block (512 KiB) fit in a 1 MiB L2.  A 10^4-slot
+# 4x16 receiver call at 16 dB (timeit, 2-CPU EPYC, 1 MiB of L2 per core)
+# took 1.57 ms with one build per slice, 1.42 ms with 1024-slot chunks,
+# 1.38 ms with 2048 and 1.36 ms with 4096; whole-frame rows (1.31 ms) grow
+# with the frame, to 480 MiB at config.MAX_FRAME_SLOTS
+MONOMIAL_CHUNK_ROWS = 2048
 
 
 def score_slice_rows(n_hypotheses: int) -> int:
@@ -198,22 +218,29 @@ def _build_bank(channel: JonesChannel, constellation: RingPskConstellation) -> _
     return _HypothesisBank(triples, table, kx, ky)
 
 
-def detect_dims123_block(obs: np.ndarray, bank: _HypothesisBank):
-    """Vectorized per-slot detection of (ring_x, ring_y, intra-phase).
-
-    ``obs`` is (rows, 4) rows of (w1, w2, w3, w4), scored against ``bank``
-    (``_build_bank``) with one monomial build and one GEMM.  Returns the
-    decided (rows,) hypothesis numbers, whose (rx, ry, t) are the rows of
-    ``bank.triples``, and the (rows, H) score block: surrogate
-    log-likelihoods, or -0.5 |w - mu_h|^2 past the hand-over.  The receiver
-    passes one slice of ``score_slice_rows(H)`` rows per call, so the score
-    block holds at most ``SCORE_SLICE_CELLS`` cells (512 KiB).
-    """
+def monomials(obs) -> np.ndarray:
+    """The (15, rows) monomial rows (1, w1..w4, then w_i w_j in ``_PAIRS``
+    order) of ``obs``, (rows, 4) rows of (w1, w2, w3, w4)."""
     f = np.empty((15, len(obs)))
     f[0] = 1.0
     f[1:5] = np.asarray(obs, dtype=float).T
     for k, (i, j) in enumerate(_PAIRS):
         np.multiply(f[1 + i], f[1 + j], out=f[5 + k])
+    return f
+
+
+def detect_dims123_block(f: np.ndarray, bank: _HypothesisBank):
+    """Vectorized per-slot detection of (ring_x, ring_y, intra-phase).
+
+    ``f`` is the (15, rows) ``monomials`` of the slots' (w1, w2, w3, w4),
+    scored against ``bank`` (``_build_bank``) with one GEMM.  Returns the
+    decided (rows,) hypothesis numbers, whose (rx, ry, t) are the rows of
+    ``bank.triples``, and the (rows, H) score block: surrogate
+    log-likelihoods, or -0.5 |w - mu_h|^2 past the hand-over.  The receiver
+    passes a view of one slice of ``score_slice_rows(H)`` columns of its
+    chunk's rows per call, so the score block holds at most
+    ``SCORE_SLICE_CELLS`` cells (512 KiB).
+    """
     scores = f.T @ bank.table
     return scores.argmax(axis=1), scores  # ties resolve to the lowest hypothesis index
 
@@ -476,17 +503,23 @@ def run_successive_receiver(
         gain = np.asarray(gain)
         if gain.shape != (len(arr) - 1,) or not np.isfinite(gain).all():
             raise ValueError(f"gain must be a finite ({len(arr) - 1},) array, got {gain.dtype} {gain.shape}")
-    w56 = arr[:, 4] + 1j * arr[:, 5]
     # one bank per frame; each slice's score block is dropped once its argmax
     # is written as hypothesis numbers, so no (n, H) table is ever built.
-    # The slices read the samples' first four columns, contiguous in the
-    # column-major array ``frontend.evaluate_samples`` returns
+    # The chunks read the samples' first four columns, contiguous in the
+    # column-major array ``frontend.evaluate_samples`` returns, and each
+    # chunk's rows are dropped before the next chunk's are built.  w5 + i w6
+    # is formed only after the scoring loop, so its (n,) complex array does
+    # not add to the loop's memory peak
     bank = _build_bank(channel, constellation)
     h = np.empty(len(arr), dtype=np.intp)
     step = score_slice_rows(len(bank.triples))
-    for start in range(0, len(arr), step):
-        rows = slice(start, start + step)
-        h[rows] = detect_dims123_block(arr[rows, :4], bank)[0]
+    chunk = step * max(1, MONOMIAL_CHUNK_ROWS // step)
+    for start in range(0, len(arr), chunk):
+        f = monomials(arr[start : start + chunk, :4])
+        for offset in range(0, f.shape[1], step):
+            rows = slice(start + offset, start + offset + step)
+            h[rows] = detect_dims123_block(f[:, offset : offset + step], bank)[0]
+        del f
     # the (n, 4) result in one gather of whole rows (rx, ry, t, 0): a take of
     # contiguous rows costs far less than filling the strided [:, :3] columns
     index_rows = np.zeros((len(bank.triples), 4), dtype=np.int64)
@@ -498,7 +531,7 @@ def run_successive_receiver(
         # fields the bank was built from
         h[0] = np.ravel_multi_index(PILOT[:3], (constellation.n_rings,) * 2 + (constellation.n_phases,))
         gain = _stream_gain(constellation, bank.kx, bank.ky, h)
-    eta = detect_dim4_block(w56[1:], gain, constellation)
+    eta = detect_dim4_block(arr[1:, 4] + 1j * arr[1:, 5], gain, constellation)
 
     out[0, 3] = 0
     out[1:, 3] = eta

@@ -154,8 +154,3 @@ def evaluate_samples(coefficients: np.ndarray, sigma2: float, variant: str) -> n
     if variant == "reduced":
         return _restore(_reduce(samples))
     raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
-
-
-def received_samples(kx, ky, sigma2: float, unit: np.ndarray, variant: str) -> np.ndarray:
-    """``evaluate_samples`` of the frame's table at one noise variance."""
-    return evaluate_samples(sample_coefficients(kx, ky, unit), sigma2, variant)

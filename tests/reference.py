@@ -3,7 +3,8 @@ against.  They favour the plainest form of each formula over speed: the
 per-slot (scalar) forms of the encoder, channel, front-end and detectors whose
 block (array) forms make up the library, the per-slot records they pass
 (``DualPolSymbol``, ``SymbolIndices``), the 4x4 matrix ``stokes_matrix``
-by which the rotation acts on the observables, the exact two-slot moments of
+by which the rotation acts on the observables, the noisy samples of a frame
+at one noise variance (``received_samples``), the exact two-slot moments of
 the six samples (``gauss_hermite_moments``) and the surrogate's closed forms
 for them (``two_slot_moments``), the exact moments of the averaged training
 pilots (``training_moments``), both by quadrature through the library's own
@@ -38,7 +39,7 @@ from stokesdd.detection import (
     run_successive_receiver,
     run_training,
 )
-from stokesdd.frontend import beat_coefficients, frontend_full_block, received_samples
+from stokesdd.frontend import beat_coefficients, evaluate_samples, frontend_full_block, sample_coefficients
 from stokesdd.metrics import _mi_from_counts, draw_frame, frame_noise
 
 
@@ -58,6 +59,13 @@ class SymbolIndices:
     ry: int  # ring of |E_y|
     t: int   # grid index of arg(E_x E_y*), intra-slot
     e: int   # grid index of arg(E_x[n] E_y*[n-1]), inter-slot
+
+
+def received_samples(kx, ky, sigma2: float, unit: np.ndarray, variant: str) -> np.ndarray:
+    """The (n, 6) noisy samples of a frame of noiseless fields (kx, ky) and
+    unit noise draws ``unit``: ``frontend.evaluate_samples`` of the frame's
+    ``sample_coefficients`` table at one noise variance."""
+    return evaluate_samples(sample_coefficients(kx, ky, unit), sigma2, variant)
 
 
 def hypothesis_stats(channel: JonesChannel, constellation: RingPskConstellation):

@@ -28,13 +28,14 @@ from stokesdd.detection import (
     estimate_channel,
     gauge_aligned_error,
     gaussian_stats_dims123,
+    monomials,
     run_successive_receiver,
     run_training,
     score_slice_rows,
 )
 import stokesdd.detection as detection
 from stokesdd.experiments import channel_estimation_demo
-from stokesdd.frontend import frontend_full_block, received_samples
+from stokesdd.frontend import frontend_full_block
 
 from reference import (
     Decision,
@@ -49,6 +50,7 @@ from reference import (
     gauss_hermite_moments,
     hypothesis_stats,
     nearest_phase_argmin,
+    received_samples,
     single_point_training,
     training_moments,
     two_slot_moments,
@@ -151,7 +153,7 @@ def test_detect_noiseless_recovers_symbols_exactly():
         kx, ky = apply_jones(ch, ex, ey)
         frames = frontend_full_block(kx, ky)
         bank = detection._build_bank(ch, c)
-        decided = bank.triples[detect_dims123_block(frames[:, :4], bank)[0]]
+        decided = bank.triples[detect_dims123_block(monomials(frames[:, :4]), bank)[0]]
         assert (decided == idx[:, :3]).all()
 
 
@@ -192,7 +194,7 @@ def test_argmax_invariant_to_affine_score_changes():
     idx = random_symbol_stream(rng, c, 20)
     ex, ey = encode_indices(c, idx)
     frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((len(idx), 4)), "full")
-    _, scores = detect_dims123_block(frames[:, :4], detection._build_bank(ch, c))
+    _, scores = detect_dims123_block(monomials(frames[:, :4]), detection._build_bank(ch, c))
     base = scores.argmax(axis=1)
     assert (np.argmax(3.7 * scores + 11.0, axis=1) == base).all()
 
@@ -205,7 +207,7 @@ def test_scalar_detect_matches_block():
     ex, ey = encode_indices(c, idx)
     frames = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((len(idx), 4)), "full")
     bank = detection._build_bank(ch, c)
-    block = bank.triples[detect_dims123_block(frames[:, :4], bank)[0]]
+    block = bank.triples[detect_dims123_block(monomials(frames[:, :4]), bank)[0]]
     for n in range(len(idx)):
         d = detect_dims123(frames[n, :4], ch, c)
         assert (d.indices.rx, d.indices.ry, d.indices.t) == tuple(block[n])
@@ -270,7 +272,7 @@ def test_whitened_scores_match_einsum_oracle(shape, osnr_db, n, seed):
     obs = received_samples(*apply_jones(ch, ex, ey), ch.sigma2, rng.standard_normal((n, 4)), "full")[:, :4]
 
     bank = detection._build_bank(ch, c)
-    best, scores = detect_dims123_block(obs, bank)
+    best, scores = detect_dims123_block(monomials(obs), bank)
     decided = bank.triples[best]
     ref = einsum_bank_scores(means, covs, ch.sigma2, obs)
     assert scores.shape == ref.shape
@@ -313,7 +315,7 @@ def test_scores_past_the_hand_over_match_each_hypothesis_terms(shape):
             obs = received_samples(
                 *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
             )[:, :4]
-            best, scores = detect_dims123_block(obs, bank)
+            best, scores = detect_dims123_block(monomials(obs), bank)
             decided = bank.triples[best]
             near = half_negative_squared_distances(obs, means)
             tol = 16.0 * eps * expanded_score_scale(means, covs, 0.0, obs)
@@ -334,7 +336,7 @@ def test_zero_noise_scores_are_half_negative_squared_distances(shape, n):
     ch = haar_random_channel(rng, 0.0)
     obs = rng.standard_normal((n, 4))
     bank = detection._build_bank(ch, c)
-    best, scores = detect_dims123_block(obs, bank)
+    best, scores = detect_dims123_block(monomials(obs), bank)
     decided = bank.triples[best]
     triples, means, covs = hypothesis_stats(ch, c)
     ref = half_negative_squared_distances(obs, means)
@@ -360,7 +362,7 @@ def test_high_osnr_decisions_are_exact_past_the_hand_over(shape):
                 *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
             )[:, :4]
             bank = detection._build_bank(ch, c)
-            decided = bank.triples[detect_dims123_block(obs, bank)[0]]
+            decided = bank.triples[detect_dims123_block(monomials(obs), bank)[0]]
             assert np.array_equal(decided, idx[:, :3]), (osnr_db, int((decided != idx[:, :3]).any(axis=1).sum()))
 
 
@@ -419,6 +421,44 @@ def test_receiver_slices_decide_as_the_whole_frame_oracle(n, osnr_db):
         ]
         oracle = triples[np.concatenate(best)]
         assert np.array_equal(run_successive_receiver(frames, ch, c).indices[:, :3], oracle), shape
+
+
+@pytest.mark.parametrize("osnr_db", [20.0, 120.0], ids=["monomial-table", "nearest-mean"])
+# one slot either side of the first chunk edge, on it, and past the second
+@pytest.mark.parametrize("n", [1819, 1820, 1821, 2 * 1820 + 1])
+def test_receiver_chunks_that_no_slice_length_divides_decide_as_the_oracle(n, osnr_db):
+    # the receiver builds the monomial rows of whole slices at a time: at 3x8
+    # (H = 72) a slice holds 910 slots, so a chunk holds two (1820 slots, not
+    # MONOMIAL_CHUNK_ROWS), and the frame's chunk edges fall off the 2^k grid
+    rng = np.random.default_rng(n)
+    c = build_constellation(3, 8)
+    rows = score_slice_rows(c.n_rings**2 * c.n_phases)
+    assert rows == 910 and rows * (detection.MONOMIAL_CHUNK_ROWS // rows) == 1820
+    ch = haar_random_channel(rng, osnr_to_sigma2(osnr_db))
+    assert holds_nearest_mean(detection._build_bank(ch, c)) == (osnr_db > 100.0)
+    idx = random_symbol_stream(rng, c, n)
+    frames = received_samples(
+        *apply_jones(ch, *encode_indices(c, idx)), ch.sigma2, rng.standard_normal((len(idx), 4)), "full"
+    )
+    triples, means, covs = hypothesis_stats(ch, c)
+    best = [
+        einsum_bank_scores(means, covs, ch.sigma2, frames[start : start + 256, :4]).argmax(axis=1)
+        for start in range(0, n, 256)
+    ]
+    oracle = triples[np.concatenate(best)]
+    assert np.array_equal(run_successive_receiver(frames, ch, c).indices[:, :3], oracle)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 2049])
+def test_monomials_are_the_explicit_rows_bit_for_bit(n):
+    # (1, w1..w4, w_i w_j for i <= j in _PAIRS order), each product one
+    # rounding, whatever the row count
+    assert detection._PAIRS == ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+    obs = np.random.default_rng(n).standard_normal((n, 4)) * 10.0 ** np.arange(-2, 2)
+    want = [np.ones(n), *obs.T, *(obs[:, i] * obs[:, j] for i, j in detection._PAIRS)]
+    got = monomials(obs)
+    assert got.shape == (15, n) and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
 # --- inter-slot detection -----------------------------------------------------
@@ -619,7 +659,7 @@ def test_hypothesis_numbers_give_the_decided_triples(shape):
     bank = detection._build_bank(ch, c)
     decided = []
     for start in range(0, n, rows):
-        h, scores = detect_dims123_block(frames[start : start + rows, :4], bank)
+        h, scores = detect_dims123_block(monomials(frames[start : start + rows, :4]), bank)
         assert h.shape == (len(scores),)
         assert np.array_equal(h, scores.argmax(axis=1))
         want = np.column_stack(np.unravel_index(scores.argmax(axis=1), alphabet))

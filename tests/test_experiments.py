@@ -31,7 +31,7 @@ from stokesdd.config import (
     ExperimentConfig,
 )
 from stokesdd.constellation import build_constellation
-from stokesdd.detection import SCORE_SLICE_ROWS, _build_bank, detect_dims123_block, score_slice_rows
+from stokesdd.detection import SCORE_SLICE_ROWS, _build_bank, detect_dims123_block, monomials, score_slice_rows
 from stokesdd.experiments import (
     RATE_HEADER,
     SER_HEADER,
@@ -40,8 +40,9 @@ from stokesdd.experiments import (
     run_ser_experiment,
     write_csv,
 )
-from stokesdd.frontend import received_samples
 from stokesdd.metrics import draw_frame, estimate_mi_dim4, frame_noise
+
+from reference import received_samples
 
 FAST_SER = dict(
     osnr_start_db=20.0,
@@ -174,7 +175,7 @@ def test_scores_at_the_osnr_floor_are_finite(variant):
     frames = received_samples(kx, ky, sigma2, frame_noise(0, 0, 10_000), variant)
     bank = _build_bank(JonesChannel(channel.a, channel.b, sigma2), c)
     for start in range(0, len(frames), SCORE_SLICE_ROWS):
-        _, scores = detect_dims123_block(frames[start : start + SCORE_SLICE_ROWS, :4], bank)
+        _, scores = detect_dims123_block(monomials(frames[start : start + SCORE_SLICE_ROWS, :4]), bank)
         assert np.isfinite(scores).all()
 
 
@@ -807,7 +808,8 @@ def test_emit_plot_script(tmp_path):
     write_csv(run_ser_experiment(cfg), csv_path)
     script = emit_plot_script(csv_path)
     assert os.path.exists(script)
-    text = open(script).read()
+    with open(script) as fh:
+        text = fh.read()
     assert "semilogy" in text and str(csv_path) in text
     compile(text, script, "exec")  # generated script is valid python
 
@@ -862,9 +864,12 @@ def test_generated_ser_script_plots_one_series_per_dim_and_mode(tmp_path, monkey
     # out of OSNR order, must come out as series of their own, in order
     assert main(["ser", *grid, "--symbols-per-block", "100", "--blocks", "1",
                  "--detection-mode", "genie", "--out", "genie.csv"]) == 0
+    with open("genie.csv") as fh:
+        genie = fh.read().splitlines()[1:]
     with open("ser.csv", "a") as fh:
-        fh.writelines(line + "\n" for line in reversed(open("genie.csv").read().splitlines()[1:]))
-    rows = list(csv.DictReader(open("ser.csv")))
+        fh.writelines(line + "\n" for line in reversed(genie))
+    with open("ser.csv") as fh:
+        rows = list(csv.DictReader(fh))
     expected = _points(rows, "ser", ("dim", "mode"))
     assert len(expected) == 8
 
@@ -884,7 +889,8 @@ def test_generated_rate_script_plots_one_series(tmp_path, monkeypatch):
     argv = ["rate", "--osnr-start-db", "18", "--osnr-stop-db", "22", "--osnr-step-db", "2",
             "--n-samples", "2000", "--n-bins", "16", "--n-channels", "1", "--out", "rate.csv", "--plot-script"]
     assert main(argv) == 0
-    (points,) = _points(csv.DictReader(open("rate.csv")), "mi_bits", ()).values()
+    with open("rate.csv") as fh:
+        (points,) = _points(csv.DictReader(fh), "mi_bits", ()).values()
 
     calls = _plot_calls("rate.csv_plot.py", monkeypatch)
     lines = [(method, args) for _, method, args, _ in calls if method in ("plot", "semilogy")]
@@ -965,7 +971,8 @@ def test_cli_ser_smoke(tmp_path, monkeypatch):
         ]
     )
     assert rc == 0
-    lines = open("out.csv").read().splitlines()
+    with open("out.csv") as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "osnr_db,dim,ser,trials,mode"
     assert len(lines) == 9
     assert os.path.exists("out.csv_plot.py")
@@ -981,7 +988,8 @@ def test_cli_rate_smoke(tmp_path, monkeypatch):
         ]
     )
     assert rc == 0
-    assert open("rate.csv").read().splitlines()[0] == "osnr_db,mi_bits,n_samples,n_bins"
+    with open("rate.csv") as fh:
+        assert fh.read().splitlines()[0] == "osnr_db,mi_bits,n_samples,n_bins"
 
 
 def test_cli_config_file_and_flag_overrides(tmp_path, monkeypatch):
@@ -991,7 +999,8 @@ def test_cli_config_file_and_flag_overrides(tmp_path, monkeypatch):
     rc = main(["ser", "--config", "cfg.json", "--blocks", "1", "--out", "a.csv"])
     assert rc == 0
     direct = run_ser_experiment(cfg.replaced(blocks=1))
-    assert open("a.csv").read().splitlines() == direct
+    with open("a.csv") as fh:
+        assert fh.read().splitlines() == direct
 
 
 def test_cli_config_file_completed_by_flags(tmp_path, monkeypatch):
@@ -1002,8 +1011,10 @@ def test_cli_config_file_completed_by_flags(tmp_path, monkeypatch):
     (tmp_path / "f.json").write_text(json.dumps({"experiment": "rate", "n_samples": 5}))
     assert main(["rate", "--config", "f.json", "--n-channels", "5", "--out", "file.csv"]) == 0
     assert main(["rate", "--n-samples", "5", "--n-channels", "5", "--out", "flags.csv"]) == 0
-    assert len(open("file.csv").read().splitlines()) == 10
-    assert open("file.csv").read() == open("flags.csv").read()
+    with open("file.csv") as file_csv, open("flags.csv") as flags_csv:
+        text = file_csv.read()
+        assert len(text.splitlines()) == 10
+        assert text == flags_csv.read()
 
 
 def test_cli_env_var_seed(tmp_path, monkeypatch):
@@ -1017,8 +1028,10 @@ def test_cli_env_var_seed(tmp_path, monkeypatch):
     main(args + ["--out", "env.csv"])
     main(args + ["--seed", "123", "--out", "explicit.csv"])
     main(args + ["--seed", "124", "--out", "other.csv"])
-    assert open("env.csv").read() == open("explicit.csv").read()
-    assert open("env.csv").read() != open("other.csv").read()
+    with open("env.csv") as env, open("explicit.csv") as explicit, open("other.csv") as other:
+        text = env.read()
+        assert text == explicit.read()
+        assert text != other.read()
 
 
 def test_csv_bytes_identical_across_runs(tmp_path):

@@ -20,7 +20,6 @@ from stokesdd.frontend import (
     evaluate_samples,
     frontend_full_block,
     frontend_reduced_block,
-    received_samples,
     recover_full_block,
     sample_coefficients,
 )
@@ -33,6 +32,7 @@ from reference import (
     field_samples,
     frontend_full,
     frontend_reduced,
+    received_samples,
     recover_full,
     row_major_sample_coefficients,
     stokes_matrix,

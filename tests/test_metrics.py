@@ -17,7 +17,14 @@ from stokesdd.metrics import (
 )
 
 from conftest import rate_bits
-from reference import binned_mi_bits, ell_gain, field_rate_curve, genie_pair_terms, summed_ser_counts
+from reference import (
+    binned_mi_bits,
+    ell_gain,
+    field_rate_curve,
+    genie_pair_terms,
+    received_samples,
+    summed_ser_counts,
+)
 
 
 def test_accumulate_ser_identical_streams():
@@ -362,7 +369,6 @@ def test_mi_dim4_consistent_with_fano():
     from stokesdd.channel import apply_jones, haar_random_channel, osnr_to_sigma2
     from stokesdd.constellation import encode_indices
     from stokesdd.detection import run_successive_receiver
-    from stokesdd.frontend import received_samples
 
     c = build_constellation(2, 4)
     osnr_db = 14.0
